@@ -35,7 +35,6 @@ from .conical import (
     tau,
 )
 from .diffcon import Constraint, DifferenceSystem, make_constraint, solve
-from .kernels import BACKEND
 from .matroid import ExchangeError, Matroid
 from .plucker import NotValidatedError, PlueckerVector, ValuatedCircuit
 from .semiring import INF, as_scalar, format_scalar, is_finite, parse_scalar, tdet
@@ -43,7 +42,6 @@ from .semiring import INF, as_scalar, format_scalar, is_finite, parse_scalar, td
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Cell",
     "Constraint",
     "DifferenceSystem",

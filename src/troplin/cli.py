@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / valid, 1 semantically invalid input (failed
-validation, point outside a required region, infeasible request), 2 usage
-errors (bad flags, malformed files).  All output for a fixed seed and fixed
-inputs is byte-identical across runs; progress/log chatter goes to stderr.
+validation, point outside a required region, infeasible request) or an
+enumeration past --max-patterns, 2 usage errors (bad flags, malformed
+files).  All output for a fixed seed and fixed inputs is byte-identical
+across runs; progress/log chatter goes to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ import sys
 from . import __version__
 from . import cells as cellmod
 from .chart import LocalContext
-from .conical import HeightMatrix, build_tree, is_caterpillar, is_conical, tau
+from .conical import (
+    HeightMatrix,
+    build_tree,
+    check_tree_input,
+    is_caterpillar,
+    is_conical,
+    tau,
+)
 from .matroid import Matroid
 from .plucker import PlueckerVector
 from .selftest import DEFAULT_SEED, run_selftest
@@ -210,6 +218,13 @@ def _fvector_lines(p, fv, with_total_cap: bool) -> list[str]:
     return lines
 
 
+def _enumerate(args, p: PlueckerVector):
+    try:
+        return cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+
+
 def cmd_local(args) -> int:
     p = _load_validated(args.file)
     ctx = _get_basis(args, p)
@@ -233,10 +248,7 @@ def cmd_local(args) -> int:
 
 def cmd_cells(args) -> int:
     p = _load_validated(args.file)
-    try:
-        cells = cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    cells = _enumerate(args, p)
     if args.format == "dot":
         print(cellmod.adjacency_dot(cells))
         return 0
@@ -254,7 +266,7 @@ def cmd_cells(args) -> int:
 
 def cmd_fvector(args) -> int:
     p = _load_validated(args.file)
-    cells = cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
+    cells = _enumerate(args, p)
     fv = cellmod.f_vector(cells, p.m)
     payload = fv.to_json()
     lines = _fvector_lines(p, fv, with_total_cap=False)
@@ -296,10 +308,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_conical(args) -> int:
     p = _load_validated(args.file)
-    try:
-        flag, witness = is_conical(p)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    flag, witness = is_conical(p, _enumerate(args, p))
     payload = {"conical": flag, "witness": list(witness) if witness else None}
     _emit(args, payload, [f"conical: {flag}" + (f" witness {list(witness)}" if witness else "")])
     return 0
@@ -308,7 +317,8 @@ def cmd_conical(args) -> int:
 def cmd_tree(args) -> int:
     p = _load_validated(args.file)
     try:
-        tree = build_tree(p)
+        check_tree_input(p)
+        tree = build_tree(p, _enumerate(args, p))
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
     cat = is_caterpillar(tree)
@@ -361,19 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"troplin {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_file=True):
+    def common(sp, needs_file=True, dot=False, max_patterns=False):
         if needs_file:
             sp.add_argument("file", help="input JSON file")
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument(
-            "--threads", type=int, default=1,
-            help="reserved; the current implementation is deterministic single-thread",
-        )
-        sp.add_argument(
-            "--max-patterns", type=int, default=cellmod.MAX_SOLVER_NODES_DEFAULT,
-            help="cap on tie-pattern solver nodes during enumeration",
-        )
+        formats = ("text", "json", "dot") if dot else ("text", "json")
+        sp.add_argument("--format", choices=formats, default="text")
+        if max_patterns:
+            sp.add_argument(
+                "--max-patterns", type=int, default=cellmod.MAX_SOLVER_NODES_DEFAULT,
+                help="cap on tie-pattern solver nodes during enumeration",
+            )
 
     sp = sub.add_parser("validate", help="check the three-term relations")
     common(sp)
@@ -404,16 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_chart)
 
     sp = sub.add_parser("local", help="local cell complex at one basis")
-    common(sp)
+    common(sp, max_patterns=True)
     sp.add_argument("--basis")
     sp.set_defaults(func=cmd_local)
 
     sp = sub.add_parser("cells", help="global cell complex")
-    common(sp)
+    common(sp, dot=True, max_patterns=True)
     sp.set_defaults(func=cmd_cells)
 
     sp = sub.add_parser("fvector", help="f-vector of the global complex")
-    common(sp)
+    common(sp, max_patterns=True)
     sp.set_defaults(func=cmd_fvector)
 
     sp = sub.add_parser("bounds", help="bound tables and fine counts for (n, m)")
@@ -423,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("conical", help="is some basis contained in every bounded cell?")
-    common(sp)
+    common(sp, max_patterns=True)
     sp.set_defaults(func=cmd_conical)
 
     sp = sub.add_parser("tree", help="rank-2 tree (text or DOT)")
-    common(sp)
+    common(sp, dot=True, max_patterns=True)
     sp.set_defaults(func=cmd_tree)
 
     sp = sub.add_parser("tau", help="Pluecker vector of a height matrix")
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tau)
 
     sp = sub.add_parser("selftest", help="run the seeded property suite")
-    common(sp, needs_file=False)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--scale", type=int, default=1, help="divide run counts by this")
     sp.set_defaults(func=cmd_selftest)
 
@@ -456,6 +463,9 @@ def main(argv=None) -> int:
         return 2
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except cellmod.EnumerationLimit as exc:
+        print(f"error: {exc}; raise --max-patterns", file=sys.stderr)
         return 1
 
 

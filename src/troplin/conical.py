@@ -209,14 +209,19 @@ class Tree:
         return "\n".join(lines)
 
 
-def build_tree(p: PlueckerVector, cell_list=None) -> Tree:
-    """Tree of a rank-2 space: minimal cells are nodes, bounded 2-cells are
-    internal edges, rays are leaf edges labelled by their direction."""
+def check_tree_input(p: PlueckerVector) -> None:
+    """Refuse, before any enumeration, a vector that `build_tree` cannot draw."""
     p._need_validated()
     if p.m != 2:
         raise ValueError("trees exist for rank-2 spaces only")
     if len(p.support_masks()) != math.comb(p.n, 2):
         raise ValueError("tree construction expects uniform support")
+
+
+def build_tree(p: PlueckerVector, cell_list=None) -> Tree:
+    """Tree of a rank-2 space: minimal cells are nodes, bounded 2-cells are
+    internal edges, rays are leaf edges labelled by their direction."""
+    check_tree_input(p)
     if cell_list is None:
         cell_list = cellmod.enumerate_cells(p)
     nodes, edge_triples, ray_pairs = cellmod.adjacency_graph(cell_list)

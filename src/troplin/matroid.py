@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from . import kernels
 
-MAX_GROUND = 16  # the bitmask kernels assume this
+MAX_GROUND = 16  # a size sanity cap; int bitmasks have no width limit
 
 
 class ExchangeError(ValueError):
@@ -92,10 +92,6 @@ class Matroid:
         self._masks = tuple(ordered)
         self._mask_set = frozenset(ordered)
         self._loops = None
-
-    @classmethod
-    def from_bases(cls, n: int, bases: Iterable[Iterable[int]]) -> "Matroid":
-        return cls(n, bases)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Matroid":

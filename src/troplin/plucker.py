@@ -22,6 +22,7 @@ from .matroid import (
     ExchangeError,
     Matroid,
     mask_from_subset,
+    popcount,
     subset_from_mask,
 )
 from .semiring import (
@@ -162,7 +163,7 @@ class PlueckerVector:
             for t_combo in combinations(elems, m + 1):
                 tmask = mask_from_subset(t_combo, n)
                 free = tmask & ~smask
-                if popcount_small(free) < 2:
+                if popcount(free) < 2:
                     continue  # S inside T: both terms of each pair coincide
                 terms = []
                 any_finite = False
@@ -405,7 +406,3 @@ class PlueckerVector:
 
     def __repr__(self):
         return f"PlueckerVector(n={self.n}, m={self.m}, |supp|={len(self._entries)})"
-
-
-def popcount_small(mask: int) -> int:
-    return bin(mask).count("1")

@@ -62,6 +62,20 @@ def brute_circuit_supports(matroid):
     return circuits
 
 
+def brute_exchange_violation(bases):
+    """Every failing triple of the basis-exchange axiom, straight from the
+    definition: (A, B, a) with a in A - B such that no b in B - A makes
+    A - a + b a basis.  ``bases`` is an iterable of element collections."""
+    family = {frozenset(b) for b in bases}
+    bad = set()
+    for a_set in family:
+        for b_set in family:
+            for a in a_set - b_set:
+                if not any((a_set - {a}) | {b} in family for b in b_set - a_set):
+                    bad.add((a_set, b_set, a))
+    return bad
+
+
 # ---------------------------------------------------------------------------
 # linear inequalities over Q: Fourier-Motzkin with strictness
 

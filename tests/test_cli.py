@@ -4,6 +4,7 @@ import pytest
 
 from troplin.cli import main
 from troplin.examples import snowflake, two_pyramids
+from troplin.selftest import DEFAULT_SEED
 
 
 @pytest.fixture
@@ -138,6 +139,89 @@ def test_conical_and_tree(capsys, example1, snowflake_file):
     assert code == 0 and "caterpillar: False" in out
     code, out, _ = run(capsys, "tree", snowflake_file, "--format", "dot")
     assert code == 0 and out.startswith("graph tree {")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells",),
+    ("local", "--basis", "1,4"),
+    ("conical",),
+    ("tree",),
+])
+def test_enumeration_limit_is_one_line(capsys, example1, argv):
+    command, *rest = argv
+    code, out, err = run(capsys, command, example1, *rest, "--max-patterns", "1")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "exceeded 1 solver nodes" in err
+
+
+@pytest.mark.parametrize("command", ["fvector", "conical"])
+def test_ground_cap_is_invalid_input(capsys, tmp_path, command):
+    path = tmp_path / "n11.json"
+    path.write_text(json.dumps({
+        "n": 11, "m": 1,
+        "entries": [{"subset": [i], "value": "0"} for i in range(1, 12)],
+    }))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "exceeds the enumeration cap 10" in err
+
+
+@pytest.fixture
+def subcommand_argv(example1, tmp_path):
+    """A minimal working argv per subcommand, keyed by its name."""
+    heights = tmp_path / "v.json"
+    heights.write_text(json.dumps({"n": 4, "B": [1, 2], "V": [["1", "2"], ["3", "4"]]}))
+    return {
+        "validate": ["validate", example1],
+        "circuits": ["circuits", example1],
+        "member": ["member", example1, "--point", "0,0,0,0"],
+        "project": ["project", example1, "--basis", "1,3", "--point", "5,0,9,0"],
+        "chart": ["chart", example1, "--basis", "1,3", "--x", "0,5"],
+        "local": ["local", example1, "--basis", "1,4"],
+        "cells": ["cells", example1],
+        "fvector": ["fvector", example1],
+        "bounds": ["bounds", "--n", "4", "--m", "2"],
+        "conical": ["conical", example1],
+        "tree": ["tree", example1],
+        "tau": ["tau", str(heights)],
+        "selftest": ["selftest", "--scale", "100"],
+    }
+
+
+SUBCOMMANDS = ("validate", "circuits", "member", "project", "chart", "local", "cells",
+               "fvector", "bounds", "conical", "tree", "tau", "selftest")
+DOT = {"cells", "tree"}
+MAX_PATTERNS = {"local", "cells", "fvector", "conical", "tree"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_option_surface(capsys, subcommand_argv, command):
+    argv = subcommand_argv[command]
+
+    def rejected(*extra):
+        code = main(argv + list(extra))
+        capsys.readouterr()
+        return code == 2
+
+    assert rejected("--threads", "1")
+    if command == "selftest":
+        code, out, _ = run(capsys, *argv, "--seed", str(DEFAULT_SEED))
+        assert code == 0 and "selftest: PASS" in out
+        assert rejected("--format", "json")
+    else:
+        assert rejected("--seed", "7")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)
+    if command in DOT:
+        code, out, _ = run(capsys, *argv, "--format", "dot")
+        assert code == 0 and out.startswith("graph ")
+    else:
+        assert rejected("--format", "dot")
+    if command in MAX_PATTERNS:
+        code, _, _ = run(capsys, *argv, "--max-patterns", "100000")
+        assert code == 0
+    else:
+        assert rejected("--max-patterns", "100000")
 
 
 def test_tau_round_trip(capsys, tmp_path):

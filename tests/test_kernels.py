@@ -1,21 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
 
-import pytest
-
-from troplin import _core_py
-
-try:
-    from troplin import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(
-    _core is None, reason="compiled kernel extension not built"
-)
+from oracles import brute_exchange_violation
+from troplin import kernels
 
 
 def random_basis_family(rng, n):
@@ -28,51 +15,21 @@ def random_basis_family(rng, n):
     return rng.sample(all_masks, count), n
 
 
-@needs_compiled
-def test_exchange_violation_backends_agree():
+def elements(mask):
+    return frozenset(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def test_exchange_violation_matches_brute_force():
     rng = random.Random(1234)
-    diffs = 0
+    violating = 0
     for _ in range(400):
         masks, n = random_basis_family(rng, rng.randint(2, 7))
-        a = _core_py.exchange_violation(masks, n)
-        b = _core.exchange_violation(masks, n)
-        if a != b:
-            diffs += 1
-    assert diffs == 0
-
-
-@needs_compiled
-def test_transversal_backends_agree():
-    rng = random.Random(4321)
-    for _ in range(300):
-        n = rng.randint(2, 8)
-        m = rng.randint(1, n)
-        basis = sorted(rng.sample(range(1, n + 1), m))
-        b_mask = sum(1 << (e - 1) for e in basis)
-        slot_elems = [e for e in range(1, n + 1) if e not in basis]
-        slot_masks = []
-        for _e in slot_elems:
-            sub = rng.sample(basis, rng.randint(0, m))
-            slot_masks.append(sum(1 << (x - 1) for x in sub))
-        a = _core_py.transversal_basis_masks(n, m, b_mask, slot_elems, slot_masks)
-        b = _core.transversal_basis_masks(n, m, b_mask, slot_elems, slot_masks)
-        assert a == b  # values and order
-
-
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, TROPLIN_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import troplin; print(troplin.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_default_backend_is_compiled_when_available():
-    import troplin
-
-    assert troplin.BACKEND == "cython"
+        bad = brute_exchange_violation(elements(mk) for mk in masks)
+        found = kernels.exchange_violation(masks, n)
+        if found is None:
+            assert not bad, (masks, n)
+            continue
+        violating += 1
+        amask, bmask, a = found
+        assert (elements(amask), elements(bmask), a) in bad, (masks, n, found)
+    assert 0 < violating < 400  # both outcomes are exercised

@@ -27,14 +27,14 @@ def test_mask_round_trip():
 
 
 def test_uniform_matroid_passes_exchange():
-    M = Matroid.from_bases(4, list(combinations(range(1, 5), 2)))
+    M = Matroid(4, list(combinations(range(1, 5), 2)))
     assert M.bases == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     assert M.loops() == ()
 
 
 def test_exchange_failure_reports_witness():
     with pytest.raises(ExchangeError) as info:
-        Matroid.from_bases(4, [(1, 2), (3, 4)])
+        Matroid(4, [(1, 2), (3, 4)])
     err = info.value
     assert set(err.a_subset) in ({1, 2}, {3, 4})
     assert err.element in err.a_subset
@@ -42,20 +42,20 @@ def test_exchange_failure_reports_witness():
 
 def test_mixed_sizes_rejected():
     with pytest.raises(ValueError):
-        Matroid.from_bases(4, [(1, 2), (1, 2, 3)])
+        Matroid(4, [(1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
-        Matroid.from_bases(4, [])
+        Matroid(4, [])
 
 
 def test_loops():
-    M = Matroid.from_bases(4, [(1, 2), (1, 3), (2, 3)])
+    M = Matroid(4, [(1, 2), (1, 3), (2, 3)])
     assert M.loops() == (4,)
 
 
 def test_fundamental_circuit_support_values():
-    M = Matroid.from_bases(4, list(combinations(range(1, 5), 2)))
+    M = Matroid(4, list(combinations(range(1, 5), 2)))
     assert M.fundamental_circuit_support(3, (1, 2)) == (1, 2, 3)
-    M2 = Matroid.from_bases(4, [(1, 2, 3), (1, 2, 4)])
+    M2 = Matroid(4, [(1, 2, 3), (1, 2, 4)])
     assert M2.fundamental_circuit_support(4, (1, 2, 3)) == (3, 4)
     with pytest.raises(ValueError):
         M2.fundamental_circuit_support(3, (1, 2, 3))  # e inside B
@@ -66,9 +66,9 @@ def test_fundamental_circuit_support_values():
 def test_fundamental_circuit_is_minimal_dependent():
     # against brute enumeration of minimal dependent sets
     cases = [
-        Matroid.from_bases(4, list(combinations(range(1, 5), 2))),
-        Matroid.from_bases(4, [(1, 2, 3), (1, 2, 4)]),
-        Matroid.from_bases(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]),
+        Matroid(4, list(combinations(range(1, 5), 2))),
+        Matroid(4, [(1, 2, 3), (1, 2, 4)]),
+        Matroid(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]),
     ]
     for M in cases:
         circuits = brute_circuit_supports(M)
@@ -82,15 +82,15 @@ def test_fundamental_circuit_is_minimal_dependent():
 
 
 def test_equality_and_hashing():
-    A = Matroid.from_bases(4, [(1, 2), (1, 3), (2, 3)])
-    B = Matroid.from_bases(4, [(2, 3), (1, 3), (1, 2)])
+    A = Matroid(4, [(1, 2), (1, 3), (2, 3)])
+    B = Matroid(4, [(2, 3), (1, 3), (1, 2)])
     assert A == B
     assert hash(A) == hash(B)
-    assert A != Matroid.from_bases(5, [(1, 2), (1, 3), (2, 3)])
+    assert A != Matroid(5, [(1, 2), (1, 3), (2, 3)])
 
 
 def test_json_round_trip():
-    M = Matroid.from_bases(4, [(1, 2), (1, 3), (2, 3)])
+    M = Matroid(4, [(1, 2), (1, 3), (2, 3)])
     blob = json.dumps(M.to_json())
     assert Matroid.from_json(json.loads(blob)) == M
 
@@ -106,12 +106,12 @@ def test_is_adjacent():
 def test_polytope_edges_are_exactly_adjacent_basis_pairs():
     # hull-edge oracle cross-check on every matroid here with <= 6 elements
     cases = [
-        Matroid.from_bases(4, list(combinations(range(1, 5), 2))),
-        Matroid.from_bases(5, list(combinations(range(1, 6), 2))),
-        Matroid.from_bases(5, list(combinations(range(1, 6), 3))),
-        Matroid.from_bases(4, [(1, 2, 3), (1, 2, 4)]),
-        Matroid.from_bases(4, [(1, 2), (2, 3), (2, 4)]),
-        Matroid.from_bases(6, list(combinations(range(1, 7), 2))),
+        Matroid(4, list(combinations(range(1, 5), 2))),
+        Matroid(5, list(combinations(range(1, 6), 2))),
+        Matroid(5, list(combinations(range(1, 6), 3))),
+        Matroid(4, [(1, 2, 3), (1, 2, 4)]),
+        Matroid(4, [(1, 2), (2, 3), (2, 4)]),
+        Matroid(6, list(combinations(range(1, 7), 2))),
     ]
     for M in cases:
         pts = [tuple(1 if i in b else 0 for i in range(1, M.n + 1)) for b in M.bases]
