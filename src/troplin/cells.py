@@ -5,9 +5,14 @@ Pulling the space back through the chart at a basis B turns each cell into a
 achieving the minimum in the chart formula.  A pattern determines a system of
 difference constraints on the chart coordinates (equalities inside each S_i,
 strict inequalities against the rest); the pattern is realized iff that
-system is feasible.  Feasible patterns are mapped back through the chart,
-identified by the matroid of maximum-weight bases at a witness point, and
-deduplicated across the bases of the support.
+system is feasible.  Feasible patterns are mapped back through the chart and
+identified by the matroid of maximum-weight bases at a witness point.
+
+A cell lies in the chart region of every basis of its face matroid, and its
+tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
+lex-least basis exactly when no such exchange has i < b, so restricting
+every S_i to elements below i finds each cell once, in the chart of its
+lex-least basis, with nothing to merge.
 
 Dimensions are ambient: a cell always contains the all-ones lineality
 direction, so the minimum is 1, not 0.  "Bounded" always means bounded
@@ -16,7 +21,6 @@ modulo that lineality line.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,14 +32,27 @@ from .diffcon import Constraint, DifferenceSystem, solve
 from .matroid import Matroid
 from .plucker import PlueckerVector
 
-log = logging.getLogger("troplin.cells")
-
 MAX_GROUND_DEFAULT = 10
 MAX_SOLVER_NODES_DEFAULT = 2_000_000
 
 
 class EnumerationLimit(RuntimeError):
     pass
+
+
+class NodeBudget:
+    """A cap on tie-pattern solver nodes, shareable by several chart searches."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def spend(self) -> None:
+        self.spent += 1
+        if self.spent > self.limit:
+            raise EnumerationLimit(f"tie-pattern search exceeded {self.limit} solver nodes")
 
 
 @dataclass(frozen=True)
@@ -65,7 +82,6 @@ class Cell:
     dim: int
     bounded: bool
     witness: tuple[Fraction, ...]
-    owners: tuple[tuple[int, ...], ...]
 
     @property
     def key(self):
@@ -212,19 +228,36 @@ def _realized_pattern(ctx: LocalContext, x) -> TiePattern:
 
 
 def enumerate_local_cells(
-    ctx: LocalContext, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
+    ctx: LocalContext,
+    max_nodes: int | NodeBudget = MAX_SOLVER_NODES_DEFAULT,
+    *,
+    owned_only: bool = False,
 ) -> list[Cell]:
     """All cells of the local space at ctx.basis, one per feasible tie pattern.
 
     Runs a depth-first product over the per-element selections, pruning any
     prefix whose partial system is already infeasible.  ``max_nodes`` caps
-    the number of solver calls (the tie-pattern product can explode).
+    the number of solver calls (the tie-pattern product can explode); pass a
+    `NodeBudget` to share one cap between several charts.
+
+    With ``owned_only`` only the cells whose lex-least face basis is
+    ctx.basis are returned: the selection for element i is drawn from the
+    basis elements below i, while the unchosen terms above i stay strict
+    constraints, so each leaf system is the one the full search solves.
     """
+    budget = max_nodes if isinstance(max_nodes, NodeBudget) else NodeBudget(max_nodes)
     p = ctx.p
-    option_rows = ctx.options
     m = p.m
-    cells: dict = {}
-    nodes = 0
+    option_rows = []
+    for i, opts in ctx.options:
+        allowed = tuple(
+            t for t, (slot, _) in enumerate(opts)
+            if not owned_only or ctx.basis[slot - 1] < i
+        )
+        if not allowed:
+            return []
+        option_rows.append((opts, allowed))
+    cells = []
 
     def leaf(eqs, cons):
         system = DifferenceSystem(m, tuple(cons), tuple(eqs))
@@ -239,34 +272,16 @@ def enumerate_local_cells(
         assert face.has_basis_mask(
             sum(1 << (b - 1) for b in ctx.basis)
         ), "the chart basis must be maximal at chart images"
-        cell = Cell(face, dim, bounded, point, (ctx.basis,))
-        prev = cells.get(face.bases)
-        if prev is None:
-            cells[face.bases] = cell
-        else:
-            # Tie patterns are expected to biject with cells; a collision is
-            # a refinement of the same cell and must agree on the geometry.
-            log.warning(
-                "two tie patterns produced the same face matroid at basis %s", ctx.basis
-            )
-            assert (prev.dim, prev.bounded) == (dim, bounded), (
-                "refined regions of one cell disagree on (dim, bounded)"
-            )
+        cells.append(Cell(face, dim, bounded, point))
 
     def descend(depth, eqs, cons):
-        nonlocal nodes
         if depth == len(option_rows):
             leaf(eqs, cons)
             return
-        _, opts = option_rows[depth]
-        k = len(opts)
-        for size in range(1, k + 1):
-            for chosen_idx in combinations(range(k), size):
-                nodes += 1
-                if nodes > max_nodes:
-                    raise EnumerationLimit(
-                        f"tie-pattern search exceeded {max_nodes} solver nodes"
-                    )
+        opts, allowed = option_rows[depth]
+        for size in range(1, len(allowed) + 1):
+            for chosen_idx in combinations(allowed, size):
+                budget.spend()
                 new_eqs, new_cons = _selection_system(opts, chosen_idx)
                 eqs2 = eqs + new_eqs
                 cons2 = cons + new_cons
@@ -280,47 +295,33 @@ def enumerate_local_cells(
                     descend(depth + 1, eqs2, cons2)
 
     descend(0, [], [])
-    return [cells[k] for k in sorted(cells)]
+    return sorted(cells, key=lambda c: c.key)
 
 
 def enumerate_cells(
     p: PlueckerVector,
     max_nodes: int = MAX_SOLVER_NODES_DEFAULT,
     max_ground: int = MAX_GROUND_DEFAULT,
-    bases: Iterable[tuple[int, ...]] | None = None,
 ) -> list[Cell]:
     """The full cell complex of the finite part of the space.
 
-    Unions the local enumerations over every basis of the support (or the
-    given subset, for testing order-independence), merging cells by their
-    face matroid and recording every basis that found each cell.
+    Finds each cell once, in the chart of the lex-least basis of its face
+    matroid.  ``max_nodes`` caps the solver calls of the whole enumeration,
+    and ``max_ground`` the ground set size it accepts.
     """
     p._need_validated()
     if p.n > max_ground:
-        raise ValueError(
-            f"ground set {p.n} exceeds the enumeration cap {max_ground}; "
-            "raise max_ground explicitly if you really want this"
-        )
+        raise ValueError(f"ground set {p.n} exceeds the enumeration cap {max_ground}")
     matroid = p.underlying_matroid()
     if matroid.loops():
         raise ValueError(
             f"underlying matroid has loops {matroid.loops()}; the finite part is empty"
         )
-    basis_list = list(bases) if bases is not None else [tuple(b) for b in matroid.bases]
-    merged: dict = {}
-    for basis in basis_list:
-        ctx = LocalContext(p, basis)
-        for cell in enumerate_local_cells(ctx, max_nodes=max_nodes):
-            prev = merged.get(cell.key)
-            if prev is None:
-                merged[cell.key] = cell
-            else:
-                assert (prev.dim, prev.bounded) == (cell.dim, cell.bounded), (
-                    "the same cell was found with inconsistent geometry"
-                )
-                if basis not in prev.owners:
-                    prev.owners = tuple(sorted(prev.owners + (basis,)))
-    return [merged[k] for k in sorted(merged)]
+    budget = NodeBudget(max_nodes)
+    found = []
+    for basis in matroid.bases:
+        found += enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
+    return sorted(found, key=lambda c: c.key)
 
 
 # ---------------------------------------------------------------------------

@@ -191,13 +191,15 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _cell_payload(cell) -> dict:
+def _cell_payload(cell, owners) -> dict:
+    """``owners`` are the bases whose charts hold the cell: all of its face
+    bases globally, the chart basis in a local complex."""
     return {
         "bases": [list(b) for b in cell.face_matroid.bases],
         "dim": cell.dim,
         "bounded": cell.bounded,
         "witness": [format_scalar(x) for x in cell.witness],
-        "owners": [list(b) for b in cell.owners],
+        "owners": [list(b) for b in owners],
     }
 
 
@@ -232,7 +234,7 @@ def cmd_local(args) -> int:
     fv = cellmod.f_vector(local, p.m)
     payload = {
         "basis": list(ctx.basis),
-        "cells": [_cell_payload(c) for c in local],
+        "cells": [_cell_payload(c, (ctx.basis,)) for c in local],
     }
     payload.update(fv.to_json())
     lines = [f"{len(local)} cells in the local complex at {list(ctx.basis)}"]
@@ -252,13 +254,13 @@ def cmd_cells(args) -> int:
     if args.format == "dot":
         print(cellmod.adjacency_dot(cells))
         return 0
-    payload = {"cells": [_cell_payload(c) for c in cells]}
+    payload = {"cells": [_cell_payload(c, c.face_matroid.bases) for c in cells]}
     lines = [f"{len(cells)} cells"]
     for c in cells:
         lines.append(
             f"  dim={c.dim} bounded={c.bounded} "
             f"bases={[''.join(map(str, b)) for b in c.face_matroid.bases]} "
-            f"owners={len(c.owners)}"
+            f"owners={len(c.face_matroid.bases)}"
         )
     _emit(args, payload, lines)
     return 0

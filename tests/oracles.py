@@ -2,12 +2,15 @@
 
 Everything in here is deliberately naive: straight enumeration, no pruning,
 no shared code with the library internals beyond data types.  Slow is fine;
-wrong is not.
+wrong is not.  The one exception is `all_bases_cells`: the slow path that a
+library fast path replaced, kept here to check the fast path against.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from troplin.cells import enumerate_local_cells
+from troplin.chart import LocalContext
 from troplin.diffcon import Constraint, DifferenceSystem
 from troplin.semiring import INF, is_finite
 
@@ -74,6 +77,31 @@ def brute_exchange_violation(bases):
                 if not any((a_set - {a}) | {b} in family for b in b_set - a_set):
                     bad.add((a_set, b_set, a))
     return bad
+
+
+def all_bases_cells(p):
+    """The cell complex found the slow way: the full local complex at every
+    basis of the support, merged by face matroid.
+
+    Returns (cell, owners) pairs sorted by key, where owners lists every
+    basis whose chart found the cell and the kept cell is the first find.
+    Asserts that no chart finds one cell twice and that every find of a
+    cell agrees on its dimension and boundedness.
+    """
+    merged = {}
+    for basis in p.underlying_matroid().bases:
+        local = enumerate_local_cells(LocalContext(p, basis))
+        keys = [c.key for c in local]
+        assert len(set(keys)) == len(keys), f"two tie patterns at {basis} gave one cell"
+        for cell in local:
+            if cell.key not in merged:
+                merged[cell.key] = (cell, [])
+            first, owners = merged[cell.key]
+            assert (first.dim, first.bounded) == (cell.dim, cell.bounded), (
+                f"cell {cell.key} found with inconsistent geometry at {basis}"
+            )
+            owners.append(basis)
+    return [(cell, tuple(owners)) for cell, owners in (merged[k] for k in sorted(merged))]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import lattice_simplex_counts, recession_01_bounded
+from oracles import all_bases_cells, lattice_simplex_counts, recession_01_bounded
 from troplin.cells import (
     EnumerationLimit,
+    NodeBudget,
     TiePattern,
     adjacency_dot,
     adjacency_graph,
@@ -24,8 +25,10 @@ from troplin.cells import (
     region_of,
 )
 from troplin.chart import LocalContext
+from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import PlueckerVector
+from troplin.semiring import INF
 
 
 def bases_of(cell):
@@ -55,7 +58,7 @@ def test_example1_global_complex():
     assert fv.bounded == (2, 1)
     # every cell lies in the chart region of each of its bases
     for c in cells:
-        assert c.owners == c.face_matroid.bases
+        assert all(LocalContext(p, b).in_sigma(c.witness) for b in c.face_matroid.bases)
         assert p.contains(c.witness)
 
 
@@ -98,11 +101,69 @@ def test_enumeration_limit():
         enumerate_local_cells(ctx, max_nodes=2)
 
 
+def test_node_budget_covers_the_whole_enumeration():
+    p = snowflake()
+    spent = []
+    for basis in p.underlying_matroid().bases:
+        budget = NodeBudget(10**6)
+        enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
+        spent.append(budget.spent)
+    cap = max(spent)
+    assert sum(spent) > cap
+    # every chart fits the cap alone ...
+    for basis in p.underlying_matroid().bases:
+        enumerate_local_cells(LocalContext(p, basis), cap, owned_only=True)
+    # ... but the enumeration as a whole does not
+    with pytest.raises(EnumerationLimit, match=f"exceeded {cap} solver nodes"):
+        enumerate_cells(p, max_nodes=cap)
+    assert enumerate_cells(p, max_nodes=sum(spent))
+
+
 def test_ground_size_cap():
     p = uniform_zero(11, 2)
     with pytest.raises(ValueError):
         enumerate_cells(p)
     assert enumerate_cells(p, max_ground=11)  # override works
+
+
+# ---------------------------------------------------------------------------
+# one find per cell, checked against the every-basis enumeration
+
+
+def _tau_instance(kind, n, m):
+    rng = random.Random(f"{kind}/{n}/{m}")
+    if kind == "generic":
+        return tau(random_height_matrix(n, m, rng=rng))
+    while True:
+        if kind == "tie":
+            rows = [[rng.choice((0, 1, 2)) for _ in range(n - m)] for _ in range(m)]
+        else:  # knockout: a quarter of the heights are INF, no all-INF column
+            rows = [[INF if rng.random() < 0.25 else rng.randrange(10)
+                     for _ in range(n - m)] for _ in range(m)]
+        if all(any(row[j] is not INF for row in rows) for j in range(n - m)):
+            return tau(HeightMatrix(n, range(1, m + 1), rows))
+
+
+OWNER_CASES = [
+    pytest.param(two_pyramids, id="two_pyramids"),
+    pytest.param(snowflake, id="snowflake"),
+    pytest.param(lambda: uniform_zero(5, 2), id="uniform_zero_5_2"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((5, 2), (6, 3), (7, 3))
+]
+
+
+@pytest.mark.parametrize("make", OWNER_CASES)
+def test_each_cell_found_once_matches_all_bases(make):
+    p = make()
+    slow = all_bases_cells(p)
+    fast = enumerate_cells(p)
+    assert [c.key for c in fast] == [c.key for c, _ in slow]
+    for cell, (ref, owners) in zip(fast, slow):
+        assert (cell.dim, cell.bounded, cell.witness) == (ref.dim, ref.bounded, ref.witness)
+        assert owners == cell.face_matroid.bases
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ def test_enumeration_limit_is_one_line(capsys, example1, argv):
     assert err.count("\n") == 1 and "exceeded 1 solver nodes" in err
 
 
+def test_max_patterns_caps_the_whole_enumeration(capsys, snowflake_file):
+    # every chart of the snowflake fits in 48 solver nodes; all of them do not
+    code, out, err = run(capsys, "cells", snowflake_file, "--max-patterns", "48")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "exceeded 48 solver nodes" in err
+
+
 @pytest.mark.parametrize("command", ["fvector", "conical"])
 def test_ground_cap_is_invalid_input(capsys, tmp_path, command):
     path = tmp_path / "n11.json"
@@ -164,6 +171,7 @@ def test_ground_cap_is_invalid_input(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "exceeds the enumeration cap 10" in err
+    assert "max_ground" not in err
 
 
 @pytest.fixture
