@@ -55,25 +55,6 @@ class NodeBudget:
             raise EnumerationLimit(f"tie-pattern search exceeded {self.limit} solver nodes")
 
 
-@dataclass(frozen=True)
-class TiePattern:
-    """For each non-basis element i (ascending): the tied subset of C(i,B)-i.
-
-    ``selections`` holds (i, chosen) pairs where ``chosen`` is a nonempty
-    sorted tuple of basis elements.
-    """
-
-    selections: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@dataclass
-class RegionResult:
-    feasible: bool
-    dim: int | None
-    witness: tuple[Fraction, ...] | None
-    system: DifferenceSystem
-
-
 @dataclass
 class Cell:
     """One cell, identified by the matroid attached to its relative interior."""
@@ -113,31 +94,9 @@ def _selection_system(opts: Sequence[tuple[int, Fraction]], chosen_idx: Sequence
     return eqs, cons
 
 
-def pattern_system(ctx: LocalContext, pattern: TiePattern) -> DifferenceSystem:
-    m = ctx.p.m
-    expected = tuple(i for i, _ in ctx.options)
-    got = tuple(i for i, _ in pattern.selections)
-    if got != expected:
-        raise ValueError(f"pattern must select for elements {expected}, got {got}")
-    eqs: list = []
-    cons: list = []
-    for (i, opts), (_, chosen) in zip(ctx.options, pattern.selections):
-        elems = [ctx.basis[slot - 1] for slot, _ in opts]
-        try:
-            idx = tuple(sorted(elems.index(b) for b in chosen))
-        except ValueError:
-            raise ValueError(
-                f"selection {chosen} for element {i} is not inside C({i},B)-{i} = {tuple(elems)}"
-            ) from None
-        if not idx:
-            raise ValueError(f"empty selection for element {i}")
-        e, c = _selection_system(opts, idx)
-        eqs.extend(e)
-        cons.extend(c)
-    return DifferenceSystem(m, tuple(cons), tuple(eqs))
-
-
 def _equality_components(m: int, eqs) -> int:
+    """Dimension of a feasible region: each component of the equality graph
+    is one free coordinate of its affine span."""
     parent = list(range(m + 1))
 
     def find(a):
@@ -190,37 +149,6 @@ def is_bounded(system: DifferenceSystem) -> bool:
         return seen
 
     return reach(fwd) == full and reach(back) == full
-
-
-def region_of(ctx: LocalContext, pattern: TiePattern) -> RegionResult:
-    """Solve the difference system of a tie pattern.
-
-    Feasible regions report their dimension (number of equality-graph
-    components: each component is one free coordinate of the affine span)
-    and an exact interior witness x realizing exactly this pattern.
-    """
-    system = pattern_system(ctx, pattern)
-    res = solve(system)
-    if not res.feasible:
-        return RegionResult(False, None, None, system)
-    dim = _equality_components(system.num_vars, system.equalities)
-    if __debug__:
-        assert _realized_pattern(ctx, res.witness) == pattern, (
-            "witness must realize its own tie pattern"
-        )
-    return RegionResult(True, dim, res.witness, system)
-
-
-def _realized_pattern(ctx: LocalContext, x) -> TiePattern:
-    sel = []
-    for i, opts in ctx.options:
-        vals = [x[slot - 1] + delta for slot, delta in opts]
-        best = min(vals)
-        chosen = tuple(
-            sorted(ctx.basis[opts[t][0] - 1] for t, v in enumerate(vals) if v == best)
-        )
-        sel.append((i, chosen))
-    return TiePattern(tuple(sel))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_plucker(path: str) -> PlueckerVector:
@@ -191,15 +193,12 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _cell_payload(cell, owners) -> dict:
-    """``owners`` are the bases whose charts hold the cell: all of its face
-    bases globally, the chart basis in a local complex."""
+def _cell_payload(cell) -> dict:
     return {
         "bases": [list(b) for b in cell.face_matroid.bases],
         "dim": cell.dim,
         "bounded": cell.bounded,
         "witness": [format_scalar(x) for x in cell.witness],
-        "owners": [list(b) for b in owners],
     }
 
 
@@ -234,7 +233,7 @@ def cmd_local(args) -> int:
     fv = cellmod.f_vector(local, p.m)
     payload = {
         "basis": list(ctx.basis),
-        "cells": [_cell_payload(c, (ctx.basis,)) for c in local],
+        "cells": [_cell_payload(c) for c in local],
     }
     payload.update(fv.to_json())
     lines = [f"{len(local)} cells in the local complex at {list(ctx.basis)}"]
@@ -254,13 +253,12 @@ def cmd_cells(args) -> int:
     if args.format == "dot":
         print(cellmod.adjacency_dot(cells))
         return 0
-    payload = {"cells": [_cell_payload(c, c.face_matroid.bases) for c in cells]}
+    payload = {"cells": [_cell_payload(c) for c in cells]}
     lines = [f"{len(cells)} cells"]
     for c in cells:
         lines.append(
             f"  dim={c.dim} bounded={c.bounded} "
-            f"bases={[''.join(map(str, b)) for b in c.face_matroid.bases]} "
-            f"owners={len(c.face_matroid.bases)}"
+            f"bases={[''.join(map(str, b)) for b in c.face_matroid.bases]}"
         )
     _emit(args, payload, lines)
     return 0
@@ -310,7 +308,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_conical(args) -> int:
     p = _load_validated(args.file)
-    flag, witness = is_conical(p, _enumerate(args, p))
+    cells = _enumerate(args, p)
+    try:
+        flag, witness = is_conical(p, cells)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
     payload = {"conical": flag, "witness": list(witness) if witness else None}
     _emit(args, payload, [f"conical: {flag}" + (f" witness {list(witness)}" if witness else "")])
     return 0

@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import cells as cellmod
-from .matroid import Matroid, mask_from_subset, transversal
-from .plucker import PlueckerVector
+from .matroid import MAX_GROUND, Matroid, mask_from_subset, transversal
+from .plucker import PlueckerVector, json_int
 from .semiring import INF, Scalar, as_scalar, format_scalar, tdet
 
 log = logging.getLogger("troplin.conical")
@@ -41,6 +41,8 @@ class HeightMatrix:
         m = len(bset)
         if not 1 <= m <= n:
             raise ValueError("basis size out of range")
+        if n > MAX_GROUND:
+            raise ValueError(f"ground set size {n} exceeds the cap {MAX_GROUND}")
         others = tuple(e for e in range(1, n + 1) if e not in bset)
         grid = []
         rows = list(rows)
@@ -84,7 +86,7 @@ class HeightMatrix:
     @classmethod
     def from_json(cls, obj: Mapping) -> "HeightMatrix":
         try:
-            return cls(int(obj["n"]), obj["B"], obj["V"])
+            return cls(json_int(obj["n"], "n"), obj["B"], obj["V"])
         except KeyError as exc:
             raise ValueError(f"height-matrix JSON is missing field {exc}") from exc
 
@@ -142,7 +144,9 @@ def tau(v: HeightMatrix) -> PlueckerVector:
 def is_conical(p: PlueckerVector, cell_list=None) -> tuple[bool, tuple[int, ...] | None]:
     """Is there one basis lying in every bounded cell's matroid?
 
-    Returns (flag, lexicographically least witness basis or None).
+    Returns (flag, lexicographically least witness basis or None).  Raises
+    ValueError when no cell is bounded: the underlying matroid is then
+    disconnected, and every cell's lineality is wider than the all-ones line.
     """
     if cell_list is None:
         cell_list = cellmod.enumerate_cells(p)
@@ -154,7 +158,11 @@ def is_conical(p: PlueckerVector, cell_list=None) -> tuple[bool, tuple[int, ...]
         common = bs if common is None else common & bs
         if not common:
             return (False, None)
-    assert common, "a loopless space always has at least one bounded cell"
+    if common is None:
+        raise ValueError(
+            "no cell is bounded: the underlying matroid is disconnected, "
+            "so the conical test does not apply"
+        )
     return (True, min(common))
 
 

@@ -90,7 +90,7 @@ def check_membership_routes(rng: random.Random, per_fixture: int = 1000) -> Chec
             else:
                 ctx = LocalContext(p, basis_cycle[t % len(basis_cycle)])
                 point = ctx.chart(_random_point(rng, p.m))
-            via_loops = p.contains(point, cross_check=False)
+            via_loops = p.contains(point)
             via_circuits = p.contains_via_circuits(point)
             if via_loops != via_circuits:
                 failures.append(f"{name} point {point}: {via_loops} vs {via_circuits}")
@@ -110,7 +110,7 @@ def check_chart_roundtrip(rng: random.Random, per_fixture: int = 500) -> CheckRe
             ctx = LocalContext(p, bases[t % len(bases)])
             x = _random_point(rng, p.m)
             v = ctx.chart(x)
-            if not p.contains(v, cross_check=False):
+            if not p.contains(v):
                 failures.append(f"{name}: chart({x}) escaped the space")
                 continue
             back = ctx.chart_inverse(v)
@@ -149,7 +149,7 @@ def check_projection(rng: random.Random, per_fixture: int = 200) -> CheckResult:
             done += 1
             runs += 1
             proj = ctx.project(point)
-            if not p.contains(proj, cross_check=False):
+            if not p.contains(proj):
                 failures.append(f"{name}: projection left the space at {point}")
                 continue
             if ctx.project(proj) != proj:

@@ -104,6 +104,89 @@ def all_bases_cells(p):
     return [(cell, tuple(owners)) for cell, owners in (merged[k] for k in sorted(merged))]
 
 
+def tie_options(p, basis):
+    """Per non-basis element i (ascending): {b: p_{B-b+i} - p_B} over the
+    basis elements b whose exchange B - b + i is in the support."""
+    p_b = p.entry(basis)
+    out = []
+    for i in range(1, p.n + 1):
+        if i in basis:
+            continue
+        opts = {}
+        for b in basis:
+            val = p.entry(tuple(x for x in basis if x != b) + (i,))
+            if is_finite(val):
+                opts[b] = val - p_b
+        out.append((i, opts))
+    return out
+
+
+def tie_pattern(p, basis, x):
+    """The tie pattern a chart point x realizes at the basis: per non-basis
+    i, the basis elements b attaining the min of x_b + p_{B-b+i} - p_B."""
+    pattern = []
+    for i, opts in tie_options(p, basis):
+        vals = {b: x[basis.index(b)] + delta for b, delta in opts.items()}
+        best = min(vals.values())
+        pattern.append((i, tuple(b for b in sorted(vals) if vals[b] == best)))
+    return tuple(pattern)
+
+
+def _rank(rows):
+    """Rank of a list of rational row vectors, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def brute_local_cells(ctx):
+    """Every realized tie pattern of the chart at ctx.basis, by trying the
+    full product of nonempty tie sets.
+
+    Each system equates every pair of tied terms and puts every tied term
+    strictly below every untied one; Fourier-Motzkin decides it.  Returns
+    {pattern: (dim, system)} over the feasible patterns, where dim is m
+    minus the rank of the equalities (the strict rows cut an open set).
+    """
+    p, basis = ctx.p, tuple(ctx.basis)
+    m = p.m
+    slot = {b: j for j, b in enumerate(basis, start=1)}
+    options = tie_options(p, basis)
+    choices = [
+        [(i, tied) for size in range(1, len(opts) + 1)
+         for tied in combinations(sorted(opts), size)]
+        for i, opts in options
+    ]
+    found = {}
+    for pattern in product(*choices):
+        cons, eqs = [], []
+        for (i, tied), (_, opts) in zip(pattern, options):
+            for b, c in combinations(tied, 2):
+                # x_b + d_b = x_c + d_c
+                eqs.append((slot[b], slot[c], opts[c] - opts[b]))
+            for b in tied:
+                for c in opts:
+                    if c not in tied:
+                        # x_b + d_b < x_c + d_c
+                        cons.append(Constraint(slot[b], slot[c], opts[c] - opts[b], True))
+        system = DifferenceSystem(m, tuple(cons), tuple(eqs))
+        if fm_feasible(system):
+            eq_rows = [[Fraction((k == left) - (k == right)) for k in range(1, m + 1)]
+                       for left, right, _ in eqs]
+            found[pattern] = (m - _rank(eq_rows), system)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # linear inequalities over Q: Fourier-Motzkin with strictness
 

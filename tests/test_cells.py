@@ -1,15 +1,20 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from oracles import all_bases_cells, lattice_simplex_counts, recession_01_bounded
+from oracles import (
+    all_bases_cells,
+    brute_local_cells,
+    brute_member,
+    lattice_simplex_counts,
+    recession_01_bounded,
+    tie_pattern,
+)
 from troplin.cells import (
     EnumerationLimit,
     NodeBudget,
-    TiePattern,
     adjacency_dot,
     adjacency_graph,
     bound_bounded,
@@ -21,8 +26,6 @@ from troplin.cells import (
     is_bounded,
     mixed_interior_count,
     mixed_total_count,
-    pattern_system,
-    region_of,
 )
 from troplin.chart import LocalContext
 from troplin.conical import HeightMatrix, random_height_matrix, tau
@@ -164,55 +167,44 @@ def test_each_cell_found_once_matches_all_bases(make):
     for cell, (ref, owners) in zip(fast, slow):
         assert (cell.dim, cell.bounded, cell.witness) == (ref.dim, ref.bounded, ref.witness)
         assert owners == cell.face_matroid.bases
+        # certificates: the witness is in the space, and in the chart region
+        # of the lex-least face basis that found it
+        assert brute_member(p, cell.witness)
+        assert LocalContext(p, cell.key[0]).in_sigma(cell.witness)
 
 
 # ---------------------------------------------------------------------------
-# tie patterns and regions
-
-
-def all_patterns(ctx):
-    per_element = []
-    for i, opts in ctx.options:
-        elems = tuple(sorted(ctx.basis[slot - 1] for slot, _ in opts))
-        choices = [
-            (i, sub)
-            for size in range(1, len(elems) + 1)
-            for sub in combinations(elems, size)
-        ]
-        per_element.append(choices)
-
-    def walk(k, acc):
-        if k == len(per_element):
-            yield TiePattern(tuple(acc))
-            return
-        for choice in per_element[k]:
-            yield from walk(k + 1, acc + [choice])
-
-    yield from walk(0, [])
+# tie patterns against a brute-force oracle
 
 
 def test_pattern_regions_against_oracles():
-    # every tie pattern of two charts, feasibility + boundedness both routes
-    for p, basis in ((two_pyramids(), (1, 3)), (snowflake(), (1, 3))):
-        ctx = LocalContext(p, basis)
-        feasible = 0
-        for pat in all_patterns(ctx):
-            sys_ = pattern_system(ctx, pat)
-            region = region_of(ctx, pat)
-            if region.feasible:
-                feasible += 1
-                assert region.witness is not None
-                assert is_bounded(sys_) == recession_01_bounded(sys_)
-                assert 1 <= region.dim <= p.m
-        assert feasible >= 5
-
-
-def test_pattern_system_validates_selection():
-    ctx = LocalContext(two_pyramids(), (1, 3))
-    with pytest.raises(ValueError):
-        pattern_system(ctx, TiePattern(((2, (2,)), (4, (1,)))))  # 2 not in C(2,B)-2
-    with pytest.raises(ValueError):
-        pattern_system(ctx, TiePattern(((4, (1,)),)))  # missing element 2
+    # every tie pattern of every chart, solved by Fourier-Motzkin, against
+    # the patterns the enumeration's witnesses realize
+    cases = [(p, p.underlying_matroid().bases) for p in (two_pyramids(), snowflake())]
+    p = _tau_instance("generic", 5, 2)
+    bases = p.underlying_matroid().bases
+    cases.append((p, (bases[0], bases[len(bases) // 2], bases[-1])))
+    for p, chart_bases in cases:
+        for basis in chart_bases:
+            ctx = LocalContext(p, basis)
+            oracle = brute_local_cells(ctx)
+            assert oracle
+            for dim, system in oracle.values():
+                assert 1 <= dim <= p.m
+                assert is_bounded(system) == recession_01_bounded(system)
+            owned = {pat for pat in oracle if all(b < i for i, tied in pat for b in tied)}
+            for owned_only, expected in ((False, set(oracle)), (True, owned)):
+                cells = enumerate_local_cells(ctx, owned_only=owned_only)
+                got = {}
+                for c in cells:
+                    x = tuple(c.witness[b - 1] for b in basis)
+                    got[tie_pattern(p, basis, x)] = c
+                assert len(got) == len(cells)
+                assert set(got) == expected
+                for pat, c in got.items():
+                    dim, system = oracle[pat]
+                    assert c.dim == dim
+                    assert c.bounded == recession_01_bounded(system)
 
 
 # ---------------------------------------------------------------------------

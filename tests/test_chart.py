@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import brute_member
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
+from troplin.conical import random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import PlueckerVector
 
@@ -50,6 +52,33 @@ def test_chart_image_is_in_space_and_region():
                 assert ctx.in_sigma(v)
                 assert ctx.in_local_space(v)
                 assert p.contains(v)
+
+
+def test_in_local_space_matches_definition():
+    # chart-region points, half of them chart images with some non-basis
+    # coordinates lowered (in the region, mostly off the space)
+    rng = random.Random(41)
+    generic = tau(random_height_matrix(6, 3, rng=random.Random("in_local_space")))
+    for p in (two_pyramids(), snowflake(), uniform_zero(5, 2), generic):
+        answers = set()
+        for basis in p.underlying_matroid().bases:
+            ctx = LocalContext(p, basis)
+            for t in range(6):
+                if t % 2 == 0:
+                    y = tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(p.n))
+                    if not ctx.in_sigma(y):
+                        continue
+                else:
+                    y = list(ctx.chart(rand_x(rng, p.m)))
+                    for i in range(1, p.n + 1):
+                        if i not in basis and rng.random() < 0.5:
+                            y[i - 1] -= Fraction(rng.randint(0, 8), 3)
+                    y = tuple(y)
+                    assert ctx.in_sigma(y)
+                member = ctx.in_local_space(y)
+                assert member == brute_member(p, y)
+                answers.add(member)
+        assert answers == {True, False}
 
 
 def test_chart_shift_equivariance():

@@ -59,6 +59,29 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     assert "'m'" in err
 
 
+@pytest.mark.parametrize("command, obj", [
+    ("validate", {"n": 4.7, "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]}),
+    ("validate", {"n": 4, "m": True, "entries": [{"subset": [1], "value": "0"}]}),
+    ("tau", {"n": 4.9, "B": [1, 2], "V": [["1", "2"], ["3", "4"]]}),
+    ("validate", {"n": 40, "m": 1, "entries": [{"subset": [1], "value": "0"}]}),
+    ("tau", {"n": 20, "B": [1], "V": [["0"] * 19]}),
+], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap"])
+def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 4, "m": 2, "entries": [], "note": "caf\xe9"}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "not UTF-8" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 2
@@ -139,6 +162,17 @@ def test_conical_and_tree(capsys, example1, snowflake_file):
     assert code == 0 and "caterpillar: False" in out
     code, out, _ = run(capsys, "tree", snowflake_file, "--format", "dot")
     assert code == 0 and out.startswith("graph tree {")
+
+
+def test_conical_on_disconnected_matroid_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps({
+        "n": 4, "m": 2,
+        "entries": [{"subset": s, "value": "0"} for s in ([1, 3], [1, 4], [2, 3], [2, 4])],
+    }))
+    code, out, err = run(capsys, "conical", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "invalid input" in err and "disconnected" in err
 
 
 @pytest.mark.parametrize("argv", [

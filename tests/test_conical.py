@@ -16,6 +16,7 @@ from troplin.conical import (
 )
 from troplin.examples import snowflake, tree_metric_plucker, two_pyramids, uniform_zero
 from troplin.matroid import transversal
+from troplin.plucker import PlueckerVector
 from troplin.semiring import INF
 
 
@@ -94,6 +95,15 @@ def test_is_conical_fixtures():
     assert is_conical(snowflake()) == (False, None)
     flag, witness = is_conical(uniform_zero(5, 2))
     assert flag and witness == (1, 2)
+
+
+def test_is_conical_refuses_disconnected_matroid():
+    # U(1,2) + U(1,2): loopless, but every cell has 2-dim lineality
+    p = PlueckerVector(4, 2, {(1, 3): 0, (1, 4): 0, (2, 3): 0, (2, 4): 0})
+    assert p.validate().ok
+    assert not any(c.bounded for c in enumerate_cells(p))
+    with pytest.raises(ValueError, match="disconnected"):
+        is_conical(p)
 
 
 def test_tau_is_conical_at_root():
