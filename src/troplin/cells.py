@@ -195,12 +195,7 @@ def enumerate_local_cells(
         dim = _equality_components(m, eqs)
         bounded = is_bounded(system)
         point = ctx.chart(res.witness)
-        face = p.matroid_at(point)
-        assert not face.loops(), "points of the space have loopless local matroids"
-        assert face.has_basis_mask(
-            sum(1 << (b - 1) for b in ctx.basis)
-        ), "the chart basis must be maximal at chart images"
-        cells.append(Cell(face, dim, bounded, point))
+        cells.append(Cell(p.matroid_at(point), dim, bounded, point))
 
     def descend(depth, eqs, cons):
         if depth == len(option_rows):

@@ -29,7 +29,7 @@ class LoopyMatroidError(ValueError):
 class LocalContext:
     """Cached data for chart / projection work at one basis."""
 
-    __slots__ = ("p", "basis", "positions", "_options", "_supp_weights")
+    __slots__ = ("p", "basis", "positions", "_options")
 
     def __init__(self, p: PlueckerVector, basis: Iterable[int]):
         p._need_validated()
@@ -63,7 +63,6 @@ class LocalContext:
                 opts.append((self.positions[b], delta))
             options.append((i, tuple(opts)))
         self._options = tuple(options)
-        self._supp_weights = tuple((mk, p.entry_mask(mk)) for mk in p.support_masks())
 
     @property
     def options(self):
@@ -86,17 +85,7 @@ class LocalContext:
 
     def in_sigma(self, point) -> bool:
         """Does B attain the maximum weight at the point?"""
-        pt = self.p._as_point(point)
-        target = None
-        best = None
-        bmask = mask_from_subset(self.basis, self.p.n)
-        for mask, val in self._supp_weights:
-            w = PlueckerVector._weight_mask(pt, mask, val)
-            if best is None or w > best:
-                best = w
-            if mask == bmask:
-                target = w
-        return target == best
+        return self.p.matroid_at(point).is_basis(self.basis)
 
     def in_local_space(self, point) -> bool:
         """Membership in the space of a point in this chart region.

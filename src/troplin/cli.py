@@ -25,7 +25,6 @@ from .conical import (
     is_conical,
     tau,
 )
-from .matroid import Matroid
 from .plucker import PlueckerVector
 from .selftest import DEFAULT_SEED, run_selftest
 from .semiring import format_point, format_scalar, parse_point

@@ -32,10 +32,6 @@ class Constraint:
     bound: Fraction
     strict: bool = False
 
-    def pretty(self) -> str:
-        op = "<" if self.strict else "<="
-        return f"x{self.left} - x{self.right} {op} {self.bound}"
-
 
 @dataclass(frozen=True)
 class DifferenceSystem:
@@ -67,7 +63,6 @@ class SolveResult:
     feasible: bool
     witness: tuple[Fraction, ...] | None = None
     cycle: tuple[Constraint, ...] | None = None
-    cycle_weight: tuple[Fraction, int] | None = None  # (rational part, strict count)
 
 
 def make_constraint(left: int, right: int, bound, strict: bool = False) -> Constraint:
@@ -100,9 +95,7 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
         if left == right:
             # self-loop: 0 <= bound must hold (strictly if strict)
             if bound < 0 or (bound == 0 and strict):
-                return SolveResult(
-                    False, cycle=(origin,), cycle_weight=(bound, 1 if strict else 0)
-                )
+                return SolveResult(False, cycle=(origin,))
             continue
         edges.append((right, left, bound, 1 if strict else 0, origin))
 
@@ -148,20 +141,15 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
             loop = cycle_nodes[start:] if start else cycle_nodes
             # pred[v] = (u, origin) is the edge u -> v; read the cycle off preds
             origins = []
-            total_c = Fraction(0)
-            total_s = 0
             cur = loop[0]
             while True:
                 u, origin = pred[cur]
                 origins.append(origin)
-                total_c += origin.bound
-                total_s += 1 if origin.strict else 0
                 cur = u
                 if cur == loop[0]:
                     break
             origins.reverse()
-            assert total_c < 0 or (total_c == 0 and total_s > 0)
-            return SolveResult(False, cycle=tuple(origins), cycle_weight=(total_c, total_s))
+            return SolveResult(False, cycle=tuple(origins))
 
     if not want_witness:
         return SolveResult(True)

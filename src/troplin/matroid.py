@@ -1,19 +1,33 @@
 """Matroids on the ground set [n] = {1, ..., n}, presented by their bases.
 
 A subset of [n] is externally a sorted tuple of 1-based ints and internally
-an n-bit mask (bit k <-> element k+1).  Construction always verifies the
-basis-exchange axiom, so a `Matroid` object is a certificate of validity.
-Loops (elements in no basis) are allowed.
+an n-bit mask (bit k <-> element k+1).  Loops (elements in no basis) are
+allowed.
+
+There are two constructors.  `Matroid(n, bases)` (and `Matroid.from_json`)
+takes bases from a caller and verifies the basis-exchange axiom, raising
+`ExchangeError` with the first failing triple.  `Matroid.from_masks` takes
+bases the library derived itself from a family that is a matroid by
+theorem -- the maximal-weight bases of a valuated matroid (Dress & Wenzel),
+a principal transversal family (Edmonds & Fulkerson) -- and skips the scan;
+the test suite and `troplin selftest` check those families against the
+exchange axiom instead.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import kernels
 
 MAX_GROUND = 16  # a size sanity cap; int bitmasks have no width limit
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer field; floats, strings and booleans are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 class ExchangeError(ValueError):
@@ -50,52 +64,55 @@ def subset_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_subset_masks(n: int, k: int):
-    """Masks of all k-subsets of [n], in lexicographic subset order."""
-    for combo in combinations(range(1, n + 1), k):
-        mask = 0
-        for e in combo:
-            mask |= 1 << (e - 1)
-        yield mask
-
-
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
 class Matroid:
-    """An exchange-validated matroid given by its list of bases."""
+    """A matroid given by its list of bases."""
 
     __slots__ = ("n", "m", "_subsets", "_masks", "_mask_set", "_loops")
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
+        """Bases from a caller: checked for size and the exchange axiom."""
         if not 1 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size must be in [1..{MAX_GROUND}]")
-        masks = sorted({mask_from_subset(b, n) for b in bases})
+        masks = {mask_from_subset(b, n) for b in bases}
         if not masks:
             raise ValueError("a matroid needs at least one basis")
-        m = popcount(masks[0])
+        m = popcount(next(iter(masks)))
         if m == 0:
             raise ValueError("rank-0 matroids are not supported")
         for mk in masks:
             if popcount(mk) != m:
                 raise ValueError("bases must all have the same size")
-        subsets = sorted(subset_from_mask(mk) for mk in masks)
-        ordered = [mask_from_subset(s, n) for s in subsets]
-        bad = kernels.exchange_violation(ordered, n)
+        self._fill(n, masks)
+        bad = kernels.exchange_violation(self._masks, n)
         if bad is not None:
             amask, bmask, elem = bad
             raise ExchangeError(subset_from_mask(amask), subset_from_mask(bmask), elem)
-        self.n = n
-        self.m = m
-        self._subsets = tuple(subsets)
-        self._masks = tuple(ordered)
-        self._mask_set = frozenset(ordered)
-        self._loops = None
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Matroid":
-        return cls(n, (subset_from_mask(mk) for mk in masks))
+        """Trusted constructor for bases the library derived itself.
+
+        ``masks`` are distinct, nonempty, equal-size bitmasks of a family
+        that is a matroid by theorem; nothing is checked, so a caller's
+        bases go through `Matroid(n, bases)` instead.
+        """
+        obj = cls.__new__(cls)
+        obj._fill(n, masks)
+        return obj
+
+    def _fill(self, n: int, masks) -> None:
+        # one subset per mask, sorted once: lexicographic subset order
+        pairs = sorted((subset_from_mask(mk), mk) for mk in masks)
+        self.n = n
+        self.m = len(pairs[0][0])
+        self._subsets = tuple(s for s, _ in pairs)
+        self._masks = tuple(mk for _, mk in pairs)
+        self._mask_set = frozenset(self._masks)
+        self._loops = None
 
     @property
     def bases(self) -> tuple[tuple[int, ...], ...]:
@@ -108,9 +125,6 @@ class Matroid:
 
     def is_basis(self, subset: Iterable[int]) -> bool:
         return mask_from_subset(subset, self.n) in self._mask_set
-
-    def has_basis_mask(self, mask: int) -> bool:
-        return mask in self._mask_set
 
     def loops(self) -> tuple[int, ...]:
         """Elements contained in no basis."""
@@ -163,7 +177,7 @@ class Matroid:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Matroid":
-        return cls(int(obj["n"]), obj["bases"])
+        return cls(json_int(obj["n"], "n"), obj["bases"])
 
 
 def is_adjacent(a: Iterable[int], b: Iterable[int]) -> bool:

@@ -13,6 +13,7 @@ normalized so its least finite entry is 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,8 +23,8 @@ from .matroid import (
     MAX_GROUND,
     ExchangeError,
     Matroid,
+    json_int,
     mask_from_subset,
-    popcount,
     subset_from_mask,
 )
 from .semiring import (
@@ -36,11 +37,23 @@ from .semiring import (
 )
 
 
-def json_int(value, name: str) -> int:
-    """A JSON integer field; floats, strings and booleans are refused."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
-    return value
+# validate() tries C(n, m-1) * C(n, m+1) (S, T) pairs; refuse larger shapes
+# up front rather than run for minutes
+MAX_RELATION_PAIRS = 100_000
+
+
+def check_shape(n: int, m: int) -> None:
+    """Refuse a rank/ground-set shape outside the size and work caps."""
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
+    if n > MAX_GROUND:
+        raise ValueError(f"ground set size {n} exceeds the cap {MAX_GROUND}")
+    pairs = math.comb(n, m - 1) * math.comb(n, m + 1)
+    if pairs > MAX_RELATION_PAIRS:
+        raise ValueError(
+            f"shape n={n}, m={m} needs {pairs} relation checks, "
+            f"over the cap {MAX_RELATION_PAIRS}"
+        )
 
 
 class NotValidatedError(RuntimeError):
@@ -112,10 +125,7 @@ class PlueckerVector:
     __slots__ = ("n", "m", "_entries", "validated", "_matroid", "_circuits", "_supp_list")
 
     def __init__(self, n: int, m: int, entries: Mapping):
-        if not 1 <= m <= n:
-            raise ValueError("need 1 <= m <= n")
-        if n > MAX_GROUND:
-            raise ValueError(f"ground set size {n} exceeds the cap {MAX_GROUND}")
+        check_shape(n, m)
         self.n = n
         self.m = m
         table: dict[int, Fraction] = {}
@@ -172,9 +182,9 @@ class PlueckerVector:
             smask = mask_from_subset(s_combo, n)
             for t_combo in combinations(elems, m + 1):
                 tmask = mask_from_subset(t_combo, n)
+                if not smask & ~tmask:
+                    continue  # S inside T: the two terms coincide, so it holds
                 free = tmask & ~smask
-                if popcount(free) < 2:
-                    continue  # S inside T: both terms of each pair coincide
                 terms = []
                 any_finite = False
                 rest = free
@@ -196,7 +206,7 @@ class PlueckerVector:
         witness = None
         matroid = None
         try:
-            matroid = Matroid.from_masks(n, self._supp_list)
+            matroid = Matroid(n, self.support())  # caller's support: scanned
         except ExchangeError as exc:
             support_ok = False
             witness = (exc.a_subset, exc.b_subset, exc.element)
@@ -208,8 +218,6 @@ class PlueckerVector:
 
     def underlying_matroid(self) -> Matroid:
         self._need_validated()
-        if self._matroid is None:
-            self._matroid = Matroid.from_masks(self.n, self._supp_list)
         return self._matroid
 
     # -- circuits -------------------------------------------------------------
@@ -298,7 +306,11 @@ class PlueckerVector:
         return total
 
     def matroid_at(self, point) -> Matroid:
-        """Matroid of maximum-weight support subsets at the point."""
+        """Matroid of maximum-weight support subsets at the point.
+
+        The maximal-weight bases of a valuated matroid form a matroid (Dress &
+        Wenzel), so the result is built without an exchange scan.
+        """
         self._need_validated()
         pt = self._as_point(point)
         best = None
@@ -310,12 +322,7 @@ class PlueckerVector:
                 winners = [mask]
             elif w == best:
                 winners.append(mask)
-        try:
-            return Matroid.from_masks(self.n, winners)
-        except ExchangeError as exc:  # pragma: no cover - would be a library bug
-            raise AssertionError(
-                f"max-weight bases of a validated vector must form a matroid: {exc}"
-            ) from exc
+        return Matroid.from_masks(self.n, winners)
 
     # -- membership -----------------------------------------------------------
 

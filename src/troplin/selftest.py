@@ -15,6 +15,7 @@ from . import cells as cellmod
 from .chart import LocalContext
 from .conical import random_height_matrix, tau
 from .examples import snowflake, two_pyramids, uniform_zero
+from .matroid import ExchangeError, Matroid, transversal
 
 DEFAULT_SEED = 1729
 
@@ -59,11 +60,14 @@ def check_tau_heights(rng: random.Random, per_shape: int = 100) -> CheckResult:
             runs += 1
             v = random_height_matrix(n, m, rng=rng, generic=(t % 2 == 0))
             try:
-                p = tau(v)  # validation + transversal agreement asserted inside
+                p = tau(v)  # validation asserted inside
             except AssertionError as exc:
                 failures.append(f"tau({m},{n}) run {t}: {exc}")
                 continue
             support_matroid = p.underlying_matroid()
+            if support_matroid != transversal(n, v.basis, v.families()):
+                failures.append(f"tau({m},{n}) run {t}: support is not the transversal matroid")
+                continue
             if not support_matroid.is_basis(v.basis):
                 failures.append(f"tau({m},{n}) run {t}: root basis not a basis")
                 continue
@@ -78,7 +82,8 @@ def check_tau_heights(rng: random.Random, per_shape: int = 100) -> CheckResult:
 
 
 def check_membership_routes(rng: random.Random, per_fixture: int = 1000) -> CheckResult:
-    """Loopless-local-matroid membership == circuit-orthogonality membership."""
+    """Loopless-local-matroid membership == circuit-orthogonality membership,
+    and every local matroid passes the exchange scan it is built without."""
     failures = []
     runs = 0
     for name, p in _fixture_set():
@@ -94,6 +99,10 @@ def check_membership_routes(rng: random.Random, per_fixture: int = 1000) -> Chec
             via_circuits = p.contains_via_circuits(point)
             if via_loops != via_circuits:
                 failures.append(f"{name} point {point}: {via_loops} vs {via_circuits}")
+            try:
+                Matroid(p.n, p.matroid_at(point).bases)  # the exchange scan
+            except ExchangeError as exc:
+                failures.append(f"{name} point {point}: local matroid: {exc}")
             if t % 2 == 1 and not via_loops:
                 failures.append(f"{name}: chart image {point} not contained")
     return CheckResult("membership-routes", runs, failures)

@@ -47,6 +47,40 @@ def brute_member(p, point):
     return True
 
 
+def brute_max_weight_bases(p, point):
+    """The matroid at a point straight from its definition: every m-subset A
+    with p_A finite that maximizes sum_{i in A} point_i - p_A, in
+    lexicographic order."""
+    weights = {}
+    for a_set in combinations(range(1, p.n + 1), p.m):
+        val = p.entry(a_set)
+        if is_finite(val):
+            weights[a_set] = sum(point[i - 1] for i in a_set) - val
+    best = max(weights.values())
+    return tuple(a_set for a_set, w in weights.items() if w == best)
+
+
+def brute_relation_failures(p):
+    """Every failing three-term relation, straight from the definition: for
+    each (m-1)-subset S and (m+1)-subset T (S inside T included), the min of
+    p_{S+i} + p_{T-i} over i in T - S is finite and attained only once.
+    Returns the (S, T) pairs in lexicographic order, S first."""
+    elems = range(1, p.n + 1)
+    bad = []
+    for s_set in combinations(elems, p.m - 1):
+        for t_set in combinations(elems, p.m + 1):
+            terms = []
+            for i in t_set:
+                if i in s_set:
+                    continue
+                terms.append(p.entry(tuple(sorted(s_set + (i,))))
+                             + p.entry(tuple(x for x in t_set if x != i)))
+            finite = [x for x in terms if is_finite(x)]
+            if finite and finite.count(min(finite)) < 2:
+                bad.append((s_set, t_set))
+    return tuple(bad)
+
+
 def brute_circuit_supports(matroid):
     """All minimal dependent subsets, by raw enumeration."""
     n, m = matroid.n, matroid.m

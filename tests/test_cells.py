@@ -1,12 +1,12 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from oracles import (
     all_bases_cells,
     brute_local_cells,
+    brute_max_weight_bases,
     brute_member,
     lattice_simplex_counts,
     recession_01_bounded,
@@ -167,10 +167,12 @@ def test_each_cell_found_once_matches_all_bases(make):
     for cell, (ref, owners) in zip(fast, slow):
         assert (cell.dim, cell.bounded, cell.witness) == (ref.dim, ref.bounded, ref.witness)
         assert owners == cell.face_matroid.bases
-        # certificates: the witness is in the space, and in the chart region
-        # of the lex-least face basis that found it
+        # certificates: the witness is in the space and its face matroid is
+        # the max-weight definition's and loopless (owners == bases above
+        # puts every chart basis that finds the cell in it)
         assert brute_member(p, cell.witness)
-        assert LocalContext(p, cell.key[0]).in_sigma(cell.witness)
+        assert cell.face_matroid.bases == brute_max_weight_bases(p, cell.witness)
+        assert not cell.face_matroid.loops()
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,11 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     ("tau", {"n": 4.9, "B": [1, 2], "V": [["1", "2"], ["3", "4"]]}),
     ("validate", {"n": 40, "m": 1, "entries": [{"subset": [1], "value": "0"}]}),
     ("tau", {"n": 20, "B": [1], "V": [["0"] * 19]}),
-], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap"])
+    # C(16,7) * C(16,9) ~ 1.3e8 relation checks: refused before validate runs
+    ("validate", {"n": 16, "m": 8, "entries": [{"subset": list(range(1, 9)), "value": "0"}]}),
+    ("tau", {"n": 16, "B": list(range(1, 9)), "V": [["0"] * 8] * 8}),
+], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap",
+        "work_cap", "heights_work_cap"])
 def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))

@@ -76,6 +76,16 @@ def test_tau_underlying_is_transversal_with_inf_entries():
     assert M == transversal(4, (1, 2), v.families())
     assert M.loops() == (4,)  # empty family
     assert p.support() == [(1, 2), (2, 3)]
+    # seeded knockout matrices: tau no longer compares its support with the
+    # transversal matroid, so the comparison lives here
+    rng = random.Random("tau-knockout")
+    for n, m in ((4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)):
+        for basis in (tuple(range(1, m + 1)), tuple(range(n - m + 1, n + 1))):
+            for _ in range(4):
+                v = random_height_matrix(n, m, basis=basis, rng=rng, generic=False,
+                                         inf_probability=0.35)
+                M = tau(v).underlying_matroid()
+                assert M == transversal(n, v.basis, v.families())
 
 
 def test_tau_root_basis_always_zero():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_circuit_supports, hull_edges
+from oracles import brute_circuit_supports, brute_exchange_violation, hull_edges
 from troplin.matroid import (
     ExchangeError,
     Matroid,
@@ -95,6 +95,12 @@ def test_json_round_trip():
     assert Matroid.from_json(json.loads(blob)) == M
 
 
+@pytest.mark.parametrize("n", [4.7, True, "4"])
+def test_from_json_refuses_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be a JSON integer"):
+        Matroid.from_json({"n": n, "bases": [[1, 2], [1, 3], [2, 3]]})
+
+
 def test_is_adjacent():
     assert is_adjacent((1, 2), (1, 3))
     assert not is_adjacent((1, 2), (3, 4))
@@ -182,3 +188,5 @@ def test_transversal_matches_brute_sdr():
                 expect.append(A)
         assert M.bases == tuple(expect)
         assert B in M.bases
+        # transversal builds through the trusted constructor: no scan of its own
+        assert brute_exchange_violation(M.bases) == set()

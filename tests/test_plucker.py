@@ -1,11 +1,18 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from oracles import brute_circuit_supports, brute_member
+from oracles import (
+    brute_circuit_supports,
+    brute_exchange_violation,
+    brute_max_weight_bases,
+    brute_member,
+    brute_relation_failures,
+)
+from troplin.chart import LocalContext
+from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import NotValidatedError, PlueckerVector
 from troplin.semiring import INF
@@ -35,6 +42,30 @@ def test_validate_relation_failure():
     assert report.relation_failures
     assert report.support_ok
     assert not p.validated
+
+
+def test_relation_failures_match_definition():
+    # fixtures (no failures) and seeded perturbations of them: one entry
+    # moved by a small rational or knocked out to INF
+    rng = random.Random(17)
+    fixtures = [two_pyramids(), uniform_zero(5, 2), snowflake(), rank3_pair(),
+                uniform_zero(5, 3), tau(random_height_matrix(6, 3, rng=random.Random(7)))]
+    failing = 0
+    for p in fixtures:
+        assert p.validate().relation_failures == brute_relation_failures(p) == ()
+        support = p.support()
+        for _ in range(8):
+            entries = {s: p.entry(s) for s in support}
+            target = rng.choice(support)
+            if rng.random() < 0.25 and len(support) > 1:
+                del entries[target]
+            else:
+                entries[target] += Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+            q = PlueckerVector(p.n, p.m, entries)
+            got = q.validate().relation_failures
+            assert got == brute_relation_failures(q)
+            failing += bool(got)
+    assert failing >= 20
 
 
 def test_validate_support_failure():
@@ -124,17 +155,40 @@ def test_contains_frozen_cases():
     assert p.matroid_at((0, 0, 0, Fraction(-5))).loops() == (4,)
 
 
+def tie_heavy_tau_6_3():
+    rng = random.Random("tie/6/3")
+    rows = [[rng.choice((0, 1, 2)) for _ in range(3)] for _ in range(3)]
+    return tau(HeightMatrix(6, (1, 2, 3), rows))
+
+
 def test_contains_routes_and_definition_agree():
+    # random points, then chart images (ties at every chart basis); the
+    # matroid at each point is checked against the max-weight definition and
+    # the exchange axiom, since matroid_at builds it without a scan
     rng = random.Random(11)
-    for p in (two_pyramids(), uniform_zero(5, 2), rank3_pair()):
-        for _ in range(150):
-            v = tuple(
-                Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                for _ in range(p.n)
-            )
+    chart_rng = random.Random(13)
+    for p in (two_pyramids(), uniform_zero(5, 2), rank3_pair(), tie_heavy_tau_6_3()):
+        bases = p.underlying_matroid().bases
+        points = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p.n))
+            for _ in range(150)
+        ]
+        for t in range(60):
+            ctx = LocalContext(p, bases[t % len(bases)])
+            points.append(ctx.chart(tuple(Fraction(chart_rng.randint(-3, 3)) for _ in range(p.m))))
+        largest = 0
+        for t, v in enumerate(points):
             via_circuits = p.contains_via_circuits(v)
             assert via_circuits == p.contains(v)
             assert via_circuits == brute_member(p, v)
+            face = p.matroid_at(v)
+            want = brute_max_weight_bases(p, v)
+            assert face.bases == want
+            assert brute_exchange_violation(face.bases) == set()
+            basis = bases[t % len(bases)]
+            assert LocalContext(p, basis).in_sigma(v) == (basis in want)
+            largest = max(largest, len(want))
+        assert largest >= min(3, len(bases))
 
 
 def test_matroid_at_shift_invariance():

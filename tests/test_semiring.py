@@ -10,7 +10,6 @@ from troplin.semiring import (
     check_square,
     format_point,
     format_scalar,
-    is_finite,
     is_orthogonal,
     min_achieved_twice,
     parse_point,
