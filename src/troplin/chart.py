@@ -90,21 +90,16 @@ class LocalContext:
     def in_local_space(self, point) -> bool:
         """Membership in the space of a point in this chart region.
 
-        Tests orthogonality against the fundamental circuits over B only;
-        under the region precondition (checked: ValueError outside it) that
-        is equivalent to full membership, which the test suite checks against
-        the definition.
+        In the region B has maximum weight, so each v_i outside B is at most
+        its chart minimum; the minimum of the fundamental circuit over B is
+        attained twice exactly when v_i equals it.  So a region point is in
+        the space iff the projection fixes it.  Outside the region this
+        raises ValueError.  The test suite checks it against the definition.
         """
         pt = self.p._as_point(point)
         if not self.in_sigma(pt):
             raise ValueError("point is outside the chart region of this basis")
-        for i, opts in self._options:
-            # orthogonality with the fundamental circuit of i, shifted by -p_B
-            terms = [pt[self.basis[j - 1] - 1] + delta for j, delta in opts]
-            terms.append(pt[i - 1])
-            if terms.count(min(terms)) < 2:
-                return False
-        return True
+        return self.chart(tuple(pt[b - 1] for b in self.basis)) == pt
 
     # -- the chart and its relatives ------------------------------------------
 
@@ -134,10 +129,7 @@ class LocalContext:
         pt = self.p._as_point(point)
         if not self.in_sigma(pt):
             raise ValueError("projection is defined on the chart region only")
-        v = list(pt)
-        for i, opts in self._options:
-            v[i - 1] = min(pt[self.basis[j - 1] - 1] + delta for j, delta in opts)
-        return tuple(v)
+        return self.chart(tuple(pt[b - 1] for b in self.basis))
 
 
 def project_any(p: PlueckerVector, point):
@@ -148,7 +140,6 @@ def project_any(p: PlueckerVector, point):
     its projection.  No claim is made that the result is independent of the
     choice -- it is simply a deterministic one.  Returns (basis, projection).
     """
-    matroid = p.matroid_at(point)
-    basis = matroid.bases[0]
-    ctx = LocalContext(p, basis)
-    return basis, ctx.project(point)
+    basis = p.matroid_at(point).bases[0]
+    pt = p._as_point(point)
+    return basis, LocalContext(p, basis).chart(tuple(pt[b - 1] for b in basis))

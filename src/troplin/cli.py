@@ -128,6 +128,9 @@ def cmd_validate(args) -> int:
         ],
         "support_exchange_ok": report.support_ok,
     }
+    if not report.support_ok:
+        a, b, e = report.exchange_witness
+        payload["exchange_witness"] = {"A": list(a), "B": list(b), "a": e}
     _emit(args, payload, [f"valid: {report.ok}"] + (
         [] if report.ok else [report.summary()]
     ))

@@ -9,9 +9,24 @@ a path cost (c, s) means "c minus s infinitesimals", so
 
 The system is infeasible exactly when some cycle has total weight below
 (0, 0), i.e. rational part negative, or zero with at least one strict edge.
-On feasible systems a rational witness is produced by substituting a real
-epsilon = 1, 1/2, 1/4, ... for the infinitesimal until every constraint
-checks out.
+
+On a feasible system the witness is read off the potentials in closed form.
+Scale the bounds by the lcm D of their denominators to integers c.  From an
+implicit source at (0, 0), Bellman-Ford ends at lex shortest-path potentials
+(c_j, s_j); with no negative cycle each is the weight of a simple path, so
+c_j is an integer and 0 <= s_j <= k - 1.  The witness is
+
+    x_j = (c_j - s_j / (k + 1)) / D.
+
+Each edge x_l - x_r <= c / D (strict: <) leaves (c_l, s_l) no worse than
+(c_r + c, s_r + strict) in the lex order.  In integer units:
+
+- where c_l < c_r + c, the slack is at least 1, while the s terms move
+  x_l - x_r by at most (k - 1) / (k + 1) < 1, so the edge holds strictly;
+- where c_l = c_r + c, the lex order gives s_l >= s_r + strict, so the
+  difference c - (s_l - s_r) / (k + 1) is at most c, and below c if strict;
+- an equality is a pair of opposite non-strict edges; both are tight, so
+  the lex order gives s_l = s_r and the difference is exactly c.
 """
 
 from __future__ import annotations
@@ -72,21 +87,6 @@ def make_constraint(left: int, right: int, bound, strict: bool = False) -> Const
     return Constraint(left, right, Fraction(b), strict)
 
 
-def check_witness(system: DifferenceSystem, witness) -> bool:
-    pt = tuple(witness)
-    for con in system.constraints:
-        d = pt[con.left - 1] - pt[con.right - 1]
-        if con.strict:
-            if not d < con.bound:
-                return False
-        elif not d <= con.bound:
-            return False
-    for l, r, c in system.equalities:
-        if pt[l - 1] - pt[r - 1] != c:
-            return False
-    return True
-
-
 def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
     """Decide feasibility; return an exact witness or a violating cycle."""
     k = system.num_vars
@@ -128,25 +128,17 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
     else:
         hot = relax_once()
         if hot is not None:
-            # walk back far enough to be inside the negative cycle, then collect it
+            # k + 1 steps back among k nodes repeat one, so node is on the cycle
             node = hot
             for _ in range(k + 1):
                 node = pred[node][0]
-            cycle_nodes = []
-            cur = node
-            while cur not in cycle_nodes:
-                cycle_nodes.append(cur)
-                cur = pred[cur][0]
-            start = cycle_nodes.index(cur)
-            loop = cycle_nodes[start:] if start else cycle_nodes
             # pred[v] = (u, origin) is the edge u -> v; read the cycle off preds
             origins = []
-            cur = loop[0]
+            cur = node
             while True:
-                u, origin = pred[cur]
+                cur, origin = pred[cur]
                 origins.append(origin)
-                cur = u
-                if cur == loop[0]:
+                if cur == node:
                     break
             origins.reverse()
             return SolveResult(False, cycle=tuple(origins))
@@ -154,12 +146,8 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
     if not want_witness:
         return SolveResult(True)
 
-    base = [Fraction(dist_c[j], scale) for j in range(1, k + 1)]
-    slack = [dist_s[j] for j in range(1, k + 1)]
-    eps = Fraction(1)
-    for _ in range(200):
-        witness = tuple(b - eps * s for b, s in zip(base, slack))
-        if check_witness(system, witness):
-            return SolveResult(True, witness=witness)
-        eps /= 2
-    raise AssertionError("epsilon refinement failed; this should be unreachable")
+    # epsilon = 1 / (k + 1) integer units; the module docstring proves it
+    den = scale * (k + 1)
+    return SolveResult(True, witness=tuple(
+        Fraction(dist_c[j] * (k + 1) - dist_s[j], den) for j in range(1, k + 1)
+    ))

@@ -278,6 +278,22 @@ def fm_feasible(system: DifferenceSystem) -> bool:
     return fm_feasible_rows(*_rows_from_system(system))
 
 
+def check_witness(system: DifferenceSystem, witness) -> bool:
+    """Does the point satisfy every constraint and equality of the system?"""
+    pt = tuple(witness)
+    for con in system.constraints:
+        d = pt[con.left - 1] - pt[con.right - 1]
+        if con.strict:
+            if not d < con.bound:
+                return False
+        elif not d <= con.bound:
+            return False
+    for l, r, c in system.equalities:
+        if pt[l - 1] - pt[r - 1] != c:
+            return False
+    return True
+
+
 def recession_01_bounded(system: DifferenceSystem) -> bool:
     """Boundedness (mod the all-ones line) of a feasible difference region.
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,16 @@ from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import PlueckerVector
 from troplin.semiring import INF
+
+
+def tiny_gap():
+    """Rank 2 on [4] with p_13 = 2^-300 and 0 elsewhere: a tree whose one
+    bounded edge is 2^-300 long."""
+    entries = {s: 0 for s in ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))}
+    entries[(1, 3)] = Fraction(1, 2**300)
+    p = PlueckerVector(4, 2, entries)
+    assert p.validate().ok
+    return p
 
 
 def bases_of(cell):
@@ -151,6 +162,7 @@ OWNER_CASES = [
     pytest.param(two_pyramids, id="two_pyramids"),
     pytest.param(snowflake, id="snowflake"),
     pytest.param(lambda: uniform_zero(5, 2), id="uniform_zero_5_2"),
+    pytest.param(tiny_gap, id="tiny_gap"),
 ] + [
     pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind in ("generic", "tie", "knockout")
@@ -182,7 +194,7 @@ def test_each_cell_found_once_matches_all_bases(make):
 def test_pattern_regions_against_oracles():
     # every tie pattern of every chart, solved by Fourier-Motzkin, against
     # the patterns the enumeration's witnesses realize
-    cases = [(p, p.underlying_matroid().bases) for p in (two_pyramids(), snowflake())]
+    cases = [(p, p.underlying_matroid().bases) for p in (two_pyramids(), snowflake(), tiny_gap())]
     p = _tau_instance("generic", 5, 2)
     bases = p.underlying_matroid().bases
     cases.append((p, (bases[0], bases[len(bases) // 2], bases[-1])))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,11 @@ def test_validate_bad_vector(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
     assert "valid: False" in out
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["support_exchange_ok"] is False
+    assert payload["exchange_witness"] == {"A": [1, 2], "B": [3, 4], "a": 1}
 
 
 def test_malformed_file_is_usage_error(capsys, tmp_path):
@@ -177,6 +183,26 @@ def test_conical_on_disconnected_matroid_is_invalid_input(capsys, tmp_path):
     code, out, err = run(capsys, "conical", str(path))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "invalid input" in err and "disconnected" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells",),
+    ("fvector",),
+    ("conical",),
+    ("tree",),
+    ("local", "--basis", "1,2"),
+])
+def test_tiny_gaps_enumerate(capsys, tmp_path, argv):
+    # p_13 = 2^-300: the tree's one bounded edge is 2^-300 long
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "n": 4, "m": 2,
+        "entries": [{"subset": s, "value": str(Fraction(1, 2**300)) if s == [1, 3] else "0"}
+                    for s in ([1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4])],
+    }))
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(path), *rest)
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("argv", [

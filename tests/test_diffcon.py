@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fm_feasible, random_system, recession_01_bounded
+from oracles import check_witness, fm_feasible, random_system, recession_01_bounded
 from troplin.cells import is_bounded
 from troplin.diffcon import (
     Constraint,
     DifferenceSystem,
-    check_witness,
     make_constraint,
     solve,
 )
@@ -95,9 +94,13 @@ def test_make_constraint_rejects_inf():
 
 def test_solver_matches_fourier_motzkin():
     rng = random.Random(4242)
+    # x1 - x2 in (0, 2^-300): a witness needs an epsilon below 2^-300
+    tiny_gap = DifferenceSystem(2, (
+        Constraint(2, 1, Fraction(0), strict=True),
+        Constraint(1, 2, Fraction(1, 2**300), strict=True),
+    ))
     disagreements = 0
-    for _ in range(600):
-        sys_ = random_system(rng)
+    for sys_ in [random_system(rng) for _ in range(600)] + [tiny_gap]:
         res = solve(sys_)
         if res.feasible != fm_feasible(sys_):
             disagreements += 1
