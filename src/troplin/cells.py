@@ -14,9 +14,12 @@ lex-least basis exactly when no such exchange has i < b, so restricting
 every S_i to elements below i finds each cell once, in the chart of its
 lex-least basis, with nothing to merge.
 
-Dimensions are ambient: a cell always contains the all-ones lineality
-direction, so the minimum is 1, not 0.  "Bounded" always means bounded
-modulo that lineality line.
+A cell is dual to the face P_M of the matroid subdivision, where M is its
+face matroid, and dim P_M = n - c(M) for c(M) connected components
+(Feichtner & Sturmfels 2005); so a cell's ambient dimension is the number of
+components of its face matroid.  It always contains the all-ones lineality
+direction, so the minimum is 1, not 0.  "Bounded" still means bounded modulo
+that one line, also when a disconnected matroid makes the lineality wider.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .diffcon import Constraint, DifferenceSystem, solve
 from .matroid import Matroid
 from .plucker import PlueckerVector
 
-MAX_GROUND_DEFAULT = 10
+MAX_ENUMERATION_GROUND = 10
 MAX_SOLVER_NODES_DEFAULT = 2_000_000
 
 
@@ -60,13 +63,17 @@ class Cell:
     """One cell, identified by the matroid attached to its relative interior."""
 
     face_matroid: Matroid
-    dim: int
     bounded: bool
     witness: tuple[Fraction, ...]
 
     @property
     def key(self):
         return self.face_matroid.bases
+
+    @property
+    def dim(self) -> int:
+        """Ambient dimension: the number of components of the face matroid."""
+        return len(self.face_matroid.components())
 
 
 # ---------------------------------------------------------------------------
@@ -94,32 +101,10 @@ def _selection_system(opts: Sequence[tuple[int, Fraction]], chosen_idx: Sequence
     return eqs, cons
 
 
-def _equality_components(m: int, eqs) -> int:
-    """Dimension of a feasible region: each component of the equality graph
-    is one free coordinate of its affine span."""
-    parent = list(range(m + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = m
-    for l, r, _ in eqs:
-        ra, rb = find(l), find(r)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
-
-
 def is_bounded(system: DifferenceSystem) -> bool:
     """Bounded modulo the all-ones line <=> the constraint digraph is strongly
     connected (arc right -> left per constraint, both ways per equality)."""
     m = system.num_vars
-    if m == 1:
-        return True
     fwd = [0] * (m + 1)
     back = [0] * (m + 1)
 
@@ -192,10 +177,8 @@ def enumerate_local_cells(
         res = solve(system)
         if not res.feasible:
             return
-        dim = _equality_components(m, eqs)
-        bounded = is_bounded(system)
         point = ctx.chart(res.witness)
-        cells.append(Cell(p.matroid_at(point), dim, bounded, point))
+        cells.append(Cell(p.matroid_at(point), is_bounded(system), point))
 
     def descend(depth, eqs, cons):
         if depth == len(option_rows):
@@ -221,20 +204,18 @@ def enumerate_local_cells(
     return sorted(cells, key=lambda c: c.key)
 
 
-def enumerate_cells(
-    p: PlueckerVector,
-    max_nodes: int = MAX_SOLVER_NODES_DEFAULT,
-    max_ground: int = MAX_GROUND_DEFAULT,
-) -> list[Cell]:
+def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT) -> list[Cell]:
     """The full cell complex of the finite part of the space.
 
     Finds each cell once, in the chart of the lex-least basis of its face
-    matroid.  ``max_nodes`` caps the solver calls of the whole enumeration,
-    and ``max_ground`` the ground set size it accepts.
+    matroid.  ``max_nodes`` caps the solver calls of the whole enumeration;
+    ground sets above `MAX_ENUMERATION_GROUND` are refused.
     """
     p._need_validated()
-    if p.n > max_ground:
-        raise ValueError(f"ground set {p.n} exceeds the enumeration cap {max_ground}")
+    if p.n > MAX_ENUMERATION_GROUND:
+        raise ValueError(
+            f"ground set {p.n} exceeds the enumeration cap {MAX_ENUMERATION_GROUND}"
+        )
     matroid = p.underlying_matroid()
     if matroid.loops():
         raise ValueError(
@@ -262,9 +243,10 @@ class FVector:
         tot = [0] * m
         bnd = [0] * m
         for c in cells:
-            tot[c.dim - 1] += 1
+            i = c.dim - 1
+            tot[i] += 1
             if c.bounded:
-                bnd[c.dim - 1] += 1
+                bnd[i] += 1
         return cls(m, tuple(tot), tuple(bnd))
 
     def to_json(self) -> dict:
@@ -377,16 +359,37 @@ def check_facet_bound(p: PlueckerVector, cells: list[Cell] | None = None) -> Fac
 # adjacency export (m = 2)
 
 
-def adjacency_graph(cells: list[Cell]):
-    """Nodes = minimal (dim-1) cells, edges = bounded dim-2 cells (m=2 only).
+def check_adjacency_input(p: PlueckerVector) -> None:
+    """Refuse, before any enumeration, a vector whose complex is not a tree.
 
-    Returns (node_cells, edge_pairs, ray_attachments): edge_pairs/rays refer
-    to node indices; rays are the unbounded dim-2 cells with their unique
-    incident node.
+    A rank-2 space on a connected matroid is a tree (Speyer 2008): every
+    bounded 2-cell joins two minimal cells and every ray leaves one, which
+    is what `adjacency_graph` draws.
+    """
+    p._need_validated()
+    if p.m != 2:
+        raise ValueError(f"the complex is a tree for rank 2 only, not rank {p.m}")
+    components = p.underlying_matroid().components()
+    if len(components) > 1:
+        raise ValueError(
+            "the complex is a tree for a connected underlying matroid only; "
+            f"its components are {[list(c) for c in components]}"
+        )
+
+
+def adjacency_graph(cells: list[Cell]):
+    """Nodes = minimal (dim-1) cells, edges = bounded dim-2 cells.
+
+    For the cells of a vector that `check_adjacency_input` accepts.  Returns
+    (node_cells, edge_pairs, ray_attachments): edge_pairs/rays refer to node
+    indices; rays are the unbounded dim-2 cells with their unique incident
+    node.
     """
     if any(c.face_matroid.m != 2 for c in cells):
         raise ValueError("the cell adjacency graph is for rank-2 complexes only")
     nodes = [c for c in cells if c.dim == 1]
+    if not nodes:
+        raise ValueError("no minimal cell: the underlying matroid is disconnected")
     nodes.sort(key=lambda c: c.key)
     node_sets = [frozenset(c.face_matroid.bases) for c in nodes]
     edges = []
@@ -398,18 +401,8 @@ def adjacency_graph(cells: list[Cell]):
             idx for idx, s in enumerate(node_sets) if frozenset(c.face_matroid.bases) <= s
         ]
         if c.bounded:
-            if len(incident) != 2:
-                raise ValueError(
-                    f"bounded dim-2 cell {c.face_matroid.bases} touches "
-                    f"{len(incident)} minimal cells; expected exactly 2"
-                )
             edges.append((incident[0], incident[1], c))
         else:
-            if len(incident) != 1:
-                raise ValueError(
-                    f"ray {c.face_matroid.bases} touches {len(incident)} minimal cells; "
-                    "expected exactly 1"
-                )
             rays.append((incident[0], c))
     return nodes, edges, rays
 

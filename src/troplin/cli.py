@@ -251,6 +251,11 @@ def cmd_local(args) -> int:
 
 def cmd_cells(args) -> int:
     p = _load_validated(args.file)
+    if args.format == "dot":
+        try:
+            cellmod.check_adjacency_input(p)
+        except ValueError as exc:
+            raise InvalidInput(str(exc)) from None
     cells = _enumerate(args, p)
     if args.format == "dot":
         print(cellmod.adjacency_dot(cells))

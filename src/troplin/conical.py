@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import cells as cellmod
-from .matroid import Matroid, json_int, mask_from_subset
+from .matroid import json_int, mask_from_subset
 from .plucker import PlueckerVector, check_shape
 from .semiring import INF, Scalar, as_scalar, format_scalar, tdet
 
@@ -202,10 +202,9 @@ class Tree:
 
 
 def check_tree_input(p: PlueckerVector) -> None:
-    """Refuse, before any enumeration, a vector that `build_tree` cannot draw."""
-    p._need_validated()
-    if p.m != 2:
-        raise ValueError("trees exist for rank-2 spaces only")
+    """Refuse, before any enumeration, a vector that `build_tree` cannot draw:
+    it needs rank 2, a connected underlying matroid and uniform support."""
+    cellmod.check_adjacency_input(p)
     if len(p.support_masks()) != math.comb(p.n, 2):
         raise ValueError("tree construction expects uniform support")
 
@@ -217,57 +216,12 @@ def build_tree(p: PlueckerVector, cell_list=None) -> Tree:
     if cell_list is None:
         cell_list = cellmod.enumerate_cells(p)
     nodes, edge_triples, ray_pairs = cellmod.adjacency_graph(cell_list)
-    edges = [(a, b) for a, b, _ in edge_triples]
-
-    leaves = []
-    for at, cell in ray_pairs:
-        universal = _universal_elements(cell.face_matroid)
-        node_universal = _universal_elements(nodes[at].face_matroid)
-        label_set = [e for e in universal if e not in node_universal]
-        if len(label_set) != 1:
-            raise ValueError(
-                f"ray {cell.face_matroid.bases} has ambiguous leaf label {label_set}"
-            )
-        leaves.append((label_set[0], at))
-
-    if sorted(label for label, _ in leaves) != list(range(1, p.n + 1)):
-        raise ValueError("expected exactly one leaf per ground-set element")
-    if len(edges) != len(nodes) - 1 or not _connected(len(nodes), edges):
-        raise ValueError("the minimal-cell adjacency graph is not a tree")
-    return Tree([n.face_matroid.bases for n in nodes], edges, leaves)
-
-
-def _universal_elements(matroid: Matroid) -> tuple[int, ...]:
-    mask = (1 << matroid.n) - 1
-    for mk in matroid.basis_masks:
-        mask &= mk
-    out = []
-    bit = 1
-    e = 1
-    while bit <= mask:
-        if mask & bit:
-            out.append(e)
-        bit <<= 1
-        e += 1
-    return tuple(out)
-
-
-def _connected(count: int, edges) -> bool:
-    if count == 0:
-        return False
-    seen = {0}
-    frontier = [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(count)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == count
+    # a ray's face matroid is the direct sum of its leaf's element, a
+    # coloop, and a rank-1 matroid on the rest
+    leaves = [(cell.face_matroid.coloops()[0], at) for at, cell in ray_pairs]
+    return Tree(
+        [c.face_matroid.bases for c in nodes], [(a, b) for a, b, _ in edge_triples], leaves
+    )
 
 
 def is_caterpillar(tree: Tree) -> bool:

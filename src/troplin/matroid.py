@@ -136,6 +136,44 @@ class Matroid:
             self._loops = subset_from_mask(full & ~covered)
         return self._loops
 
+    def coloops(self) -> tuple[int, ...]:
+        """Elements contained in every basis."""
+        common = (1 << self.n) - 1
+        for mk in self._masks:
+            common &= mk
+        return subset_from_mask(common)
+
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components, in order of their least elements.
+
+        They are the components of the fundamental graph of any basis B,
+        where e ~ b when B - b + e is a basis: the fundamental circuits over
+        B chain together every pair of elements that share a circuit.  This
+        uses the first basis.  Loops and coloops stand alone.
+        """
+        bmask = self._masks[0]
+        groups = [1 << k for k in range(self.n) if bmask >> k & 1]
+        rest = ((1 << self.n) - 1) & ~bmask
+        while rest:
+            ebit = rest & -rest
+            rest ^= ebit
+            circuit = ebit
+            slots = bmask
+            while slots:
+                bbit = slots & -slots
+                slots ^= bbit
+                if ((bmask ^ bbit) | ebit) in self._mask_set:
+                    circuit |= bbit
+            # the groups are disjoint, so one pass merges all that meet it
+            kept = []
+            for g in groups:
+                if g & circuit:
+                    circuit |= g
+                else:
+                    kept.append(g)
+            groups = kept + [circuit]
+        return tuple(sorted(subset_from_mask(g) for g in groups))
+
     def fundamental_circuit_support(self, e: int, basis: Iterable[int]) -> tuple[int, ...]:
         """Support of the fundamental circuit of e over the basis B.
 
@@ -178,14 +216,6 @@ class Matroid:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Matroid":
         return cls(json_int(obj["n"], "n"), obj["bases"])
-
-
-def is_adjacent(a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff the equal-size subsets differ by exactly one exchange."""
-    sa, sb = set(a), set(b)
-    if len(sa) != len(sb):
-        raise ValueError("subsets must have equal size")
-    return len(sa - sb) == 1
 
 
 def transversal(n: int, basis: Iterable[int], families: Mapping[int, Iterable[int]]) -> Matroid:

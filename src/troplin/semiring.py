@@ -124,16 +124,6 @@ def format_scalar(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-def t_min(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical addition."""
-    return a if a <= b else b
-
-
-def t_plus(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical multiplication (ordinary +, INF absorbs)."""
-    return a + b
-
-
 def min_achieved_twice(terms: Sequence[Scalar]) -> bool:
     """True iff the minimum of ``terms`` is INF or attained at least twice.
 

@@ -99,6 +99,24 @@ def brute_circuit_supports(matroid):
     return circuits
 
 
+def brute_components(matroid):
+    """Connected components straight from the definition: e ~ f iff some
+    circuit holds both, closed transitively.  An element in no circuit (a
+    coloop) and a loop stand alone.  Sorted by least element."""
+    circuits = brute_circuit_supports(matroid)
+    comps = [{e} for e in range(1, matroid.n + 1)]
+    for c in circuits:
+        meet = [g for g in comps if g & set(c)]
+        comps = [g for g in comps if not g & set(c)] + [set().union(*meet)]
+    return tuple(sorted(tuple(sorted(g)) for g in comps))
+
+
+def brute_coloops(matroid):
+    """Elements in no circuit."""
+    circuits = brute_circuit_supports(matroid)
+    return tuple(e for e in range(1, matroid.n + 1) if not any(e in c for c in circuits))
+
+
 def brute_exchange_violation(bases):
     """Every failing triple of the basis-exchange axiom, straight from the
     definition: (A, B, a) with a in A - B such that no b in B - A makes
@@ -376,3 +394,72 @@ def hull_edges(points):
         if fm_feasible_rows(dim, rows):
             edges.add(frozenset((i, j)))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# rank-2 trees
+
+
+def _connected(count, edges):
+    if count == 0:
+        return False
+    adj = {i: [] for i in range(count)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for w in adj[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == count
+
+
+def tree_failures(p, cells, tree=None):
+    """Every way a rank-2 complex (and the tree drawn from it) breaks the
+    tree theorem, checked from the cells' bases, dims and boundedness.
+
+    Each bounded dim-2 cell must lie in exactly two minimal cells and each
+    unbounded one in exactly one; the minimal cells and bounded 2-cells must
+    form a tree.  With a `Tree` also given (uniform support), each ray's
+    leaf label must be the one element in all of its bases and not in all
+    of its node's, every element must label exactly one leaf, and the tree's
+    nodes, edges and leaves must be the ones found here.
+    """
+    failures = []
+    nodes = sorted((c for c in cells if c.dim == 1), key=lambda c: c.key)
+    node_sets = [set(c.key) for c in nodes]
+    edges, rays = [], []
+    for c in cells:
+        if c.dim != 2:
+            continue
+        incident = [k for k, s in enumerate(node_sets) if set(c.key) <= s]
+        want = 2 if c.bounded else 1
+        if len(incident) != want:
+            failures.append(f"{c.key} touches {len(incident)} minimal cells, not {want}")
+        elif c.bounded:
+            edges.append(tuple(incident))
+        else:
+            rays.append((c, incident[0]))
+    if len(edges) != len(nodes) - 1 or not _connected(len(nodes), edges):
+        failures.append("the minimal-cell adjacency graph is not a tree")
+    if tree is None:
+        return failures
+    leaves = []
+    for c, at in rays:
+        universal = set.intersection(*(set(b) for b in c.key))
+        node_universal = set.intersection(*(set(b) for b in nodes[at].key))
+        label = universal - node_universal
+        if len(label) != 1:
+            failures.append(f"ray {c.key} has leaf label {sorted(label)}")
+        else:
+            leaves.append((label.pop(), at))
+    if sorted(label for label, _ in leaves) != list(range(1, p.n + 1)):
+        failures.append(f"leaf labels {sorted(leaves)} are not one per element")
+    if tree.node_bases != tuple(c.key for c in nodes):
+        failures.append("tree nodes differ from the minimal cells")
+    if sorted(tree.edges) != sorted(edges) or sorted(tree.leaves) != sorted(leaves):
+        failures.append("tree edges or leaves differ from the cells'")
+    return failures

@@ -6,12 +6,14 @@ import pytest
 
 from oracles import (
     all_bases_cells,
+    brute_components,
     brute_local_cells,
     brute_max_weight_bases,
     brute_member,
     lattice_simplex_counts,
     recession_01_bounded,
     tie_pattern,
+    tree_failures,
 )
 from troplin.cells import (
     EnumerationLimit,
@@ -20,6 +22,7 @@ from troplin.cells import (
     adjacency_graph,
     bound_bounded,
     bound_total,
+    check_adjacency_input,
     check_facet_bound,
     enumerate_cells,
     enumerate_local_cells,
@@ -137,7 +140,6 @@ def test_ground_size_cap():
     p = uniform_zero(11, 2)
     with pytest.raises(ValueError):
         enumerate_cells(p)
-    assert enumerate_cells(p, max_ground=11)  # override works
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +196,12 @@ def test_each_cell_found_once_matches_all_bases(make):
 def test_pattern_regions_against_oracles():
     # every tie pattern of every chart, solved by Fourier-Motzkin, against
     # the patterns the enumeration's witnesses realize
+    # (the oracle's dim is m minus the rank of the equalities, a count that
+    # shares nothing with the face-matroid components the library reads)
     cases = [(p, p.underlying_matroid().bases) for p in (two_pyramids(), snowflake(), tiny_gap())]
-    p = _tau_instance("generic", 5, 2)
-    bases = p.underlying_matroid().bases
-    cases.append((p, (bases[0], bases[len(bases) // 2], bases[-1])))
+    for p in (_tau_instance("generic", 5, 2), _tau_instance("tie", 6, 3)):
+        bases = p.underlying_matroid().bases
+        cases.append((p, (bases[0], bases[len(bases) // 2], bases[-1])))
     for p, chart_bases in cases:
         for basis in chart_bases:
             ctx = LocalContext(p, basis)
@@ -307,6 +311,50 @@ def test_adjacency_graph_example1():
     dot = adjacency_dot(cells)
     assert dot.startswith("graph cells {")
     assert dot.count("--") == 1
+
+
+def _connected_rank2_knockouts(count):
+    """Seeded rank-2 tau vectors with INF heights, non-uniform support and a
+    connected underlying matroid."""
+    rng = random.Random("rank2-knockout")
+    found = []
+    while len(found) < count:
+        n = rng.randint(4, 7)
+        rows = [[INF if rng.random() < 0.3 else rng.randrange(6) for _ in range(n - 2)]
+                for _ in range(2)]
+        if not all(any(row[j] is not INF for row in rows) for j in range(n - 2)):
+            continue
+        p = tau(HeightMatrix(n, (1, 2), rows))
+        if (len(p.support_masks()) < math.comb(n, 2)
+                and len(brute_components(p.underlying_matroid())) == 1):
+            found.append(p)
+    return found
+
+
+def test_adjacency_incidences_on_connected_rank2():
+    # 2 minimal cells per bounded edge and 1 per ray, also without uniform
+    # support, where leaves stand for parallel classes
+    for p in [tiny_gap()] + _connected_rank2_knockouts(12):
+        check_adjacency_input(p)
+        cells = enumerate_cells(p)
+        assert tree_failures(p, cells) == []
+        nodes, edges, rays = adjacency_graph(cells)
+        assert len(edges) + len(rays) == sum(c.dim == 2 for c in cells)
+        assert len(edges) == len(nodes) - 1
+
+
+@pytest.mark.parametrize("n, support", [
+    (4, ((1, 3), (1, 4), (2, 3), (2, 4))),  # U(1,2) + U(1,2)
+    (2, ((1, 2),)),  # two coloops
+    (4, ((1, 2), (1, 3), (2, 3))),  # 4 is a loop
+])
+def test_adjacency_input_refuses_disconnected(n, support):
+    p = PlueckerVector(n, 2, {s: 0 for s in support})
+    assert p.validate().ok
+    with pytest.raises(ValueError, match="connected"):
+        check_adjacency_input(p)
+    with pytest.raises(ValueError):  # the loopless ones enumerate, with no minimal cell
+        adjacency_graph(enumerate_cells(p))
 
 
 def test_adjacency_graph_rejects_rank3():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,35 @@ def test_tiny_gaps_enumerate(capsys, tmp_path, argv):
     command, *rest = argv
     code, out, err = run(capsys, command, str(path), *rest)
     assert code == 0 and out and err == ""
+
+
+def _zero_vector(n, m, support):
+    return {"n": n, "m": m, "entries": [{"subset": list(s), "value": "0"} for s in support]}
+
+
+@pytest.mark.parametrize("vector", ["rank3_tau", "disconnected", "two_coloops"])
+@pytest.mark.parametrize("argv", [("cells", "--format", "dot"), ("tree",)])
+def test_non_tree_is_refused_before_enumeration(capsys, tmp_path, monkeypatch, vector, argv):
+    path = tmp_path / "in.json"
+    if vector == "rank3_tau":
+        heights = Path(__file__).resolve().parent.parent / "fixtures" / "heights_3_6.json"
+        code, out, _ = run(capsys, "tau", str(heights), "--format", "json")
+        assert code == 0
+        path.write_text(out)
+    elif vector == "disconnected":
+        path.write_text(json.dumps(_zero_vector(4, 2, ([1, 3], [1, 4], [2, 3], [2, 4]))))
+    else:
+        path.write_text(json.dumps(_zero_vector(2, 2, ([1, 2],))))
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr("troplin.cells.enumerate_cells", no_enumeration)
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(path), *rest)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("invalid input: ")
+    assert ("rank 2 only" if vector == "rank3_tau" else "connected underlying matroid") in err
 
 
 @pytest.mark.parametrize("argv", [

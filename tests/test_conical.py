@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import tree_failures
 from troplin.cells import enumerate_cells, f_vector
 from troplin.conical import (
     HeightMatrix,
@@ -176,7 +177,80 @@ def test_caterpillar_iff_conical_on_rank2_fixtures():
     for p in (two_pyramids(), uniform_zero(4, 2), uniform_zero(5, 2),
               snowflake(), caterpillar_6()):
         flag, _ = is_conical(p)
-        assert flag == is_caterpillar(build_tree(p))
+        cells = enumerate_cells(p)
+        tree = build_tree(p, cells)
+        assert tree_failures(p, cells, tree) == []
+        assert flag == is_caterpillar(tree)
+
+
+def random_tree(rng, n):
+    """A seeded tree with leaves 1..n, internal nodes of degree at least 3
+    and integer edge lengths in [1, 4].  Each new leaf either joins an
+    internal node or hangs off a new node that splits an edge in two.
+
+    Returns (edges {frozenset({u, v}): length}, internal node count).
+    Internal nodes are 0, 1, ...; leaf i is the node -i.
+    """
+    edges = {frozenset((0, -i)): rng.randint(1, 4) for i in (1, 2, 3)}
+    count = 1
+    for leaf in range(4, n + 1):
+        if rng.random() < 0.3:
+            at = rng.randrange(count)
+        else:
+            at = count
+            count += 1
+            u, v = rng.choice(sorted(tuple(sorted(e)) for e in edges))
+            del edges[frozenset((u, v))]
+            edges[frozenset((u, at))] = rng.randint(1, 4)
+            edges[frozenset((at, v))] = rng.randint(1, 4)
+        edges[frozenset((at, -leaf))] = rng.randint(1, 4)
+    return edges, count
+
+
+def leaf_distances(edges, n):
+    adj = {}
+    for e, length in edges.items():
+        u, v = e
+        adj.setdefault(u, []).append((v, length))
+        adj.setdefault(v, []).append((u, length))
+    dist = {}
+    for i in range(1, n + 1):
+        seen = {-i: 0}
+        frontier = [-i]
+        while frontier:
+            u = frontier.pop()
+            for v, length in adj[u]:
+                if v not in seen:
+                    seen[v] = seen[u] + length
+                    frontier.append(v)
+        dist.update({(i, j): seen[-j] for j in range(i + 1, n + 1)})
+    return dist
+
+
+def test_tree_matches_generating_tree():
+    rng = random.Random("tree-metrics")
+    shapes = set()
+    for _ in range(20):
+        n = rng.randint(4, 9)
+        edges, count = random_tree(rng, n)
+        p = tree_metric_plucker(n, leaf_distances(edges, n))
+        cells = enumerate_cells(p)
+        t = build_tree(p, cells)
+        assert tree_failures(p, cells, t) == []
+        # per internal node: its internal degree and the leaves it carries
+        want = sorted(
+            (sum(1 for e in edges if k in e and min(e) >= 0),
+             tuple(sorted(-min(e) for e in edges if k in e and min(e) < 0)))
+            for k in range(count)
+        )
+        got = sorted(
+            (t.internal_degree(i), tuple(sorted(label for label, at in t.leaves if at == i)))
+            for i in range(len(t.node_bases))
+        )
+        assert got == want
+        shapes.add(tuple(sorted(d for d, _ in want)))
+    assert len(shapes) >= 8
+    assert any(max(shape) >= 3 for shape in shapes)  # some are not caterpillars
 
 
 def test_tree_rejects_higher_rank():

@@ -4,11 +4,19 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_circuit_supports, brute_exchange_violation, hull_edges
+from oracles import (
+    brute_circuit_supports,
+    brute_coloops,
+    brute_components,
+    brute_exchange_violation,
+    hull_edges,
+)
+from troplin.cells import enumerate_cells
+from troplin.conical import HeightMatrix, tau
+from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.matroid import (
     ExchangeError,
     Matroid,
-    is_adjacent,
     mask_from_subset,
     subset_from_mask,
     transversal,
@@ -101,12 +109,50 @@ def test_from_json_refuses_non_integer_n(n):
         Matroid.from_json({"n": n, "bases": [[1, 2], [1, 3], [2, 3]]})
 
 
-def test_is_adjacent():
-    assert is_adjacent((1, 2), (1, 3))
-    assert not is_adjacent((1, 2), (3, 4))
-    assert not is_adjacent((1, 2), (1, 2))
-    with pytest.raises(ValueError):
-        is_adjacent((1, 2), (1, 2, 3))
+def test_coloops_and_components_values():
+    M = Matroid(5, [(1, 2, 3), (1, 2, 4)])  # 1, 2 coloops; 3 || 4; 5 a loop
+    assert M.loops() == (5,)
+    assert M.coloops() == (1, 2)
+    assert M.components() == ((1,), (2,), (3, 4), (5,))
+    U = Matroid(4, list(combinations(range(1, 5), 2)))
+    assert U.coloops() == ()
+    assert U.components() == ((1, 2, 3, 4),)
+
+
+def _component_cases():
+    """Fixture supports, seeded transversal matroids, and the face matroids
+    of seeded tie-heavy and knockout tau instances."""
+    cases = [p.underlying_matroid() for p in (two_pyramids(), snowflake(), uniform_zero(5, 3))]
+    cases += [Matroid(4, [(1, 3), (1, 4), (2, 3), (2, 4)]), Matroid(2, [(1, 2)])]
+    rng = random.Random("components")
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        m = rng.randint(1, n)
+        B = tuple(sorted(rng.sample(range(1, n + 1), m)))
+        fams = {j: tuple(sorted(rng.sample(B, rng.randint(0, m))))
+                for j in range(1, n + 1) if j not in B}
+        cases.append(transversal(n, B, fams))
+    for n, m in ((5, 2), (6, 3), (6, 2)):
+        for _ in range(2):
+            rows = [[rng.choice((0, 1, "inf")) for _ in range(n - m)] for _ in range(m)]
+            for j in range(n - m):  # no loops, so the complex is finite
+                rows[rng.randrange(m)][j] = 0
+            cells = enumerate_cells(tau(HeightMatrix(n, range(1, m + 1), rows)))
+            cases += [c.face_matroid for c in cells]
+    return cases
+
+
+def test_components_and_coloops_match_circuit_oracle():
+    cases = _component_cases()
+    assert len({len(M.components()) for M in cases}) >= 3
+    for M in cases:
+        assert M.components() == brute_components(M), M
+        assert M.coloops() == brute_coloops(M), M
+
+
+def is_adjacent(a, b):
+    """True iff the equal-size subsets differ by exactly one exchange."""
+    return len(set(a) - set(b)) == 1
 
 
 def test_polytope_edges_are_exactly_adjacent_basis_pairs():
