@@ -20,8 +20,6 @@ from .cells import (
     enumerate_cells,
     enumerate_local_cells,
     f_vector,
-    mixed_interior_count,
-    mixed_total_count,
 )
 from .chart import LocalContext, LoopyMatroidError, project_any
 from .conical import (
@@ -73,8 +71,6 @@ __all__ = [
     "is_finite",
     "local_complex_is_fine",
     "make_constraint",
-    "mixed_interior_count",
-    "mixed_total_count",
     "parse_scalar",
     "project_any",
     "random_height_matrix",

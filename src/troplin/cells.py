@@ -17,9 +17,11 @@ lex-least basis, with nothing to merge.
 A cell is dual to the face P_M of the matroid subdivision, where M is its
 face matroid, and dim P_M = n - c(M) for c(M) connected components
 (Feichtner & Sturmfels 2005); so a cell's ambient dimension is the number of
-components of its face matroid.  It always contains the all-ones lineality
-direction, so the minimum is 1, not 0.  "Bounded" still means bounded modulo
-that one line, also when a disconnected matroid makes the lineality wider.
+components of its face matroid.  It always contains the lineality space,
+spanned by the indicator vectors of the underlying matroid's components
+(Speyer 2008), so the minimum is that component count, at least 1.
+"Bounded" means bounded modulo that space: P_M is an interior face, on no
+facet of the underlying matroid polytope that the lineality does not span.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chart import LocalContext
 from .diffcon import Constraint, DifferenceSystem, solve
-from .matroid import Matroid
+from .matroid import Matroid, subset_from_mask
 from .plucker import PlueckerVector
 
 MAX_ENUMERATION_GROUND = 10
@@ -101,39 +103,53 @@ def _selection_system(opts: Sequence[tuple[int, Fraction]], chosen_idx: Sequence
     return eqs, cons
 
 
-def is_bounded(system: DifferenceSystem) -> bool:
-    """Bounded modulo the all-ones line <=> the constraint digraph is strongly
-    connected (arc right -> left per constraint, both ways per equality)."""
-    m = system.num_vars
-    fwd = [0] * (m + 1)
-    back = [0] * (m + 1)
+# ---------------------------------------------------------------------------
+# boundedness
 
-    def arc(r, l):
-        fwd[r] |= 1 << l
-        back[l] |= 1 << r
 
-    for con in system.constraints:
-        arc(con.right, con.left)
-    for l, r, _ in system.equalities:
-        arc(r, l)
-        arc(l, r)
+def unbounded_directions(face: Matroid, underlying: Matroid) -> Iterator[tuple[int, ...]]:
+    """The unions F of face components along whose indicator the cell recedes.
 
-    full = ((1 << m) - 1) << 1
+    P_face lies on the facet x(F) <= r(F) of the underlying matroid polytope
+    exactly when F is a union of face components with r_face(F) equal to
+    r_underlying(F).  With B0 the face's first basis, that holds when B0 & F
+    spans F in the underlying matroid: no fundamental circuit over B0 of an
+    element of F - B0 meets B0 - F.  When E - F passes too, F is a union of
+    underlying components, which is lineality; every other passing F is
+    yielded, as a sorted tuple.
+    """
+    comps = [sum(1 << (e - 1) for e in c) for c in face.components()]
+    b0 = face.basis_masks[0]
+    # reach[k]: the elements of B0 that component k's fundamental circuits meet
+    reach = []
+    for cmask in comps:
+        hit = 0
+        rest = cmask & ~b0
+        while rest:
+            ebit = rest & -rest
+            rest ^= ebit
+            hit |= underlying.fundamental_circuit_mask(b0, ebit)
+        reach.append(hit & b0)
 
-    def reach(adj):
-        seen = 1 << 1
-        frontier = [1]
-        while frontier:
-            u = frontier.pop()
-            rest = adj[u] & ~seen
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                seen |= bit
-                frontier.append(bit.bit_length() - 1)
-        return seen
+    def union(pick):
+        fmask = hit = 0
+        for k, cmask in enumerate(comps):
+            if pick >> k & 1:
+                fmask |= cmask
+                hit |= reach[k]
+        return fmask, hit
 
-    return reach(fwd) == full and reach(back) == full
+    full = (1 << len(comps)) - 1
+    for pick in range(1, full):
+        fmask, hit = union(pick)
+        rest_mask, rest_hit = union(full ^ pick)
+        if not hit & rest_mask and rest_hit & fmask:
+            yield subset_from_mask(fmask)
+
+
+def is_bounded(face: Matroid, underlying: Matroid) -> bool:
+    """Is the cell with this face matroid bounded modulo the lineality space?"""
+    return next(unbounded_directions(face, underlying), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +177,7 @@ def enumerate_local_cells(
     budget = max_nodes if isinstance(max_nodes, NodeBudget) else NodeBudget(max_nodes)
     p = ctx.p
     m = p.m
+    underlying = p.underlying_matroid()
     option_rows = []
     for i, opts in ctx.options:
         allowed = tuple(
@@ -178,7 +195,8 @@ def enumerate_local_cells(
         if not res.feasible:
             return
         point = ctx.chart(res.witness)
-        cells.append(Cell(p.matroid_at(point), is_bounded(system), point))
+        face = p.matroid_at(point)
+        cells.append(Cell(face, is_bounded(face, underlying), point))
 
     def descend(depth, eqs, cons):
         if depth == len(option_rows):
@@ -276,13 +294,16 @@ def _comb0(a: int, b: int) -> int:
 
 def bound_bounded(n: int, m: int, i: int) -> int:
     """Cap on the number of bounded i-dimensional cells, any local space on
-    (n, m); attained exactly in the generic (fine) case."""
+    (n, m); attained exactly in the generic (fine) case, where it counts the
+    interior (m-i)-faces of a fine mixed subdivision of (n-m) times the
+    (m-1)-simplex."""
     _check_nmi(n, m, i)
     return _comb0(n - i - 1, i - 1) * _comb0(n - 2 * i, m - i)
 
 
 def bound_total(n: int, m: int, i: int) -> int:
-    """Cap on the total number of i-dimensional cells of a local space."""
+    """Cap on the total number of i-dimensional cells of a local space; the
+    count of all (m-i)-faces of that fine mixed subdivision."""
     _check_nmi(n, m, i)
     return _comb0(n - i - 1, m - i) * _comb0(n - 1, i - 1)
 
@@ -290,41 +311,6 @@ def bound_total(n: int, m: int, i: int) -> int:
 def _check_nmi(n, m, i):
     if not 1 <= i <= m <= n:
         raise ValueError("need 1 <= i <= m <= n")
-
-
-def _multinomial(total: int, parts: Sequence[int]) -> int:
-    if any(p < 0 for p in parts):
-        return 0
-    assert sum(parts) == total
-    out = 1
-    rest = total
-    for p in parts:
-        out *= math.comb(rest, p)
-        rest -= p
-    return out
-
-
-def mixed_interior_count(s: int, r: int, k: int) -> int:
-    """Interior k-faces of a fine mixed subdivision of the dilate s * (r-1)-simplex.
-
-    Translating local cell counts: s = n-m, r = m, k = m-i.  The multinomial
-    is 0 when a part goes negative (then no such faces exist).
-    """
-    _check_srk(s, r, k)
-    return _multinomial(s - 1 + k, (s - r + k, r - 1 - k, k))
-
-
-def mixed_total_count(s: int, r: int, k: int) -> int:
-    """All k-faces (interior or not) of such a fine mixed subdivision."""
-    _check_srk(s, r, k)
-    value = Fraction(s, s + k) * _multinomial(r + s - 1, (s, r - 1 - k, k))
-    assert value.denominator == 1
-    return int(value)
-
-
-def _check_srk(s, r, k):
-    if s < 1 or r < 1 or not 0 <= k <= r - 1:
-        raise ValueError("need s >= 1, r >= 1, 0 <= k <= r-1")
 
 
 @dataclass(frozen=True)

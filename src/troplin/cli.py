@@ -20,7 +20,6 @@ from .chart import LocalContext
 from .conical import (
     HeightMatrix,
     build_tree,
-    check_tree_input,
     is_caterpillar,
     is_conical,
     tau,
@@ -36,6 +35,24 @@ class UsageError(Exception):
 
 class InvalidInput(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError here is argparse's "invalid value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _load_json(path: str) -> dict:
@@ -291,18 +308,17 @@ def cmd_bounds(args) -> int:
     n, m = args.n, args.m
     if not 1 <= m <= n:
         raise UsageError("need 1 <= m <= n")
-    s, r = n - m, m
     rows = []
     for i in range(1, m + 1):
-        k = m - i
-        row = {
+        total, bounded = cellmod.bound_total(n, m, i), cellmod.bound_bounded(n, m, i)
+        # a fine mixed subdivision attains both caps
+        rows.append({
             "dim": i,
-            "cap_total": cellmod.bound_total(n, m, i),
-            "cap_bounded": cellmod.bound_bounded(n, m, i),
-            "fine_total": cellmod.mixed_total_count(s, r, k) if s >= 1 else 0,
-            "fine_bounded": cellmod.mixed_interior_count(s, r, k) if s >= 1 else 0,
-        }
-        rows.append(row)
+            "cap_total": total,
+            "cap_bounded": bounded,
+            "fine_total": total,
+            "fine_bounded": bounded,
+        })
     lines = ["dim  cap_total  cap_bounded  fine_total  fine_bounded"]
     for row in rows:
         lines.append(
@@ -315,11 +331,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_conical(args) -> int:
     p = _load_validated(args.file)
-    cells = _enumerate(args, p)
-    try:
-        flag, witness = is_conical(p, cells)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    flag, witness = is_conical(p, _enumerate(args, p))
     payload = {"conical": flag, "witness": list(witness) if witness else None}
     _emit(args, payload, [f"conical: {flag}" + (f" witness {list(witness)}" if witness else "")])
     return 0
@@ -328,7 +340,7 @@ def cmd_conical(args) -> int:
 def cmd_tree(args) -> int:
     p = _load_validated(args.file)
     try:
-        check_tree_input(p)
+        cellmod.check_adjacency_input(p)
         tree = build_tree(p, _enumerate(args, p))
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
@@ -375,7 +387,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="troplin",
         description="Exact tropical Pluecker vectors, charts and cell complexes.",
     )
@@ -389,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default="text")
         if max_patterns:
             sp.add_argument(
-                "--max-patterns", type=int, default=cellmod.MAX_SOLVER_NODES_DEFAULT,
+                "--max-patterns", type=_int_at_least(0),
+                default=cellmod.MAX_SOLVER_NODES_DEFAULT,
                 help="cap on tie-pattern solver nodes during enumeration",
             )
 
@@ -454,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="run the seeded property suite")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--scale", type=int, default=1, help="divide run counts by this")
+    sp.add_argument("--scale", type=_int_at_least(1), default=1,
+                    help="divide run counts by this")
     sp.set_defaults(func=cmd_selftest)
 
     return ap

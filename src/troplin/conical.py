@@ -8,15 +8,14 @@ matroid is the principal transversal matroid of B with families
 I_j = { i in B : V[i][j] finite }, and every bounded cell of the resulting
 space lies in the chart region of B -- the complex is "conical" over B.
 
-For rank 2 with full uniform support the complex is a metric tree; this
-module also builds that tree and recognizes caterpillars (conical <=>
-caterpillar in rank 2).
+For rank 2 on a connected underlying matroid the complex is a metric tree
+whose leaves are the parallel classes; this module also builds that tree
+and recognizes caterpillars (conical <=> caterpillar in rank 2).
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -137,25 +136,16 @@ def tau(v: HeightMatrix) -> PlueckerVector:
 def is_conical(p: PlueckerVector, cell_list=None) -> tuple[bool, tuple[int, ...] | None]:
     """Is there one basis lying in every bounded cell's matroid?
 
-    Returns (flag, lexicographically least witness basis or None).  Raises
-    ValueError when no cell is bounded: the underlying matroid is then
-    disconnected, and every cell's lineality is wider than the all-ones line.
+    Returns (flag, lexicographically least witness basis or None).
     """
     if cell_list is None:
         cell_list = cellmod.enumerate_cells(p)
-    common: frozenset | None = None
+    common = frozenset(p.underlying_matroid().bases)
     for cell in cell_list:
-        if not cell.bounded:
-            continue
-        bs = frozenset(cell.face_matroid.bases)
-        common = bs if common is None else common & bs
-        if not common:
-            return (False, None)
-    if common is None:
-        raise ValueError(
-            "no cell is bounded: the underlying matroid is disconnected, "
-            "so the conical test does not apply"
-        )
+        if cell.bounded:
+            common &= frozenset(cell.face_matroid.bases)
+            if not common:
+                return (False, None)
     return (True, min(common))
 
 
@@ -164,7 +154,7 @@ def is_conical(p: PlueckerVector, cell_list=None) -> tuple[bool, tuple[int, ...]
 
 
 class Tree:
-    """The metric-tree picture of a rank-2 complex with uniform support."""
+    """The metric-tree picture of a rank-2 complex on a connected matroid."""
 
     def __init__(self, node_bases, edges, leaves):
         self.node_bases = tuple(node_bases)  # per internal node: its cell's bases
@@ -201,24 +191,23 @@ class Tree:
         return "\n".join(lines)
 
 
-def check_tree_input(p: PlueckerVector) -> None:
-    """Refuse, before any enumeration, a vector that `build_tree` cannot draw:
-    it needs rank 2, a connected underlying matroid and uniform support."""
-    cellmod.check_adjacency_input(p)
-    if len(p.support_masks()) != math.comb(p.n, 2):
-        raise ValueError("tree construction expects uniform support")
-
-
 def build_tree(p: PlueckerVector, cell_list=None) -> Tree:
     """Tree of a rank-2 space: minimal cells are nodes, bounded 2-cells are
-    internal edges, rays are leaf edges labelled by their direction."""
-    check_tree_input(p)
+    internal edges, rays are leaf edges labelled by their direction.
+
+    A ray recedes along exactly one union of its face components, a parallel
+    class of the underlying matroid (one element for uniform support); each
+    element of the class hangs as its own leaf at the ray's node.
+    """
+    cellmod.check_adjacency_input(p)
     if cell_list is None:
         cell_list = cellmod.enumerate_cells(p)
     nodes, edge_triples, ray_pairs = cellmod.adjacency_graph(cell_list)
-    # a ray's face matroid is the direct sum of its leaf's element, a
-    # coloop, and a rank-1 matroid on the rest
-    leaves = [(cell.face_matroid.coloops()[0], at) for at, cell in ray_pairs]
+    underlying = p.underlying_matroid()
+    leaves = []
+    for at, cell in ray_pairs:
+        (direction,) = cellmod.unbounded_directions(cell.face_matroid, underlying)
+        leaves += [(e, at) for e in direction]
     return Tree(
         [c.face_matroid.bases for c in nodes], [(a, b) for a, b, _ in edge_triples], leaves
     )
@@ -279,17 +268,12 @@ def random_height_matrix(
 
 
 def local_complex_is_fine(p: PlueckerVector, basis: Iterable[int]) -> bool:
-    """Genericity detector: does the local f-vector attain the fine counts?"""
+    """Genericity detector: does the local f-vector attain every cap?"""
     from .chart import LocalContext
 
     ctx = LocalContext(p, basis)
     local = cellmod.enumerate_local_cells(ctx)
     fv = cellmod.f_vector(local, p.m)
-    s, r = p.n - p.m, p.m
-    for i in range(1, p.m + 1):
-        k = p.m - i
-        if fv.total[i - 1] != cellmod.mixed_total_count(s, r, k):
-            return False
-        if fv.bounded[i - 1] != cellmod.mixed_interior_count(s, r, k):
-            return False
-    return True
+    dims = range(1, p.m + 1)
+    return (fv.total == tuple(cellmod.bound_total(p.n, p.m, i) for i in dims)
+            and fv.bounded == tuple(cellmod.bound_bounded(p.n, p.m, i) for i in dims))

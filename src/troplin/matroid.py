@@ -136,13 +136,6 @@ class Matroid:
             self._loops = subset_from_mask(full & ~covered)
         return self._loops
 
-    def coloops(self) -> tuple[int, ...]:
-        """Elements contained in every basis."""
-        common = (1 << self.n) - 1
-        for mk in self._masks:
-            common &= mk
-        return subset_from_mask(common)
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, in order of their least elements.
 
@@ -157,13 +150,7 @@ class Matroid:
         while rest:
             ebit = rest & -rest
             rest ^= ebit
-            circuit = ebit
-            slots = bmask
-            while slots:
-                bbit = slots & -slots
-                slots ^= bbit
-                if ((bmask ^ bbit) | ebit) in self._mask_set:
-                    circuit |= bbit
+            circuit = self.fundamental_circuit_mask(bmask, ebit)
             # the groups are disjoint, so one pass merges all that meet it
             kept = []
             for g in groups:
@@ -188,14 +175,19 @@ class Matroid:
         ebit = 1 << (e - 1)
         if bmask & ebit:
             raise ValueError(f"element {e} lies in the basis; no fundamental circuit")
-        members = [e]
+        return subset_from_mask(self.fundamental_circuit_mask(bmask, ebit))
+
+    def fundamental_circuit_mask(self, bmask: int, ebit: int) -> int:
+        """`fundamental_circuit_support` on masks, unchecked: ``bmask`` is a
+        basis and ``ebit`` one element bit outside it."""
+        circuit = ebit
         rest = bmask
         while rest:
             bbit = rest & -rest
             rest ^= bbit
             if ((bmask ^ bbit) | ebit) in self._mask_set:
-                members.append(bbit.bit_length())
-        return tuple(sorted(members))
+                circuit |= bbit
+        return circuit
 
     def __eq__(self, other):
         if not isinstance(other, Matroid):

@@ -6,6 +6,7 @@ wrong is not.  The one exception is `all_bases_cells`: the slow path that a
 library fast path replaced, kept here to check the fast path against.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -111,10 +112,9 @@ def brute_components(matroid):
     return tuple(sorted(tuple(sorted(g)) for g in comps))
 
 
-def brute_coloops(matroid):
-    """Elements in no circuit."""
-    circuits = brute_circuit_supports(matroid)
-    return tuple(e for e in range(1, matroid.n + 1) if not any(e in c for c in circuits))
+def brute_rank(matroid, subset):
+    """Rank of a subset: the most elements of it that one basis holds."""
+    return max(len(set(b) & set(subset)) for b in matroid.bases)
 
 
 def brute_exchange_violation(bases):
@@ -312,17 +312,22 @@ def check_witness(system: DifferenceSystem, witness) -> bool:
     return True
 
 
-def recession_01_bounded(system: DifferenceSystem) -> bool:
-    """Boundedness (mod the all-ones line) of a feasible difference region.
+def recession_01_bounded(system: DifferenceSystem, groups=None) -> bool:
+    """Boundedness of a feasible difference region modulo its lineality.
 
-    The recession cone of a difference system is cut out by the homogeneous
-    constraints, and such a cone contains a non-constant vector iff it
-    contains a non-constant 0/1 vector (threshold the values).  So testing
-    all 0/1 vectors is exact.
+    ``groups`` partitions the variables (1-based); the lineality is spanned
+    by the indicators of the groups, so for a chart these are the slots of
+    each underlying component.  Without groups there is one, the all-ones
+    line.  The recession cone of a difference system is cut out by the
+    homogeneous constraints, and it holds a vector outside the lineality iff
+    it holds a 0/1 vector that is not constant on some group (threshold the
+    values inside that group).  So testing all 0/1 vectors is exact.
     """
     k = system.num_vars
+    if groups is None:
+        groups = [range(1, k + 1)]
     for bits in product((0, 1), repeat=k):
-        if all(b == bits[0] for b in bits):
+        if all(len({bits[v - 1] for v in g}) == 1 for g in groups):
             continue
         ok = all(bits[c.left - 1] - bits[c.right - 1] <= 0
                  for c in system.constraints)
@@ -355,7 +360,35 @@ def random_system(rng, max_vars=4, max_cons=8) -> DifferenceSystem:
 
 
 # ---------------------------------------------------------------------------
-# lattice points and hull edges
+# lattice points, fine mixed subdivisions and hull edges
+
+
+def multinomial(total, parts):
+    """total! / prod(part!), or 0 when a part is negative."""
+    if any(p < 0 for p in parts):
+        return 0
+    assert sum(parts) == total
+    out, rest = 1, total
+    for p in parts:
+        out *= math.comb(rest, p)
+        rest -= p
+    return out
+
+
+def mixed_interior_count(s, r, k):
+    """Interior k-faces of a fine mixed subdivision of s times the
+    (r-1)-simplex, for s >= 1 (0 when s = 0, where there is no such face);
+    the bounded local cells of dimension r - k at (n, m) = (s + r, r)."""
+    return multinomial(s - 1 + k, (s - r + k, r - 1 - k, k)) if s >= 1 else 0
+
+
+def mixed_total_count(s, r, k):
+    """All k-faces (interior or not) of that fine mixed subdivision."""
+    if s < 1:
+        return 0
+    value = Fraction(s, s + k) * multinomial(r + s - 1, (s, r - 1 - k, k))
+    assert value.denominator == 1
+    return int(value)
 
 
 def lattice_simplex_counts(s, r):
@@ -423,10 +456,12 @@ def tree_failures(p, cells, tree=None):
 
     Each bounded dim-2 cell must lie in exactly two minimal cells and each
     unbounded one in exactly one; the minimal cells and bounded 2-cells must
-    form a tree.  With a `Tree` also given (uniform support), each ray's
-    leaf label must be the one element in all of its bases and not in all
-    of its node's, every element must label exactly one leaf, and the tree's
-    nodes, edges and leaves must be the ones found here.
+    form a tree.  With a `Tree` also given, each ray's leaves must be its
+    class: the one component F of its face matroid whose rank there equals
+    its rank in the underlying matroid, while the other component's does
+    not, and F must be a parallel class of the underlying matroid.  Every
+    element must label exactly one leaf, and the tree's nodes, edges and
+    leaves must be the ones found here.
     """
     failures = []
     nodes = sorted((c for c in cells if c.dim == 1), key=lambda c: c.key)
@@ -447,15 +482,26 @@ def tree_failures(p, cells, tree=None):
         failures.append("the minimal-cell adjacency graph is not a tree")
     if tree is None:
         return failures
+    under = p.underlying_matroid()
+    ground = set(range(1, p.n + 1))
+
+    def rank_gap(face, subset):
+        return brute_rank(under, subset) - brute_rank(face, subset)
+
     leaves = []
     for c, at in rays:
-        universal = set.intersection(*(set(b) for b in c.key))
-        node_universal = set.intersection(*(set(b) for b in nodes[at].key))
-        label = universal - node_universal
-        if len(label) != 1:
-            failures.append(f"ray {c.key} has leaf label {sorted(label)}")
-        else:
-            leaves.append((label.pop(), at))
+        classes = [
+            set(f) for f in brute_components(c.face_matroid)
+            if rank_gap(c.face_matroid, f) == 0 and rank_gap(c.face_matroid, ground - set(f))
+        ]
+        if len(classes) != 1:
+            failures.append(f"ray {c.key} recedes along {len(classes)} classes")
+            continue
+        (cls,) = classes
+        parallel = {e for e in ground if brute_rank(under, cls | {e}) == 1}
+        if brute_rank(under, cls) != 1 or parallel != cls:
+            failures.append(f"ray {c.key} recedes along {sorted(cls)}, not a parallel class")
+        leaves += [(e, at) for e in cls]
     if sorted(label for label, _ in leaves) != list(range(1, p.n + 1)):
         failures.append(f"leaf labels {sorted(leaves)} are not one per element")
     if tree.node_bases != tuple(c.key for c in nodes):

@@ -13,7 +13,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from oracles import fm_feasible, lattice_simplex_counts, random_system
+from oracles import (
+    fm_feasible,
+    lattice_simplex_counts,
+    mixed_interior_count,
+    mixed_total_count,
+    random_system,
+)
 
 from troplin.cells import (
     LocalContext,
@@ -23,8 +29,6 @@ from troplin.cells import (
     enumerate_cells,
     enumerate_local_cells,
     f_vector,
-    mixed_interior_count,
-    mixed_total_count,
 )
 from troplin.conical import (
     HeightMatrix,
@@ -202,9 +206,9 @@ def test_acceptance_6_count_formulas(acceptance):
     failures = []
 
     total, interior = lattice_simplex_counts(3, 3)
-    if (mixed_total_count(3, 3, 0), total) != (10, 10):
+    if (mixed_total_count(3, 3, 0), bound_total(6, 3, 3), total) != (10, 10, 10):
         failures.append("k=0 total count != 10 lattice points of the 3rd dilate")
-    if (mixed_interior_count(3, 3, 0), interior) != (1, 1):
+    if (mixed_interior_count(3, 3, 0), bound_bounded(6, 3, 3), interior) != (1, 1, 1):
         failures.append("k=0 interior count != 1 interior lattice point")
 
     tables = {

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,6 +12,8 @@ from oracles import (
     brute_max_weight_bases,
     brute_member,
     lattice_simplex_counts,
+    mixed_interior_count,
+    mixed_total_count,
     recession_01_bounded,
     tie_pattern,
     tree_failures,
@@ -28,11 +31,18 @@ from troplin.cells import (
     enumerate_local_cells,
     f_vector,
     is_bounded,
-    mixed_interior_count,
-    mixed_total_count,
+    unbounded_directions,
 )
 from troplin.chart import LocalContext
-from troplin.conical import HeightMatrix, random_height_matrix, tau
+from troplin.conical import (
+    HeightMatrix,
+    build_tree,
+    is_caterpillar,
+    is_conical,
+    random_height_matrix,
+    tau,
+)
+from troplin.matroid import Matroid
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import PlueckerVector
 from troplin.semiring import INF
@@ -198,18 +208,23 @@ def test_pattern_regions_against_oracles():
     # the patterns the enumeration's witnesses realize
     # (the oracle's dim is m minus the rank of the equalities, a count that
     # shares nothing with the face-matroid components the library reads)
+    # (boundedness is read modulo the slots of each underlying component,
+    # which the direct sum makes more than one)
     cases = [(p, p.underlying_matroid().bases) for p in (two_pyramids(), snowflake(), tiny_gap())]
-    for p in (_tau_instance("generic", 5, 2), _tau_instance("tie", 6, 3)):
+    for p in (_tau_instance("generic", 5, 2), _tau_instance("tie", 6, 3),
+              direct_sum(two_pyramids(), _tau_instance("generic", 4, 2))):
         bases = p.underlying_matroid().bases
         cases.append((p, (bases[0], bases[len(bases) // 2], bases[-1])))
     for p, chart_bases in cases:
+        components = brute_components(p.underlying_matroid())
         for basis in chart_bases:
+            groups = [[j for j, b in enumerate(basis, start=1) if b in comp]
+                      for comp in components]
             ctx = LocalContext(p, basis)
             oracle = brute_local_cells(ctx)
             assert oracle
-            for dim, system in oracle.values():
-                assert 1 <= dim <= p.m
-                assert is_bounded(system) == recession_01_bounded(system)
+            for dim, _ in oracle.values():
+                assert len(components) <= dim <= p.m
             owned = {pat for pat in oracle if all(b < i for i, tied in pat for b in tied)}
             for owned_only, expected in ((False, set(oracle)), (True, owned)):
                 cells = enumerate_local_cells(ctx, owned_only=owned_only)
@@ -222,7 +237,7 @@ def test_pattern_regions_against_oracles():
                 for pat, c in got.items():
                     dim, system = oracle[pat]
                     assert c.dim == dim
-                    assert c.bounded == recession_01_bounded(system)
+                    assert c.bounded == recession_01_bounded(system, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +265,21 @@ def test_bound_tables_match_direct_binomials():
 
 
 def test_mixed_counts_at_k0_match_lattice_points():
-    # k = 0 counts are the lattice points of the dilated simplex s * D_{r-1}
+    # k = 0 counts are the lattice points of the dilated simplex s * D_{r-1},
+    # and the caps at i = m count the same vertices
     for s, r in ((3, 3), (2, 2), (4, 2), (2, 4), (5, 3)):
         total, interior = lattice_simplex_counts(s, r)
-        assert mixed_total_count(s, r, 0) == total
-        assert mixed_interior_count(s, r, 0) == interior
+        assert mixed_total_count(s, r, 0) == total == bound_total(s + r, r, r)
+        assert mixed_interior_count(s, r, 0) == interior == bound_bounded(s + r, r, r)
     assert mixed_total_count(3, 3, 0) == 10
     assert mixed_interior_count(3, 3, 0) == 1
 
 
 def test_caps_equal_fine_counts_under_substitution():
-    # two formula families, one via binomial caps and one via multinomials;
-    # they must agree wherever both are defined (the caps are tight)
-    for n in range(3, 11):
-        for m in range(2, n):
+    # the binomial caps against the multinomial counts of a fine mixed
+    # subdivision, which attains them; n = m gives 0 on both sides
+    for n in range(1, 13):
+        for m in range(1, n + 1):
             s, r = n - m, m
             for i in range(1, m + 1):
                 k = m - i
@@ -343,6 +359,17 @@ def test_adjacency_incidences_on_connected_rank2():
         assert len(edges) == len(nodes) - 1
 
 
+def test_tree_leaves_are_parallel_classes():
+    # the tree theorem without uniform support: each ray hangs its parallel
+    # class, and tau vectors are conical, so their trees are caterpillars
+    for p in _connected_rank2_knockouts(50):
+        cells = enumerate_cells(p)
+        tree = build_tree(p, cells)
+        assert tree_failures(p, cells, tree) == []
+        assert is_caterpillar(tree)
+        assert is_conical(p, cells)[0]
+
+
 @pytest.mark.parametrize("n, support", [
     (4, ((1, 3), (1, 4), (2, 3), (2, 4))),  # U(1,2) + U(1,2)
     (2, ((1, 2),)),  # two coloops
@@ -361,3 +388,90 @@ def test_adjacency_graph_rejects_rank3():
     with pytest.raises(ValueError):
         v = uniform_zero(4, 3)
         adjacency_graph(enumerate_cells(v))
+
+
+# ---------------------------------------------------------------------------
+# boundedness modulo the lineality of the underlying components
+
+
+def test_is_bounded_frozen_cases():
+    u24 = Matroid(4, [(1, 3), (1, 4), (2, 3), (2, 4)])  # U(1,2) + U(1,2)
+    # the one cell of U(1,2) + U(1,2): both components are lineality
+    assert is_bounded(u24, u24)
+    assert list(unbounded_directions(u24, u24)) == []
+    uniform = uniform_zero(4, 2).underlying_matroid()
+    # the ray of leaf 1 in the star: {1} is a coloop of the face only
+    ray = Matroid(4, [(1, 2), (1, 3), (1, 4)])
+    assert list(unbounded_directions(ray, uniform)) == [(1,)]
+    assert not is_bounded(ray, uniform)
+    assert is_bounded(uniform, uniform)  # the star's vertex
+    # a 2-cell of U(2,4) with face {13, 14, 23, 24}: an edge between two vertices
+    assert is_bounded(u24, uniform)
+
+
+def direct_sum(p1, p2):
+    """p_{A + (B shifted by n1)} = p1_A + p2_B, a valid vector on n1 + n2."""
+    n1 = p1.n
+    entries = {
+        a + tuple(b_elem + n1 for b_elem in b): p1.entry(a) + p2.entry(b)
+        for a in p1.support() for b in p2.support()
+    }
+    p = PlueckerVector(n1 + p2.n, p1.m + p2.m, entries)
+    assert p.validate().ok
+    return p
+
+
+def rank1_3():
+    """Rank 1 on [3]: the space is its lineality line, one bounded cell."""
+    p = PlueckerVector(3, 1, {(1,): 0, (2,): 1, (3,): 3})
+    assert p.validate().ok
+    return p
+
+
+SUM_PIECES = {  # connected factors: name -> (ground size, constructor)
+    "rank1_3": (3, rank1_3),
+    "two_pyramids": (4, two_pyramids),
+    "uniform_zero_4_2": (4, lambda: uniform_zero(4, 2)),
+    "snowflake": (6, snowflake),  # not conical
+    **{
+        f"tau_{n}_{m}": (n, lambda n=n, m=m: tau(
+            random_height_matrix(n, m, rng=random.Random(f"direct-sum/{n}/{m}"))))
+        for n, m in ((4, 2), (5, 2), (5, 3))
+    },
+}
+SUM_CASES = [
+    (a, b) for a, b in combinations_with_replacement(SUM_PIECES, 2)
+    if SUM_PIECES[a][0] + SUM_PIECES[b][0] <= 9
+]
+
+
+def _convolve(a, b):
+    # index i counts dimension i + 1, and dimensions add under the product
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j + 1] += x * y
+    return tuple(out)
+
+
+@pytest.mark.parametrize("first, second", SUM_CASES)
+def test_direct_sum_is_the_product_complex(first, second):
+    p1, p2 = SUM_PIECES[first][1](), SUM_PIECES[second][1]()
+    p = direct_sum(p1, p2)
+    assert len(brute_components(p.underlying_matroid())) == 2
+    cells1, cells2 = enumerate_cells(p1), enumerate_cells(p2)
+    cells = enumerate_cells(p)
+
+    def product_key(c1, c2):
+        return tuple(sorted(a + tuple(e + p1.n for e in b) for a in c1.key for b in c2.key))
+
+    want = {product_key(c1, c2): (c1, c2) for c1 in cells1 for c2 in cells2}
+    assert sorted(want) == [c.key for c in cells]
+    for c in cells:
+        c1, c2 = want[c.key]
+        assert c.dim == c1.dim + c2.dim
+        assert c.bounded == (c1.bounded and c2.bounded)
+    fv1, fv2 = f_vector(cells1, p1.m), f_vector(cells2, p2.m)
+    assert f_vector(cells, p.m).bounded == _convolve(fv1.bounded, fv2.bounded)
+    assert is_conical(p, cells)[0] == (is_conical(p1, cells1)[0] and is_conical(p2, cells2)[0])
+

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,15 +176,55 @@ def test_conical_and_tree(capsys, example1, snowflake_file):
     assert code == 0 and out.startswith("graph tree {")
 
 
-def test_conical_on_disconnected_matroid_is_invalid_input(capsys, tmp_path):
+def test_disconnected_matroid_cell_is_bounded(capsys, tmp_path):
+    # U(1,2) + U(1,2): the one cell is the 2-dim lineality, bounded modulo it
     path = tmp_path / "disconnected.json"
     path.write_text(json.dumps({
         "n": 4, "m": 2,
         "entries": [{"subset": s, "value": "0"} for s in ([1, 3], [1, 4], [2, 3], [2, 4])],
     }))
+    code, out, err = run(capsys, "cells", str(path))
+    assert (code, err) == (0, "")
+    assert out == "1 cells\n  dim=2 bounded=True bases=['13', '14', '23', '24']\n"
+    code, out, _ = run(capsys, "fvector", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["fvector"]["2"] == {"total": 1, "bounded": 1}
     code, out, err = run(capsys, "conical", str(path))
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "invalid input" in err and "disconnected" in err
+    assert (code, err) == (0, "")
+    assert out == "conical: True witness [1, 3]\n"
+
+
+def _dot_graph(dot):
+    """(node labels, edges) of `cells --format dot` output."""
+    labels = re.findall(r'v\d+ \[label="([^"]*)"\]', dot)
+    edges = re.findall(r"v(\d+) -- v(\d+);", dot)
+    return labels, sorted((int(a), int(b)) for a, b in edges)
+
+
+def test_tree_without_uniform_support(capsys, tmp_path):
+    # tau on [6] with one height knocked out: 2 and 6 are parallel, so the
+    # support misses {2, 6}, and both hang off one node
+    heights = tmp_path / "v.json"
+    heights.write_text(json.dumps({"n": 6, "B": [1, 2],
+                                   "V": [["4", "2", "5", "inf"], ["5", "5", "5", "4"]]}))
+    code, out, _ = run(capsys, "tau", str(heights), "--format", "json")
+    assert code == 0
+    path = tmp_path / "p.json"
+    path.write_text(out)
+    assert len(json.loads(out)["entries"]) == 14
+    code, out, err = run(capsys, "tree", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    tree = json.loads(out)
+    assert tree["caterpillar"] is True
+    leaves = {(leaf["label"], leaf["node"]) for leaf in tree["leaves"]}
+    assert leaves == {(1, 0), (2, 2), (3, 1), (4, 0), (5, 2), (6, 2)}
+    code, dot, _ = run(capsys, "cells", str(path), "--format", "dot")
+    assert code == 0
+    labels, edges = _dot_graph(dot)
+    assert labels == [" ".join("".join(map(str, b)) for b in node) for node in tree["nodes"]]
+    assert edges == sorted(map(tuple, tree["edges"])) and len(edges) == 2
+    code, out, _ = run(capsys, "tree", str(path), "--format", "dot")
+    assert code == 0 and out.count("-- L") == 6
 
 
 @pytest.mark.parametrize("argv", [
@@ -347,6 +388,28 @@ def test_output_is_deterministic(capsys, example1):
     _, a, _ = run(capsys, "cells", example1, "--format", "json")
     _, b, _ = run(capsys, "cells", example1, "--format", "json")
     assert a == b
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("selftest", "--scale", "0"), "--scale"),
+    (("selftest", "--scale", "-1"), "--scale"),
+    (("cells", "FILE", "--max-patterns", "-5"), "--max-patterns"),
+    (("tree", "FILE", "--max-patterns", "-1"), "--max-patterns"),
+])
+def test_bad_numeric_options_are_usage_errors(capsys, example1, argv, option):
+    argv = [example1 if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"argument {option}: must be at least" in err
+
+
+def test_zero_max_patterns_enumerates_a_full_rank_vector(capsys, tmp_path):
+    # m = n: one basis, no non-basis element, so no solver node at all
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(_zero_vector(3, 3, ([1, 2, 3],))))
+    code, out, err = run(capsys, "cells", str(path), "--max-patterns", "0")
+    assert (code, err) == (0, "")
+    assert out == "1 cells\n  dim=3 bounded=True bases=['123']\n"
 
 
 def test_selftest_scaled(capsys):

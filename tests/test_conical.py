@@ -108,13 +108,12 @@ def test_is_conical_fixtures():
     assert flag and witness == (1, 2)
 
 
-def test_is_conical_refuses_disconnected_matroid():
-    # U(1,2) + U(1,2): loopless, but every cell has 2-dim lineality
+def test_is_conical_on_disconnected_matroid():
+    # U(1,2) + U(1,2): its one cell is its 2-dim lineality, so it is bounded
     p = PlueckerVector(4, 2, {(1, 3): 0, (1, 4): 0, (2, 3): 0, (2, 4): 0})
     assert p.validate().ok
-    assert not any(c.bounded for c in enumerate_cells(p))
-    with pytest.raises(ValueError, match="disconnected"):
-        is_conical(p)
+    assert [(c.dim, c.bounded) for c in enumerate_cells(p)] == [(2, True)]
+    assert is_conical(p) == (True, (1, 3))
 
 
 def test_tau_is_conical_at_root():

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import check_witness, fm_feasible, random_system, recession_01_bounded
-from troplin.cells import is_bounded
+from oracles import check_witness, fm_feasible, random_system
 from troplin.diffcon import (
     Constraint,
     DifferenceSystem,
@@ -112,25 +111,3 @@ def test_solver_matches_fourier_motzkin():
             stricts = sum(1 for c in res.cycle if c.strict)
             assert total < 0 or (total == 0 and stricts > 0)
     assert disagreements == 0
-
-
-def test_boundedness_matches_recession_oracle():
-    rng = random.Random(97)
-    checked = 0
-    for _ in range(600):
-        sys_ = random_system(rng)
-        if not solve(sys_, want_witness=False).feasible:
-            continue
-        checked += 1
-        assert is_bounded(sys_) == recession_01_bounded(sys_)
-    assert checked > 200
-
-
-def test_bounded_frozen_cases():
-    # chain x1 <= x2 <= x1: one equivalence class -> bounded (a point mod 1)
-    assert is_bounded(DifferenceSystem(2, (
-        Constraint(1, 2, Fraction(0)), Constraint(2, 1, Fraction(0)))))
-    # x1 <= x2 only: can drift apart -> unbounded
-    assert not is_bounded(DifferenceSystem(2, (Constraint(1, 2, Fraction(0)),)))
-    # single variable: trivially bounded mod lineality
-    assert is_bounded(DifferenceSystem(1))

@@ -6,7 +6,6 @@ import pytest
 
 from oracles import (
     brute_circuit_supports,
-    brute_coloops,
     brute_components,
     brute_exchange_violation,
     hull_edges,
@@ -112,10 +111,8 @@ def test_from_json_refuses_non_integer_n(n):
 def test_coloops_and_components_values():
     M = Matroid(5, [(1, 2, 3), (1, 2, 4)])  # 1, 2 coloops; 3 || 4; 5 a loop
     assert M.loops() == (5,)
-    assert M.coloops() == (1, 2)
     assert M.components() == ((1,), (2,), (3, 4), (5,))
     U = Matroid(4, list(combinations(range(1, 5), 2)))
-    assert U.coloops() == ()
     assert U.components() == ((1, 2, 3, 4),)
 
 
@@ -147,7 +144,6 @@ def test_components_and_coloops_match_circuit_oracle():
     assert len({len(M.components()) for M in cases}) >= 3
     for M in cases:
         assert M.components() == brute_components(M), M
-        assert M.coloops() == brute_coloops(M), M
 
 
 def is_adjacent(a, b):
