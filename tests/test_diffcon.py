@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import check_witness, fm_feasible, random_system
+from oracles import check_witness, fm_feasible, random_system, recession_01_bounded
 from troplin.diffcon import (
     Constraint,
     DifferenceSystem,
@@ -111,3 +111,27 @@ def test_solver_matches_fourier_motzkin():
             stricts = sum(1 for c in res.cycle if c.strict)
             assert total < 0 or (total == 0 and stricts > 0)
     assert disagreements == 0
+
+
+def test_boundedness_matches_recession_oracle():
+    # a feasible region is bounded modulo the all-ones line iff every
+    # x_i - x_j is bounded above; a bound, when there is one, is the sum of a
+    # path of constraints, so at most the total size of all bounds, and the
+    # solver must refuse x_i - x_j >= that total plus one exactly then
+    rng = random.Random(97)
+    checked = 0
+    for _ in range(600):
+        sys_ = random_system(rng)
+        if not solve(sys_, want_witness=False).feasible:
+            continue
+        checked += 1
+        far = 1 + sum(abs(c.bound) for c in sys_.constraints) + sum(
+            abs(c) for _, _, c in sys_.equalities)
+        k = sys_.num_vars
+        bounded = all(
+            not solve(DifferenceSystem(k, sys_.constraints + (Constraint(j, i, -far),),
+                                       sys_.equalities), want_witness=False).feasible
+            for i in range(1, k + 1) for j in range(1, k + 1) if i != j
+        )
+        assert bounded == recession_01_bounded(sys_)
+    assert checked > 200
