@@ -2,10 +2,13 @@
 
 Min-plus conventions throughout: tropical sum is ``min``, tropical product
 is ``+``, and the tropical zero is ``INF``.  All finite values are exact
-``fractions.Fraction``s; floats are rejected at the boundary so that
-tie-breaking (which drives all the combinatorics here) is never left to
-rounding.  Ground-set elements are 1-based everywhere, in the library and
-in every file format.
+rationals, passed in and out as ``fractions.Fraction``s; floats are
+rejected at the boundary so that tie-breaking (which drives all the
+combinatorics here) is never left to rounding.
+``PlueckerVector.matroid_at`` compares its weights on an internal integer
+lattice, scaled by a common denominator, and gives the same exact answer.
+Ground-set elements are 1-based everywhere, in the library and in every
+file format.
 """
 
 from .cells import (

@@ -24,6 +24,7 @@ from .conical import (
     is_conical,
     tau,
 )
+from .matroid import MAX_GROUND
 from .plucker import PlueckerVector
 from .selftest import DEFAULT_SEED, run_selftest
 from .semiring import format_point, format_scalar, parse_point
@@ -308,6 +309,8 @@ def cmd_bounds(args) -> int:
     n, m = args.n, args.m
     if not 1 <= m <= n:
         raise UsageError("need 1 <= m <= n")
+    if n > MAX_GROUND:
+        raise UsageError(f"ground set size {n} exceeds the cap {MAX_GROUND}")
     rows = []
     for i in range(1, m + 1):
         total, bounded = cellmod.bound_total(n, m, i), cellmod.bound_bounded(n, m, i)

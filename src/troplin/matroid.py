@@ -71,7 +71,7 @@ def popcount(mask: int) -> int:
 class Matroid:
     """A matroid given by its list of bases."""
 
-    __slots__ = ("n", "m", "_subsets", "_masks", "_mask_set", "_loops")
+    __slots__ = ("n", "m", "_subsets", "_masks", "_mask_set", "_loops", "_components")
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
         """Bases from a caller: checked for size and the exchange axiom."""
@@ -113,6 +113,7 @@ class Matroid:
         self._masks = tuple(mk for _, mk in pairs)
         self._mask_set = frozenset(self._masks)
         self._loops = None
+        self._components = None
 
     @property
     def bases(self) -> tuple[tuple[int, ...], ...]:
@@ -144,22 +145,24 @@ class Matroid:
         B chain together every pair of elements that share a circuit.  This
         uses the first basis.  Loops and coloops stand alone.
         """
-        bmask = self._masks[0]
-        groups = [1 << k for k in range(self.n) if bmask >> k & 1]
-        rest = ((1 << self.n) - 1) & ~bmask
-        while rest:
-            ebit = rest & -rest
-            rest ^= ebit
-            circuit = self.fundamental_circuit_mask(bmask, ebit)
-            # the groups are disjoint, so one pass merges all that meet it
-            kept = []
-            for g in groups:
-                if g & circuit:
-                    circuit |= g
-                else:
-                    kept.append(g)
-            groups = kept + [circuit]
-        return tuple(sorted(subset_from_mask(g) for g in groups))
+        if self._components is None:
+            bmask = self._masks[0]
+            groups = [1 << k for k in range(self.n) if bmask >> k & 1]
+            rest = ((1 << self.n) - 1) & ~bmask
+            while rest:
+                ebit = rest & -rest
+                rest ^= ebit
+                circuit = self.fundamental_circuit_mask(bmask, ebit)
+                # the groups are disjoint, so one pass merges all that meet it
+                kept = []
+                for g in groups:
+                    if g & circuit:
+                        circuit |= g
+                    else:
+                        kept.append(g)
+                groups = kept + [circuit]
+            self._components = tuple(sorted(subset_from_mask(g) for g in groups))
+        return self._components
 
     def fundamental_circuit_support(self, e: int, basis: Iterable[int]) -> tuple[int, ...]:
         """Support of the fundamental circuit of e over the basis B.

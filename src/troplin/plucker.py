@@ -122,7 +122,9 @@ class ValidationReport:
 class PlueckerVector:
     """Rank-m tropical Pluecker candidate on [n]; validate() certifies it."""
 
-    __slots__ = ("n", "m", "_entries", "validated", "_matroid", "_circuits", "_supp_list")
+    __slots__ = (
+        "n", "m", "_entries", "validated", "_matroid", "_circuits", "_supp_list", "_lattice",
+    )
 
     def __init__(self, n: int, m: int, entries: Mapping):
         check_shape(n, m)
@@ -147,6 +149,7 @@ class PlueckerVector:
         self.validated = False
         self._matroid = None
         self._circuits = None
+        self._lattice = None
         self._supp_list = sorted(table, key=subset_from_mask)
 
     # -- raw access ---------------------------------------------------------
@@ -281,7 +284,8 @@ class PlueckerVector:
         val = self._entries.get(bmask)
         if val is None:
             raise ValueError(f"{subset_from_mask(bmask)} is not in the support")
-        return self._weight_mask(self._as_point(point), bmask, val)
+        pt = self._as_point(point)
+        return sum((pt[e - 1] for e in subset_from_mask(bmask)), -val)
 
     def _as_point(self, point) -> tuple[Fraction, ...]:
         pt = tuple(point)
@@ -292,36 +296,43 @@ class PlueckerVector:
             v = as_scalar(x)
             if v is INF:
                 raise ValueError("points must have finite coordinates")
-            out.append(Fraction(v))
+            out.append(v)
         return tuple(out)
 
-    @staticmethod
-    def _weight_mask(pt, bmask, pval) -> Fraction:
-        total = -pval
-        rest = bmask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            total += pt[bit.bit_length() - 1]
-        return total
+    def _weight_lattice(self) -> tuple[int, tuple]:
+        """The entries on an integer lattice, built on first use.
+
+        Returns D, the lcm of the entry denominators, and per support mask
+        in `_supp_list` order its 0-based element indices and p_A * D.
+        """
+        if self._lattice is None:
+            d = math.lcm(*(val.denominator for val in self._entries.values()))
+            rows = []
+            for mask in self._supp_list:
+                val = self._entries[mask]
+                idx = tuple(e - 1 for e in subset_from_mask(mask))
+                rows.append((idx, val.numerator * (d // val.denominator)))
+            self._lattice = (d, tuple(rows))
+        return self._lattice
 
     def matroid_at(self, point) -> Matroid:
         """Matroid of maximum-weight support subsets at the point.
 
-        The maximal-weight bases of a valuated matroid form a matroid (Dress &
-        Wenzel), so the result is built without an exchange scan.
+        The weights are compared on integers: with s the lcm of D and the
+        point's denominators, s * w(v, A) = sum_{i in A} v_i * s - p_A * D *
+        (s / D), exactly.  The maximal-weight bases of a valuated matroid
+        form a matroid (Dress & Wenzel), so the result is built without an
+        exchange scan.
         """
         self._need_validated()
         pt = self._as_point(point)
-        best = None
-        winners: list[int] = []
-        for mask in self._supp_list:
-            w = self._weight_mask(pt, mask, self._entries[mask])
-            if best is None or w > best:
-                best = w
-                winners = [mask]
-            elif w == best:
-                winners.append(mask)
+        d, rows = self._weight_lattice()
+        s = math.lcm(d, *(x.denominator for x in pt))
+        get = [x.numerator * (s // x.denominator) for x in pt].__getitem__
+        k = s // d
+        weights = [sum(map(get, idx)) - pd * k for idx, pd in rows]
+        best = max(weights)
+        winners = [mask for mask, w in zip(self._supp_list, weights) if w == best]
         return Matroid.from_masks(self.n, winners)
 
     # -- membership -----------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Everything is computed over (Q ∪ {inf}, min, +): tropical addition is
 minimum, with ``INF`` as its identity; tropical multiplication is ordinary
-addition, with ``INF`` absorbing.  Finite values are `fractions.Fraction`
-objects, never floats, so ties are decided exactly -- the combinatorics
-downstream (which minima are achieved twice) depends on that.
+addition, with ``INF`` absorbing.  Finite values are exact rationals, never
+floats, so ties are decided exactly -- the combinatorics downstream (which
+minima are achieved twice) depends on that.  They are `fractions.Fraction`
+objects at every interface; `PlueckerVector.matroid_at` compares its
+weights on an internal integer lattice, scaled by a common denominator, and
+returns the same exact answer.
 
 Vectors and matrices are plain tuples / tuples of tuples of scalars.
 External serialization of a scalar is the string "a/b", "a", or "inf".

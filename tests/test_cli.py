@@ -165,6 +165,16 @@ def test_bounds(capsys):
     assert code == 2
 
 
+def test_bounds_refuses_a_ground_set_over_the_cap(capsys):
+    # refused before any table is built, so a huge n costs nothing
+    for n in ("17", "3000"):
+        code, out, err = run(capsys, "bounds", "--n", n, "--m", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: ground set size {n} exceeds the cap 16\n"
+    code, out, _ = run(capsys, "bounds", "--n", "16", "--m", "8")
+    assert code == 0 and out
+
+
 def test_conical_and_tree(capsys, example1, snowflake_file):
     code, out, _ = run(capsys, "conical", example1)
     assert code == 0 and "conical: True" in out

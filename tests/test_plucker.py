@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -189,6 +190,60 @@ def test_contains_routes_and_definition_agree():
             assert LocalContext(p, basis).in_sigma(v) == (basis in want)
             largest = max(largest, len(want))
         assert largest >= min(3, len(bases))
+
+
+def tiny_gap():
+    entries = {s: 0 for s in ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))}
+    entries[(1, 3)] = Fraction(1, 2**300)
+    return PlueckerVector(4, 2, entries)
+
+
+def generic_tau(n, m):
+    return tau(random_height_matrix(n, m, rng=random.Random(f"lattice/{n}/{m}")))
+
+
+LATTICE_CASES = [
+    pytest.param(lambda: generic_tau(6, 3), 37, id="tau_generic_6_3"),
+    pytest.param(lambda: generic_tau(7, 4), 49, id="tau_generic_7_4"),
+    pytest.param(lambda: generic_tau(8, 3), 61, id="tau_generic_8_3"),
+    pytest.param(tie_heavy_tau_6_3, 1, id="tau_tie_6_3"),
+    pytest.param(lambda: tau(random_height_matrix(7, 3, seed=5, generic=False,
+                                                  inf_probability=0.25)),
+                 1, id="tau_knockout_7_3"),
+    pytest.param(tiny_gap, 91, id="tiny_gap"),
+]
+
+
+@pytest.mark.parametrize("make, digits", LATTICE_CASES)
+def test_integer_argmax_matches_the_definition(make, digits):
+    # matroid_at compares weights on the lattice of D, the lcm of the entry
+    # denominators; points with denominators coprime to D, negative
+    # coordinates and chart images (ties everywhere) against the definition
+    p = make()
+    assert p.validate().ok
+    d = math.lcm(*(p.entry(s).denominator for s in p.support()))
+    assert len(str(d)) == digits
+    rng = random.Random(f"lattice-points/{p.n}/{p.m}/{digits}")
+    dens = [q for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) if d % q]
+
+    def coord():
+        return Fraction(rng.randint(-60, 60), rng.choice(dens))
+
+    points = [tuple(coord() for _ in range(p.n)) for _ in range(40)]
+    # the entries themselves as coordinates: denominators that divide D
+    entries = [p.entry(s) for s in p.support()]
+    points += [tuple(-rng.choice(entries) for _ in range(p.n)) for _ in range(10)]
+    bases = p.underlying_matroid().bases
+    for t in range(40):
+        ctx = LocalContext(p, bases[t % len(bases)])
+        x = tuple(coord() if t % 2 else Fraction(rng.randint(-5, 5)) for _ in range(p.m))
+        points.append(ctx.chart(x))
+    verdicts = set()
+    for v in points:
+        assert p.matroid_at(v).bases == brute_max_weight_bases(p, v)
+        verdicts.add(p.contains(v))
+        assert p.contains(v) == p.contains_via_circuits(v)
+    assert verdicts == {True, False}
 
 
 def test_matroid_at_shift_invariance():
