@@ -5,8 +5,11 @@ is ``+``, and the tropical zero is ``INF``.  All finite values are exact
 rationals, passed in and out as ``fractions.Fraction``s; floats are
 rejected at the boundary so that tie-breaking (which drives all the
 combinatorics here) is never left to rounding.
-``PlueckerVector.matroid_at`` compares its weights on an internal integer
-lattice, scaled by a common denominator, and gives the same exact answer.
+The point reads run on an internal integer lattice, scaled by D, the lcm of
+the entry denominators, and by the point's own denominators: the argmax of
+``PlueckerVector.matroid_at``, circuit membership
+(``contains_via_circuits``, ``failing_circuit``) and the chart minima of
+``LocalContext`` compare integers and give the same exact answers.
 Ground-set elements are 1-based everywhere, in the library and in every
 file format.
 """

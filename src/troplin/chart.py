@@ -10,6 +10,13 @@ where C(i,B) is the fundamental circuit support of i over B.  The image is
 exactly the part of the space where B has maximum weight, and the same
 formula applied to an ambient point y (using y's B-coordinates) is the
 projection onto that part.
+
+The deltas p_{B - b + i} - p_B are kept on the vector's integer lattice, as
+(p_{B - b + i} - p_B) * D with D the lcm of the entry denominators.  With s
+the lcm of D and x's denominators, v_i * s is an integer minimum, and
+`chart` returns it as Fraction(v_i * s, s); `project`, `chart_inverse`,
+`in_local_space`, `project_any` and every cell witness read through it.
+`options` rebuilds the `Fraction` deltas when it is read.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ class LoopyMatroidError(ValueError):
 class LocalContext:
     """Cached data for chart / projection work at one basis."""
 
-    __slots__ = ("p", "basis", "positions", "_options")
+    __slots__ = ("p", "basis", "positions", "_deltas")
 
     def __init__(self, p: PlueckerVector, basis: Iterable[int]):
         p._need_validated()
@@ -48,8 +55,9 @@ class LocalContext:
             )
         self.basis = bset
         self.positions = {b: j for j, b in enumerate(bset, start=1)}  # element -> 1-based slot
-        p_b = p.entry_mask(bmask)
-        options: list[tuple[int, tuple[tuple[int, Fraction], ...]]] = []
+        _, scaled, _ = p._weight_lattice()
+        p_b = scaled[bmask]
+        deltas: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         for i in range(1, p.n + 1):
             if i in self.positions:
                 continue
@@ -59,15 +67,19 @@ class LocalContext:
                 if b == i:
                     continue
                 exch = (bmask ^ (1 << (b - 1))) | (1 << (i - 1))
-                delta = p.entry_mask(exch) - p_b
-                opts.append((self.positions[b], delta))
-            options.append((i, tuple(opts)))
-        self._options = tuple(options)
+                opts.append((self.positions[b] - 1, scaled[exch] - p_b))
+            deltas.append((i, tuple(opts)))
+        # per non-basis i: ((0-based slot, (p_{B-b+i} - p_B) * D), ...)
+        self._deltas = tuple(deltas)
 
     @property
     def options(self):
         """Per non-basis element i: ((slot j, p_{B-b_j+i} - p_B), ...)."""
-        return self._options
+        d = self.p._weight_lattice()[0]
+        return tuple(
+            (i, tuple((j + 1, Fraction(delta, d)) for j, delta in opts))
+            for i, opts in self._deltas
+        )
 
     def _as_x(self, x) -> tuple[Fraction, ...]:
         xt = tuple(x)
@@ -78,7 +90,7 @@ class LocalContext:
             s = as_scalar(v)
             if s is INF:
                 raise ValueError("chart inputs are finite vectors")
-            out.append(Fraction(s))
+            out.append(s)
         return tuple(out)
 
     # -- membership of the chart region --------------------------------------
@@ -104,13 +116,20 @@ class LocalContext:
     # -- the chart and its relatives ------------------------------------------
 
     def chart(self, x) -> tuple[Fraction, ...]:
-        """Map x in R^m to the corresponding point of the space."""
+        """Map x in R^m to the corresponding point of the space.
+
+        The minima are taken on the lattice: with s the lcm of D and x's
+        denominators, v_i * s = min of x_j * s + delta_j * D * (s / D).
+        """
         xs = self._as_x(x)
-        v: list[Fraction] = [Fraction(0)] * self.p.n
+        p = self.p
+        s, scaled = p._to_lattice(xs)
+        k = s // p._weight_lattice()[0]
+        v: list[Fraction] = [Fraction(0)] * p.n
         for b, j in self.positions.items():
             v[b - 1] = xs[j - 1]
-        for i, opts in self._options:
-            v[i - 1] = min(xs[j - 1] + delta for j, delta in opts)
+        for i, opts in self._deltas:
+            v[i - 1] = Fraction(min(scaled[j] + delta * k for j, delta in opts), s)
         return tuple(v)
 
     def chart_inverse(self, point) -> tuple[Fraction, ...]:

@@ -179,8 +179,19 @@ def cmd_member(args) -> int:
     p = _load_validated(args.file)
     point = _get_point(args, "point", p.n)
     ok = p.contains(point)
-    _emit(args, {"point": [format_scalar(x) for x in point], "member": ok},
-          [f"member: {ok}"])
+    payload = {"point": [format_scalar(x) for x in point], "member": ok}
+    lines = [f"member: {ok}"]
+    if not ok:
+        # the certificate: a valuated circuit whose minimum is attained once
+        circuit = p.failing_circuit(point)
+        payload["circuit"] = {
+            "support": list(circuit.support),
+            "vector": [format_scalar(x) for x in circuit.entries],
+        }
+        lines.append(
+            f"circuit: supp={list(circuit.support)} vector=[{format_point(circuit.entries)}]"
+        )
+    _emit(args, payload, lines)
     return 0
 
 

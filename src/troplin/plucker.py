@@ -9,6 +9,15 @@ The valuated circuits live on the (m+1)-subsets S: (c_S)_i = p_{S-i} for
 i in S and INF outside.  Two circuits with equal support differ by a global
 additive shift, so `all_circuits` keeps one representative per support,
 normalized so its least finite entry is 0.
+
+Point reads run on an integer lattice.  D is the lcm of the entry
+denominators, and a point v is scaled by s, the lcm of D and its own
+denominators, to the integers v_i * s (`_to_lattice`).  Entries scale to
+p_A * D and circuit entries to c_i * D, and s / D is an integer, so the
+argmax of `matroid_at` and the circuit minima of `failing_circuit` compare
+integers and give the exact `Fraction` answers.  `chart.LocalContext` keeps
+its chart deltas on the same lattice.  Parsing, formatting and `validate`
+stay on `Fraction`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .semiring import (
     Scalar,
     as_scalar,
     format_scalar,
-    is_orthogonal,
+    is_orthogonal,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
     min_achieved_twice,
 )
 
@@ -124,6 +133,7 @@ class PlueckerVector:
 
     __slots__ = (
         "n", "m", "_entries", "validated", "_matroid", "_circuits", "_supp_list", "_lattice",
+        "_circuit_rows",
     )
 
     def __init__(self, n: int, m: int, entries: Mapping):
@@ -150,6 +160,7 @@ class PlueckerVector:
         self._matroid = None
         self._circuits = None
         self._lattice = None
+        self._circuit_rows = None
         self._supp_list = sorted(table, key=subset_from_mask)
 
     # -- raw access ---------------------------------------------------------
@@ -299,21 +310,31 @@ class PlueckerVector:
             out.append(v)
         return tuple(out)
 
-    def _weight_lattice(self) -> tuple[int, tuple]:
+    def _weight_lattice(self) -> tuple[int, dict, tuple]:
         """The entries on an integer lattice, built on first use.
 
-        Returns D, the lcm of the entry denominators, and per support mask
-        in `_supp_list` order its 0-based element indices and p_A * D.
+        Returns D, the lcm of the entry denominators; {mask: p_A * D}; and
+        per support mask in `_supp_list` order its 0-based element indices
+        and p_A * D.
         """
         if self._lattice is None:
             d = math.lcm(*(val.denominator for val in self._entries.values()))
-            rows = []
-            for mask in self._supp_list:
-                val = self._entries[mask]
-                idx = tuple(e - 1 for e in subset_from_mask(mask))
-                rows.append((idx, val.numerator * (d // val.denominator)))
-            self._lattice = (d, tuple(rows))
+            scaled = {
+                mask: val.numerator * (d // val.denominator)
+                for mask, val in self._entries.items()
+            }
+            rows = tuple(
+                (tuple(e - 1 for e in subset_from_mask(mask)), scaled[mask])
+                for mask in self._supp_list
+            )
+            self._lattice = (d, scaled, rows)
         return self._lattice
+
+    def _to_lattice(self, coords) -> tuple[int, list[int]]:
+        """Coordinates (Fractions) on the lattice: (s, [x_i * s]) with s the
+        lcm of D and their denominators, so s / D is an integer."""
+        s = math.lcm(self._weight_lattice()[0], *(x.denominator for x in coords))
+        return s, [x.numerator * (s // x.denominator) for x in coords]
 
     def matroid_at(self, point) -> Matroid:
         """Matroid of maximum-weight support subsets at the point.
@@ -325,10 +346,9 @@ class PlueckerVector:
         exchange scan.
         """
         self._need_validated()
-        pt = self._as_point(point)
-        d, rows = self._weight_lattice()
-        s = math.lcm(d, *(x.denominator for x in pt))
-        get = [x.numerator * (s // x.denominator) for x in pt].__getitem__
+        d, _, rows = self._weight_lattice()
+        s, xs = self._to_lattice(self._as_point(point))
+        get = xs.__getitem__
         k = s // d
         weights = [sum(map(get, idx)) - pd * k for idx, pd in rows]
         best = max(weights)
@@ -337,11 +357,40 @@ class PlueckerVector:
 
     # -- membership -----------------------------------------------------------
 
+    def _circuit_lattice(self) -> tuple:
+        """Per circuit in `all_circuits` order: ((0-based index, c_i * D), ...)
+        over its support, built on first use."""
+        if self._circuit_rows is None:
+            d = self._weight_lattice()[0]
+            self._circuit_rows = tuple(
+                tuple(
+                    (i, x.numerator * (d // x.denominator))
+                    for i, x in enumerate(c.entries) if x is not INF
+                )
+                for c in self.all_circuits()
+            )
+        return self._circuit_rows
+
+    def failing_circuit(self, point) -> ValuatedCircuit | None:
+        """The first circuit, in `all_circuits` order, whose minimum over
+        c_i + v_i is attained only once: a certificate that the point is not
+        in the space.  None when the point is orthogonal to every circuit.
+
+        Compared on the lattice: the minimum of v_i * s + c_i * D * (s / D).
+        """
+        self._need_validated()
+        d = self._weight_lattice()[0]
+        s, xs = self._to_lattice(self._as_point(point))
+        k = s // d
+        for circuit, row in zip(self.all_circuits(), self._circuit_lattice()):
+            terms = [xs[i] + cd * k for i, cd in row]
+            if terms.count(min(terms)) < 2:
+                return circuit
+        return None
+
     def contains_via_circuits(self, point) -> bool:
         """Membership test: the point is orthogonal to every valuated circuit."""
-        self._need_validated()
-        pt = self._as_point(point)
-        return all(is_orthogonal(c.entries, pt) for c in self.all_circuits())
+        return self.failing_circuit(point) is None
 
     def contains(self, point) -> bool:
         """Finite-part membership: the local matroid at the point is loopless.

@@ -2,8 +2,10 @@
 
 Everything in here is deliberately naive: straight enumeration, no pruning,
 no shared code with the library internals beyond data types.  Slow is fine;
-wrong is not.  The one exception is `all_bases_cells`: the slow path that a
-library fast path replaced, kept here to check the fast path against.
+wrong is not.  The exceptions are slow paths that library fast paths
+replaced, kept here to check the fast paths against: `all_bases_cells`, and
+the `fraction_*` chart and circuit-membership formulas that the integer
+lattice replaced.
 """
 
 import math
@@ -13,7 +15,7 @@ from itertools import combinations, permutations, product
 from troplin.cells import enumerate_local_cells
 from troplin.chart import LocalContext
 from troplin.diffcon import Constraint, DifferenceSystem
-from troplin.semiring import INF, is_finite
+from troplin.semiring import INF, is_finite, is_orthogonal
 
 
 def brute_tdet(rows):
@@ -171,6 +173,36 @@ def tie_options(p, basis):
                 opts[b] = val - p_b
         out.append((i, opts))
     return out
+
+
+def fraction_options(p, basis):
+    """`LocalContext.options` in Fractions: per non-basis element i
+    (ascending), ((slot of b, p_{B-b+i} - p_B), ...) over the basis elements
+    b of i's fundamental circuit, ascending."""
+    slot = {b: j for j, b in enumerate(basis, start=1)}
+    return tuple(
+        (i, tuple((slot[b], opts[b]) for b in sorted(opts)))
+        for i, opts in tie_options(p, basis)
+    )
+
+
+def fraction_chart(p, basis, x):
+    """The chart formula in Fractions, the path the lattice chart replaced:
+    v_b = x_b on B, and v_i = min over b of x_b + p_{B-b+i} - p_B."""
+    v = [None] * p.n
+    for b, xb in zip(basis, x):
+        v[b - 1] = Fraction(xb)
+    for i, opts in tie_options(p, basis):
+        v[i - 1] = min(x[basis.index(b)] + delta for b, delta in opts.items())
+    return tuple(v)
+
+
+def fraction_failing_circuit(p, point):
+    """The first circuit of `p.all_circuits()` the point is not tropically
+    orthogonal to, tested in Fractions; None for a member.  This is the
+    circuit loop that the lattice membership test replaced."""
+    pt = tuple(Fraction(x) for x in point)
+    return next((c for c in p.all_circuits() if not is_orthogonal(c.entries, pt)), None)
 
 
 def tie_pattern(p, basis, x):

@@ -200,6 +200,48 @@ def test_each_cell_found_once_matches_all_bases(make):
 
 
 # ---------------------------------------------------------------------------
+# Euler characteristics: every chart and the bounded complex are whole
+
+
+EULER_CASES = [
+    pytest.param(two_pyramids, id="two_pyramids"),
+    pytest.param(snowflake, id="snowflake"),
+    pytest.param(lambda: direct_sum(two_pyramids(), _tau_instance("generic", 4, 2)),
+                 id="two_pyramids+tau_generic_4_2"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((5, 2), (6, 3), (7, 3))
+]
+
+
+@pytest.mark.parametrize("make", EULER_CASES)
+def test_local_complexes_have_the_euler_characteristic_of_r_m(make):
+    # L_B is homeomorphic to R^m and the open cells partition it, so their
+    # signs (-1)^dim sum to the compactly supported Euler characteristic
+    # (-1)^m; a lost, doubled or mis-dimensioned cell breaks the sum.  The
+    # global complex is checked too: the cells of L_B are the global cells
+    # whose face matroid has B as a basis
+    p = make()
+    cells = enumerate_cells(p)
+    for basis in p.underlying_matroid().bases:
+        local = enumerate_local_cells(LocalContext(p, basis))
+        assert sum((-1) ** c.dim for c in local) == (-1) ** p.m, basis
+        through = [c for c in cells if basis in c.face_matroid.bases]
+        assert sum((-1) ** c.dim for c in through) == (-1) ** p.m, basis
+
+
+@pytest.mark.parametrize("make", EULER_CASES)
+def test_bounded_complex_is_contractible(make):
+    # the bounded complex modulo the lineality space is contractible (Hampe
+    # 2015), so its cells, of dimension dim - c(M), have Euler characteristic 1
+    p = make()
+    components = len(p.underlying_matroid().components())
+    bounded = [c for c in enumerate_cells(p) if c.bounded]
+    assert sum((-1) ** (c.dim - components) for c in bounded) == 1
+
+
+# ---------------------------------------------------------------------------
 # tie patterns against a brute-force oracle
 
 

@@ -109,6 +109,27 @@ def test_member(capsys, example1):
     assert code == 2
 
 
+def test_member_names_the_failing_circuit(capsys):
+    # a non-member gets the first circuit whose minimum is attained once;
+    # a member's output is unchanged
+    fixture = str(Path(__file__).parents[1] / "fixtures" / "example1.json")
+    code, out, _ = run(capsys, "member", fixture, "--point=0,0,0,-5")
+    assert code == 0
+    assert out == "member: False\ncircuit: supp=[1, 2, 4] vector=[0,0,inf,1]\n"
+    code, out, _ = run(capsys, "member", fixture, "--point=0,0,0,-5", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "point": ["0", "0", "0", "-5"],
+        "member": False,
+        "circuit": {"support": [1, 2, 4], "vector": ["0", "0", "inf", "1"]},
+    }
+    code, out, _ = run(capsys, "member", fixture, "--point", "0,0,0,0")
+    assert code == 0 and out == "member: True\n"
+    code, out, _ = run(capsys, "member", fixture, "--point", "0,0,0,0", "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"member": True, "point": ["0"] * 4}, indent=2, sort_keys=True) + "\n"
+
+
 def test_member_point_file(capsys, example1, tmp_path):
     pf = tmp_path / "pt.json"
     pf.write_text(json.dumps(["0", "0", "0", "0"]))

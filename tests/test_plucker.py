@@ -11,8 +11,11 @@ from oracles import (
     brute_max_weight_bases,
     brute_member,
     brute_relation_failures,
+    fraction_chart,
+    fraction_failing_circuit,
+    fraction_options,
 )
-from troplin.chart import LocalContext
+from troplin.chart import LocalContext, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import NotValidatedError, PlueckerVector
@@ -243,6 +246,50 @@ def test_integer_argmax_matches_the_definition(make, digits):
         assert p.matroid_at(v).bases == brute_max_weight_bases(p, v)
         verdicts.add(p.contains(v))
         assert p.contains(v) == p.contains_via_circuits(v)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("make, digits", LATTICE_CASES)
+def test_lattice_reads_match_the_fraction_oracles(make, digits):
+    # circuit membership, the chart and everything read through it against
+    # the Fraction formulas they replaced; coordinates with denominators
+    # coprime to D make s / D > 1, so a dropped rescale shows
+    p = make()
+    assert p.validate().ok
+    d = math.lcm(*(p.entry(s).denominator for s in p.support()))
+    rng = random.Random(f"lattice-reads/{p.n}/{p.m}/{digits}")
+    dens = [q for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) if d % q]
+
+    def coord():
+        return Fraction(rng.randint(-60, 60), rng.choice(dens))
+
+    bases = p.underlying_matroid().bases
+    verdicts = set()
+    for t in range(24):
+        basis = bases[t % len(bases)]
+        ctx = LocalContext(p, basis)
+        assert ctx.options == fraction_options(p, basis)
+        x = tuple(coord() for _ in range(p.m))
+        v = ctx.chart(x)
+        assert v == fraction_chart(p, basis, x)
+        assert ctx.chart_inverse(v) == x
+        # lowering non-basis coordinates keeps the point in the chart region
+        # and mostly takes it off the space
+        y = tuple(
+            vi if i in basis else vi - Fraction(rng.randint(0, 8), rng.choice(dens))
+            for i, vi in enumerate(v, start=1)
+        )
+        y_b = tuple(y[b - 1] for b in basis)
+        assert ctx.project(y) == fraction_chart(p, basis, y_b)
+        r = tuple(coord() for _ in range(p.n))
+        r_basis, r_proj = project_any(p, r)
+        assert r_basis == brute_max_weight_bases(p, r)[0]
+        assert r_proj == fraction_chart(p, r_basis, tuple(r[b - 1] for b in r_basis))
+        for point in (v, y, r):
+            want = fraction_failing_circuit(p, point)
+            assert p.failing_circuit(point) == want
+            assert p.contains_via_circuits(point) == (want is None)
+            verdicts.add(want is None)
     assert verdicts == {True, False}
 
 
