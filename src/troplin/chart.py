@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .matroid import mask_from_subset
 from .plucker import PlueckerVector
-from .semiring import as_scalar, INF
+from .semiring import INF
 
 
 class LoopyMatroidError(ValueError):
@@ -36,7 +36,7 @@ class LoopyMatroidError(ValueError):
 class LocalContext:
     """Cached data for chart / projection work at one basis."""
 
-    __slots__ = ("p", "basis", "positions", "_deltas")
+    __slots__ = ("p", "basis", "_deltas")
 
     def __init__(self, p: PlueckerVector, basis: Iterable[int]):
         p._need_validated()
@@ -54,22 +54,21 @@ class LocalContext:
                 "the space has no finite points and no charts"
             )
         self.basis = bset
-        self.positions = {b: j for j, b in enumerate(bset, start=1)}  # element -> 1-based slot
         _, scaled, _ = p._weight_lattice()
         p_b = scaled[bmask]
+        # per non-basis i: ((0-based slot, (p_{B-b+i} - p_B) * D), ...) over
+        # the b whose exchange B - b + i is in the support, C(i,B) - i
         deltas: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         for i in range(1, p.n + 1):
-            if i in self.positions:
+            ibit = 1 << (i - 1)
+            if bmask & ibit:
                 continue
-            circ = matroid.fundamental_circuit_support(i, bset)
             opts = []
-            for b in circ:
-                if b == i:
-                    continue
-                exch = (bmask ^ (1 << (b - 1))) | (1 << (i - 1))
-                opts.append((self.positions[b] - 1, scaled[exch] - p_b))
+            for j, b in enumerate(bset):
+                exch = scaled.get((bmask ^ (1 << (b - 1))) | ibit)
+                if exch is not None:
+                    opts.append((j, exch - p_b))
             deltas.append((i, tuple(opts)))
-        # per non-basis i: ((0-based slot, (p_{B-b+i} - p_B) * D), ...)
         self._deltas = tuple(deltas)
 
     @property
@@ -80,18 +79,6 @@ class LocalContext:
             (i, tuple((j + 1, Fraction(delta, d)) for j, delta in opts))
             for i, opts in self._deltas
         )
-
-    def _as_x(self, x) -> tuple[Fraction, ...]:
-        xt = tuple(x)
-        if len(xt) != self.p.m:
-            raise ValueError(f"chart input must have {self.p.m} coordinates")
-        out = []
-        for v in xt:
-            s = as_scalar(v)
-            if s is INF:
-                raise ValueError("chart inputs are finite vectors")
-            out.append(s)
-        return tuple(out)
 
     # -- membership of the chart region --------------------------------------
 
@@ -121,13 +108,13 @@ class LocalContext:
         The minima are taken on the lattice: with s the lcm of D and x's
         denominators, v_i * s = min of x_j * s + delta_j * D * (s / D).
         """
-        xs = self._as_x(x)
         p = self.p
+        xs = p._as_point(x, p.m)
         s, scaled = p._to_lattice(xs)
         k = s // p._weight_lattice()[0]
         v: list[Fraction] = [Fraction(0)] * p.n
-        for b, j in self.positions.items():
-            v[b - 1] = xs[j - 1]
+        for b, xb in zip(self.basis, xs):
+            v[b - 1] = xb
         for i, opts in self._deltas:
             v[i - 1] = Fraction(min(scaled[j] + delta * k for j, delta in opts), s)
         return tuple(v)

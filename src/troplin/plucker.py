@@ -132,14 +132,11 @@ class PlueckerVector:
     """Rank-m tropical Pluecker candidate on [n]; validate() certifies it."""
 
     __slots__ = (
-        "n", "m", "_entries", "validated", "_matroid", "_circuits", "_supp_list", "_lattice",
-        "_circuit_rows",
+        "n", "m", "_entries", "_matroid", "_circuits", "_supp_list", "_lattice", "_circuit_rows",
     )
 
     def __init__(self, n: int, m: int, entries: Mapping):
         check_shape(n, m)
-        self.n = n
-        self.m = m
         table: dict[int, Fraction] = {}
         for key, raw in entries.items():
             mask = key if isinstance(key, int) else mask_from_subset(key, n)
@@ -155,13 +152,36 @@ class PlueckerVector:
             table[mask] = Fraction(val)
         if not table:
             raise ValueError("empty support: at least one finite entry required")
+        self._fill(n, m, table, None)
+
+    @classmethod
+    def from_masks(cls, n: int, m: int, entries: Mapping[int, Fraction]) -> "PlueckerVector":
+        """Trusted constructor for a vector the library derived itself.
+
+        ``entries`` maps distinct m-set bitmasks to finite `Fraction`s and is
+        nonempty; its values are a valuated matroid by theorem, so the vector
+        comes out validated, with `Matroid.from_masks` of its support as the
+        underlying matroid.  Nothing is checked: a caller's entries go
+        through the constructor and `validate()` instead.
+        """
+        obj = cls.__new__(cls)
+        obj._fill(n, m, dict(entries), Matroid.from_masks(n, entries))
+        return obj
+
+    def _fill(self, n: int, m: int, table: dict, matroid: Matroid | None) -> None:
+        self.n = n
+        self.m = m
         self._entries = table
-        self.validated = False
-        self._matroid = None
+        self._matroid = matroid
         self._circuits = None
         self._lattice = None
         self._circuit_rows = None
         self._supp_list = sorted(table, key=subset_from_mask)
+
+    @property
+    def validated(self) -> bool:
+        """Has the vector passed `validate()` (or come from a trusted build)?"""
+        return self._matroid is not None
 
     # -- raw access ---------------------------------------------------------
 
@@ -186,8 +206,9 @@ class PlueckerVector:
     def validate(self) -> ValidationReport:
         """Check all three-term relations and the support exchange axiom.
 
-        On success the vector is flagged as validated and the underlying
-        matroid is cached.  The report lists every failing (S, T) pair.
+        On success the scanned underlying matroid is cached, which flags the
+        vector as validated; on failure it is cleared.  The report lists
+        every failing (S, T) pair.
         """
         failures = []
         n, m = self.n, self.m
@@ -225,9 +246,7 @@ class PlueckerVector:
             support_ok = False
             witness = (exc.a_subset, exc.b_subset, exc.element)
         report = ValidationReport(n, m, tuple(failures), support_ok, witness)
-        if report.ok:
-            self.validated = True
-            self._matroid = matroid
+        self._matroid = matroid if report.ok else None
         return report
 
     def underlying_matroid(self) -> Matroid:
@@ -298,10 +317,12 @@ class PlueckerVector:
         pt = self._as_point(point)
         return sum((pt[e - 1] for e in subset_from_mask(bmask)), -val)
 
-    def _as_point(self, point) -> tuple[Fraction, ...]:
+    def _as_point(self, point, length: int | None = None) -> tuple[Fraction, ...]:
+        """Finite coordinates as `Fraction`s; ``length`` defaults to n."""
         pt = tuple(point)
-        if len(pt) != self.n:
-            raise ValueError(f"point must have {self.n} coordinates")
+        length = self.n if length is None else length
+        if len(pt) != length:
+            raise ValueError(f"point must have {length} coordinates")
         out = []
         for x in pt:
             v = as_scalar(x)

@@ -150,11 +150,6 @@ def min_achieved_twice(terms: Sequence[Scalar]) -> bool:
     return False
 
 
-def support(vec: Vector) -> tuple[int, ...]:
-    """1-based positions of the finite coordinates."""
-    return tuple(i + 1 for i, x in enumerate(vec) if x is not INF)
-
-
 def is_orthogonal(x: Vector, y: Vector) -> bool:
     """Tropical orthogonality: min_i (x_i + y_i) is INF or achieved twice."""
     if len(x) != len(y):

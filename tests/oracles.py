@@ -3,9 +3,10 @@
 Everything in here is deliberately naive: straight enumeration, no pruning,
 no shared code with the library internals beyond data types.  Slow is fine;
 wrong is not.  The exceptions are slow paths that library fast paths
-replaced, kept here to check the fast paths against: `all_bases_cells`, and
-the `fraction_*` chart and circuit-membership formulas that the integer
-lattice replaced.
+replaced, kept here to check the fast paths against: `all_bases_cells`; the
+`fraction_*` chart and circuit-membership formulas that the integer lattice
+replaced; and `padded_minors`, the maximal minors of the padded matrix
+`augment` that `conical.tau` replaced by minors of V alone.
 """
 
 import math
@@ -34,6 +35,35 @@ def brute_tdet(rows):
         if ok and (best is INF or acc < best):
             best = acc
     return best
+
+
+def augment(v):
+    """The m x n matrix [I | V] of a height matrix: the tropical identity on
+    the B-columns (0 on the diagonal, INF off it), V elsewhere."""
+    out = []
+    for r, b in enumerate(v.basis):
+        row = []
+        col = 0
+        for e in range(1, v.n + 1):
+            if e in v.basis:
+                row.append(Fraction(0) if e == b else INF)
+            else:
+                row.append(v.rows[r][col])
+                col += 1
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def padded_minors(v):
+    """The reference `tau`: {m-subset A: p_A} over the finite maximal
+    tropical minors of `augment(v)`, each by full permutation expansion."""
+    full = augment(v)
+    minors = {}
+    for cols in combinations(range(1, v.n + 1), v.m):
+        val = brute_tdet([[row[e - 1] for e in cols] for row in full])
+        if is_finite(val):
+            minors[cols] = val
+    return minors
 
 
 def brute_member(p, point):
@@ -117,6 +147,18 @@ def brute_components(matroid):
 def brute_rank(matroid, subset):
     """Rank of a subset: the most elements of it that one basis holds."""
     return max(len(set(b) & set(subset)) for b in matroid.bases)
+
+
+def mobius_invariant(matroid):
+    """mu(M) = chi_M(0): the sum of (-1)^|X| over the spanning sets X of
+    [n], those holding a basis, by enumerating every subset."""
+    bases = [set(b) for b in matroid.bases]
+    return sum(
+        (-1) ** size
+        for size in range(matroid.n + 1)
+        for subset in combinations(range(1, matroid.n + 1), size)
+        if any(b <= set(subset) for b in bases)
+    )
 
 
 def brute_exchange_violation(bases):

@@ -14,6 +14,7 @@ from oracles import (
     lattice_simplex_counts,
     mixed_interior_count,
     mixed_total_count,
+    mobius_invariant,
     recession_01_bounded,
     tie_pattern,
     tree_failures,
@@ -237,8 +238,13 @@ def test_bounded_complex_is_contractible(make):
     # 2015), so its cells, of dimension dim - c(M), have Euler characteristic 1
     p = make()
     components = len(p.underlying_matroid().components())
-    bounded = [c for c in enumerate_cells(p) if c.bounded]
+    cells = enumerate_cells(p)
+    bounded = [c for c in cells if c.bounded]
     assert sum((-1) ** (c.dim - components) for c in bounded) == 1
+    # a measured invariant, not a theorem here: over all cells the signs sum
+    # to the Moebius invariant mu(M) of the underlying matroid, which is what
+    # the recession fan, the Bergman fan of M, gives by Hall's theorem
+    assert sum((-1) ** c.dim for c in cells) == mobius_invariant(p.underlying_matroid())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import troplin
 from troplin.cli import main
 from troplin.examples import snowflake, two_pyramids
 from troplin.selftest import DEFAULT_SEED
@@ -448,6 +452,19 @@ def test_selftest_scaled(capsys):
     assert code == 0
     assert "selftest: PASS" in out
     assert out.count("PASS") >= 5
+
+
+def test_selftest_passes_without_asserts():
+    # python -O strips assert statements, so no validation may live in one
+    src = str(Path(troplin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "troplin.cli", "selftest", "--scale", "100"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest: PASS" in proc.stdout
 
 
 def test_help_exits_zero(capsys):

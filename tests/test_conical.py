@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import tree_failures
+from oracles import augment, brute_relation_failures, padded_minors, tree_failures
+from troplin import conical, kernels
 from troplin.cells import enumerate_cells, f_vector
 from troplin.conical import (
     HeightMatrix,
-    augment,
     build_tree,
     is_caterpillar,
     is_conical,
@@ -16,7 +16,7 @@ from troplin.conical import (
     tau,
 )
 from troplin.examples import snowflake, tree_metric_plucker, two_pyramids, uniform_zero
-from troplin.matroid import transversal
+from troplin.matroid import Matroid, transversal
 from troplin.plucker import PlueckerVector
 from troplin.semiring import INF
 
@@ -87,6 +87,63 @@ def test_tau_underlying_is_transversal_with_inf_entries():
                                          inf_probability=0.35)
                 M = tau(v).underlying_matroid()
                 assert M == transversal(n, v.basis, v.families())
+
+
+def cross_check_matrices():
+    """42 seeded height matrices: generic, tie-heavy and knockout at (4,2)
+    to (8,4), each on the root basis {1..m} and on a random other one.  The
+    knockout matrices on the other basis have an all-INF first column, so
+    that column's element is a loop."""
+    rng = random.Random("tau-minors")
+    out = []
+    for n, m in ((4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3), (8, 4)):
+        for basis in (range(1, m + 1), sorted(rng.sample(range(1, n + 1), m))):
+            loop = tuple(basis) != tuple(range(1, m + 1))
+            out.append(random_height_matrix(n, m, basis=basis, rng=rng))
+            ties = [[rng.choice((0, 1, 2)) for _ in range(n - m)] for _ in range(m)]
+            out.append(HeightMatrix(n, basis, ties))
+            knocked = [[INF if (loop and j == 0) or rng.random() < 0.3 else rng.randrange(10)
+                        for j in range(n - m)] for _ in range(m)]
+            out.append(HeightMatrix(n, basis, knocked))
+    return out
+
+
+def test_tau_matches_the_padded_matrix_minors():
+    # tau reads its minors off V and trusts that they form a valuated matroid
+    # with a matroid support; here the minors are checked against the padded
+    # matrix [I | V] and the vector against the three-term relations and the
+    # scanning constructor
+    matrices = cross_check_matrices()
+    assert any(v.basis != tuple(range(1, v.m + 1)) for v in matrices)
+    loops = 0
+    for v in matrices:
+        p = tau(v)
+        assert {s: p.entry(s) for s in p.support()} == padded_minors(v), v
+        assert brute_relation_failures(p) == (), v
+        assert p.underlying_matroid() == Matroid(v.n, p.support()), v
+        loops += bool(p.underlying_matroid().loops())
+    assert loops >= 7
+
+
+def test_tau_runs_no_validation_scan(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PlueckerVector, "validate",
+                        counting("validate", PlueckerVector.validate))
+    monkeypatch.setattr(kernels, "exchange_violation",
+                        counting("exchange_violation", kernels.exchange_violation))
+    monkeypatch.setattr(conical, "tdet", counting("tdet", conical.tdet))
+    p = tau(random_height_matrix(8, 4, seed=3))
+    assert p.validated
+    assert set(calls) == {"tdet"}  # tdet through conical's module global
+    assert p.validate().ok  # the wrappers do see the scans when they run
+    assert {"validate", "exchange_violation"} <= set(calls)
 
 
 def test_tau_root_basis_always_zero():

@@ -14,7 +14,6 @@ from troplin.semiring import (
     min_achieved_twice,
     parse_point,
     parse_scalar,
-    support,
     tdet,
 )
 
@@ -69,7 +68,6 @@ def test_min_achieved_twice():
 
 
 def test_support_and_orthogonality():
-    assert support([INF, 0, Fraction(2), INF]) == (2, 3)
     # (0, 0, 1, inf) vs (0, 0, inf, 0): sums (0, 0, inf, inf) -> min twice
     assert is_orthogonal([0, 0, 1, INF], [0, 0, INF, 0])
     assert not is_orthogonal([0, 1, INF], [0, 1, 0])
