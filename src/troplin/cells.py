@@ -252,9 +252,12 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
 
 @dataclass(frozen=True)
 class FVector:
-    m: int
     total: tuple[int, ...]  # index i-1 counts cells of ambient dimension i
     bounded: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.total)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell], m: int) -> "FVector":
@@ -265,7 +268,7 @@ class FVector:
             tot[i] += 1
             if c.bounded:
                 bnd[i] += 1
-        return cls(m, tuple(tot), tuple(bnd))
+        return cls(tuple(tot), tuple(bnd))
 
     def to_json(self) -> dict:
         return {
@@ -315,8 +318,6 @@ def _check_nmi(n, m, i):
 
 @dataclass(frozen=True)
 class FacetBoundReport:
-    n: int
-    m: int
     facet_cells: int  # cells of ambient dimension 1 = facets of the dual picture
     bound: int
 
@@ -338,7 +339,7 @@ def check_facet_bound(p: PlueckerVector, cells: list[Cell] | None = None) -> Fac
     if cells is None:
         cells = enumerate_cells(p)
     count = sum(1 for c in cells if c.dim == 1)
-    return FacetBoundReport(p.n, p.m, count, math.comb(p.n - 2, p.m - 1))
+    return FacetBoundReport(count, math.comb(p.n - 2, p.m - 1))
 
 
 # ---------------------------------------------------------------------------

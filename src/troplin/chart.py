@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .matroid import mask_from_subset
+from .matroid import mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector
 from .semiring import INF
 
@@ -41,10 +41,10 @@ class LocalContext:
     def __init__(self, p: PlueckerVector, basis: Iterable[int]):
         p._need_validated()
         self.p = p
-        bset = tuple(sorted(set(basis)))
+        bmask = mask_from_subset(basis, p.n)
+        bset = subset_from_mask(bmask)
         if len(bset) != p.m:
             raise ValueError(f"basis must have {p.m} elements")
-        bmask = mask_from_subset(bset, p.n)
         if p.entry_mask(bmask) is INF:
             raise ValueError(f"{bset} is not in the support")
         matroid = p.underlying_matroid()

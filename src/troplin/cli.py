@@ -5,6 +5,10 @@ validation, point outside a required region, infeasible request) or an
 enumeration past --max-patterns, 2 usage errors (bad flags, malformed
 files).  All output for a fixed seed and fixed inputs is byte-identical
 across runs; progress/log chatter goes to stderr.
+
+`main` is the one place where a library `ValueError` becomes "invalid
+input"; the loaders and flag readers map parse errors to `UsageError`
+first.
 """
 
 from __future__ import annotations
@@ -27,14 +31,10 @@ from .conical import (
 from .matroid import MAX_GROUND
 from .plucker import PlueckerVector
 from .selftest import DEFAULT_SEED, run_selftest
-from .semiring import format_point, format_scalar, parse_point
+from .semiring import as_point, format_point, format_scalar, parse_point
 
 
 class UsageError(Exception):
-    pass
-
-
-class InvalidInput(Exception):
     pass
 
 
@@ -80,7 +80,7 @@ def _load_validated(path: str) -> PlueckerVector:
     p = _load_plucker(path)
     report = p.validate()
     if not report.ok:
-        raise InvalidInput(f"input is not a tropical Pluecker vector: {report.summary()}")
+        raise ValueError(f"input is not a tropical Pluecker vector: {report.summary()}")
     return p
 
 
@@ -105,8 +105,8 @@ def _get_point(args, name: str, n: int):
         if not isinstance(obj, list):
             raise UsageError(f"{file_flag} must hold a JSON list of rationals")
         try:
-            return parse_point(",".join(str(x) for x in obj), n)
-        except ValueError as exc:
+            return as_point(obj, n)
+        except (ValueError, TypeError) as exc:
             raise UsageError(f"{file_flag}: {exc}") from None
     raise UsageError(f"--{name} (or --{name}-file) is required")
 
@@ -118,10 +118,7 @@ def _get_basis(args, p: PlueckerVector):
         basis = tuple(int(x) for x in args.basis.split(","))
     except ValueError:
         raise UsageError(f"--basis must be comma-separated integers, got {args.basis!r}")
-    try:
-        return LocalContext(p, basis)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    return LocalContext(p, basis)
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -199,10 +196,7 @@ def cmd_project(args) -> int:
     p = _load_validated(args.file)
     ctx = _get_basis(args, p)
     point = _get_point(args, "point", p.n)
-    try:
-        proj = ctx.project(point)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    proj = ctx.project(point)
     _emit(args, {
         "basis": list(ctx.basis),
         "point": [format_scalar(x) for x in point],
@@ -250,13 +244,6 @@ def _fvector_lines(p, fv, with_total_cap: bool) -> list[str]:
     return lines
 
 
-def _enumerate(args, p: PlueckerVector):
-    try:
-        return cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
-
-
 def cmd_local(args) -> int:
     p = _load_validated(args.file)
     ctx = _get_basis(args, p)
@@ -281,11 +268,8 @@ def cmd_local(args) -> int:
 def cmd_cells(args) -> int:
     p = _load_validated(args.file)
     if args.format == "dot":
-        try:
-            cellmod.check_adjacency_input(p)
-        except ValueError as exc:
-            raise InvalidInput(str(exc)) from None
-    cells = _enumerate(args, p)
+        cellmod.check_adjacency_input(p)
+    cells = cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
     if args.format == "dot":
         print(cellmod.adjacency_dot(cells))
         return 0
@@ -302,7 +286,7 @@ def cmd_cells(args) -> int:
 
 def cmd_fvector(args) -> int:
     p = _load_validated(args.file)
-    cells = _enumerate(args, p)
+    cells = cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
     fv = cellmod.f_vector(cells, p.m)
     payload = fv.to_json()
     lines = _fvector_lines(p, fv, with_total_cap=False)
@@ -345,7 +329,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_conical(args) -> int:
     p = _load_validated(args.file)
-    flag, witness = is_conical(p, _enumerate(args, p))
+    flag, witness = is_conical(p, cellmod.enumerate_cells(p, max_nodes=args.max_patterns))
     payload = {"conical": flag, "witness": list(witness) if witness else None}
     _emit(args, payload, [f"conical: {flag}" + (f" witness {list(witness)}" if witness else "")])
     return 0
@@ -353,11 +337,8 @@ def cmd_conical(args) -> int:
 
 def cmd_tree(args) -> int:
     p = _load_validated(args.file)
-    try:
-        cellmod.check_adjacency_input(p)
-        tree = build_tree(p, _enumerate(args, p))
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    cellmod.check_adjacency_input(p)
+    tree = build_tree(p, cellmod.enumerate_cells(p, max_nodes=args.max_patterns))
     cat = is_caterpillar(tree)
     if args.format == "dot":
         print(tree.to_dot())
@@ -500,7 +481,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidInput as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     except cellmod.EnumerationLimit as exc:

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import cells as cellmod
-from .matroid import json_int, mask_from_subset
+from .matroid import json_int, mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector, check_shape
 from .semiring import INF, Scalar, as_scalar, format_scalar, tdet
 
@@ -32,13 +32,16 @@ log = logging.getLogger("troplin.conical")
 
 
 class HeightMatrix:
-    """Rows indexed by B ascending, columns by [n] - B ascending."""
+    """Rows indexed by B ascending, columns by [n] - B ascending.
+
+    The caller's row i holds the heights of its ``basis[i]``, in any order.
+    """
 
     __slots__ = ("n", "basis", "others", "rows")
 
     def __init__(self, n: int, basis: Iterable[int], rows: Iterable[Iterable]):
-        bset = tuple(sorted(set(basis)))
-        mask_from_subset(bset, n)  # range/duplication check
+        labels = tuple(basis)
+        bset = subset_from_mask(mask_from_subset(labels, n))
         m = len(bset)
         check_shape(n, m)
         others = tuple(e for e in range(1, n + 1) if e not in bset)
@@ -46,7 +49,8 @@ class HeightMatrix:
         rows = list(rows)
         if len(rows) != m:
             raise ValueError(f"expected {m} rows, got {len(rows)}")
-        for row in rows:
+        # the labels are distinct, so sorting the pairs never compares rows
+        for _, row in sorted(zip(labels, rows)):
             vals = tuple(as_scalar(v) for v in row)
             if len(vals) != len(others):
                 raise ValueError(f"expected {len(others)} columns, got {len(vals)}")

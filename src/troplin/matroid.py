@@ -222,9 +222,8 @@ def transversal(n: int, basis: Iterable[int], families: Mapping[int, Iterable[in
     element of A∩B to itself and each j in A\\B to its family admits a
     perfect matching.  B itself always qualifies.
     """
-    bset = tuple(sorted(set(basis)))
-    bmask = mask_from_subset(bset, n)
-    m = len(bset)
+    bmask = mask_from_subset(basis, n)
+    m = popcount(bmask)
     others = [e for e in range(1, n + 1) if not (bmask >> (e - 1)) & 1]
     slot_masks = []
     for j in others:

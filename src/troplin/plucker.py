@@ -39,6 +39,7 @@ from .matroid import (
 from .semiring import (
     INF,
     Scalar,
+    as_point,
     as_scalar,
     format_scalar,
     is_orthogonal,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
@@ -106,11 +107,12 @@ class ValuatedCircuit:
 class ValidationReport:
     """Outcome of the three-term relation check plus the support exchange check."""
 
-    n: int
-    m: int
     relation_failures: tuple  # ((S, T), ...) as subset tuples
-    support_ok: bool
-    exchange_witness: tuple | None  # (A, B, element) subsets when support_ok is False
+    exchange_witness: tuple | None  # (A, B, element) subsets when the support fails
+
+    @property
+    def support_ok(self) -> bool:
+        return self.exchange_witness is None
 
     @property
     def ok(self) -> bool:
@@ -122,7 +124,7 @@ class ValidationReport:
         lines = []
         for s, t in self.relation_failures:
             lines.append(f"relation fails at S={list(s)}, T={list(t)}")
-        if not self.support_ok and self.exchange_witness:
+        if not self.support_ok:
             a, b, e = self.exchange_witness
             lines.append(f"support fails exchange at A={list(a)}, B={list(b)}, a={e}")
         return "; ".join(lines) if lines else "invalid"
@@ -237,15 +239,13 @@ class PlueckerVector:
                     continue
                 if not min_achieved_twice(terms):
                     failures.append((s_combo, t_combo))
-        support_ok = True
         witness = None
         matroid = None
         try:
             matroid = Matroid(n, self.support())  # caller's support: scanned
         except ExchangeError as exc:
-            support_ok = False
             witness = (exc.a_subset, exc.b_subset, exc.element)
-        report = ValidationReport(n, m, tuple(failures), support_ok, witness)
+        report = ValidationReport(tuple(failures), witness)
         self._matroid = matroid if report.ok else None
         return report
 
@@ -258,10 +258,10 @@ class PlueckerVector:
     def circuit(self, gen: Iterable[int]) -> ValuatedCircuit | None:
         """Valuated circuit of an (m+1)-subset; None when all entries are INF."""
         self._need_validated()
-        gen = tuple(sorted(set(gen)))
+        gmask = mask_from_subset(gen, self.n)
+        gen = subset_from_mask(gmask)
         if len(gen) != self.m + 1:
             raise ValueError(f"generator must have size m+1={self.m + 1}")
-        gmask = mask_from_subset(gen, self.n)
         entries: list[Scalar] = [INF] * self.n
         finite = False
         for e in gen:
@@ -295,8 +295,8 @@ class PlueckerVector:
     def fundamental_circuit(self, e: int, basis: Iterable[int]) -> ValuatedCircuit:
         """Circuit of B + e for a basis B of the underlying matroid, e outside B."""
         self._need_validated()
-        bset = tuple(sorted(set(basis)))
-        bmask = mask_from_subset(bset, self.n)
+        bmask = mask_from_subset(basis, self.n)
+        bset = subset_from_mask(bmask)
         if bmask not in self._entries:
             raise ValueError(f"{bset} is not in the support")
         if not 1 <= e <= self.n or (bmask >> (e - 1)) & 1:
@@ -319,17 +319,7 @@ class PlueckerVector:
 
     def _as_point(self, point, length: int | None = None) -> tuple[Fraction, ...]:
         """Finite coordinates as `Fraction`s; ``length`` defaults to n."""
-        pt = tuple(point)
-        length = self.n if length is None else length
-        if len(pt) != length:
-            raise ValueError(f"point must have {length} coordinates")
-        out = []
-        for x in pt:
-            v = as_scalar(x)
-            if v is INF:
-                raise ValueError("points must have finite coordinates")
-            out.append(v)
-        return tuple(out)
+        return as_point(point, self.n if length is None else length)
 
     def _weight_lattice(self) -> tuple[int, dict, tuple]:
         """The entries on an integer lattice, built on first use.

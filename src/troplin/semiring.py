@@ -196,18 +196,22 @@ def tdet(rows) -> Scalar:
     return best
 
 
-def parse_point(text: str, n: int | None = None) -> tuple:
-    """Parse a comma-separated list of rationals (no INF allowed)."""
-    parts = [p for p in text.split(",") if p.strip()]
+def as_point(values: Iterable, n: int) -> tuple:
+    """Exactly n finite scalars, each read by `as_scalar`."""
     pt = []
-    for p in parts:
-        v = parse_scalar(p)
+    for x in values:
+        v = as_scalar(x)
         if v is INF:
             raise ValueError("points must have finite coordinates")
         pt.append(v)
-    if n is not None and len(pt) != n:
+    if len(pt) != n:
         raise ValueError(f"expected {n} coordinates, got {len(pt)}")
     return tuple(pt)
+
+
+def parse_point(text: str, n: int) -> tuple:
+    """Parse n comma-separated rationals (no INF, no empty field)."""
+    return as_point(text.split(","), n)
 
 
 def format_point(vec: Iterable[Scalar]) -> str:

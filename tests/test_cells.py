@@ -245,6 +245,12 @@ def test_bounded_complex_is_contractible(make):
     # to the Moebius invariant mu(M) of the underlying matroid, which is what
     # the recession fan, the Bergman fan of M, gives by Hall's theorem
     assert sum((-1) ** c.dim for c in cells) == mobius_invariant(p.underlying_matroid())
+    # a conical space has at most bound_bounded bounded cells in each
+    # dimension (the source paper); generic tau attains it exactly
+    if is_conical(p, cells)[0]:
+        fv = f_vector(cells, p.m)
+        for i in range(1, p.m + 1):
+            assert fv.bounded[i - 1] <= bound_bounded(p.n, p.m, i), i
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,54 @@ def test_project_and_chart(capsys, example1):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("project", "--basis", "1,3,3", "--point", "5,0,9,0"), 1,
+     "invalid input: repeated element 3 in subset"),
+    (("local", "--basis", "3,1,1"), 1, "invalid input: repeated element 1 in subset"),
+    (("member", "--point", "0,,0,0,0"), 2, "error: --point: bad rational literal ''"),
+    (("chart", "--basis", "1,3", "--x", ",0,5,"), 2, "error: --x: bad rational literal ''"),
+], ids=["repeated_basis_project", "repeated_basis_local", "empty_point_field",
+        "empty_x_field"])
+def test_flags_are_read_without_coercion(capsys, example1, argv, code, message):
+    # each of these used to exit 0: the basis read as a set, the empty
+    # fields dropped
+    got, out, err = run(capsys, argv[0], example1, *argv[1:])
+    assert (got, out, err) == (code, "", message + "\n")
+
+
+def test_point_file_values_are_read_as_they_are(capsys, example1, tmp_path):
+    # a point file is a JSON list of n values, not text to join and split
+    pf = tmp_path / "pt.json"
+    for values, reason in ((["0,0", "0", "0"], "bad rational literal '0,0'"),
+                           ([0.5, 0, 0, 0], "floats are not allowed"),
+                           ([True, 0, 0, 0], "booleans are not"),
+                           ([None, 0, 0, 0], "cannot interpret None"),
+                           (["0", "0", "0"], "expected 4 coordinates, got 3")):
+        pf.write_text(json.dumps(values))
+        code, out, err = run(capsys, "member", example1, "--point-file", str(pf))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and reason in err, values
+
+
+def test_heights_refuse_a_repeated_basis_element(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"n": 4, "B": [1, 2, 2], "V": [["1", "2"], ["3", "4"]]}))
+    code, out, err = run(capsys, "tau", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "repeated element 2 in subset" in err
+
+
+def test_height_rows_follow_the_basis_order(capsys, tmp_path):
+    # row i holds the heights of B[i], for B in any order
+    unsorted, swapped = tmp_path / "a.json", tmp_path / "b.json"
+    unsorted.write_text(json.dumps({"n": 4, "B": [2, 1], "V": [["1", "2"], ["3", "4"]]}))
+    swapped.write_text(json.dumps({"n": 4, "B": [1, 2], "V": [["3", "4"], ["1", "2"]]}))
+    code, out, err = run(capsys, "tau", str(unsorted))
+    assert code == 0 and err == ""
+    assert "  p[1, 3] = 1\n" in out
+    assert run(capsys, "tau", str(swapped)) == (0, out, "")
+
+
 def test_local_and_cells_and_fvector(capsys, example1):
     code, out, _ = run(capsys, "local", example1, "--basis", "1,4")
     assert code == 0

@@ -34,6 +34,22 @@ def test_height_matrix_shape_checks():
         HeightMatrix(4, (1, 2), [[0.5, 1], [2, 3]])
 
 
+def test_height_matrix_refuses_a_repeated_basis_element():
+    # B = [1, 2, 2] is not read as {1, 2}, although two rows would fit it
+    with pytest.raises(ValueError, match="repeated element 2"):
+        HeightMatrix(4, (1, 2, 2), [[1, 2], [3, 4]])
+
+
+def test_height_matrix_row_i_holds_the_heights_of_basis_i():
+    # rows follow the caller's B, in any order, and are stored by B ascending
+    v = HeightMatrix(4, (2, 1), [[1, 2], [3, 4]])
+    w = HeightMatrix(4, (1, 2), [[3, 4], [1, 2]])
+    assert v.basis == (1, 2) and v.rows == w.rows
+    assert v.value(2, 3) == 1
+    assert tau(v).to_json() == tau(w).to_json()
+    assert tau(v).entry((1, 3)) == 1  # the height of 2 in column 3
+
+
 def test_height_matrix_accessors():
     v = small_heights()
     assert v.m == 2

@@ -200,6 +200,11 @@ def test_transversal_rejects_bad_families():
         transversal(4, (1, 2), {2: (1,)})  # keyed by a basis element
 
 
+def test_transversal_refuses_a_repeated_basis_element():
+    with pytest.raises(ValueError, match="repeated element 1"):
+        transversal(4, (1, 1, 2), {})
+
+
 def test_transversal_matches_brute_sdr():
     # oracle: try all injections A\B -> B\A directly
     from itertools import permutations

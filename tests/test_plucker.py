@@ -133,6 +133,17 @@ def test_circuits_dedup_to_single_support():
     assert min(x for x in circs[0].entries if x is not INF) == 0
 
 
+def test_circuits_refuse_a_repeated_element():
+    # (1, 2, 2, 3) is not read as the generator {1, 2, 3}, nor (1, 3, 3) as
+    # the basis {1, 3}
+    p = two_pyramids()
+    with pytest.raises(ValueError, match="repeated element 2"):
+        p.circuit((1, 2, 2, 3))
+    with pytest.raises(ValueError, match="repeated element 3"):
+        p.fundamental_circuit(4, (1, 3, 3))
+    assert p.circuit((3, 1, 2)) == p.circuit((1, 2, 3))
+
+
 def test_circuit_supports_match_minimal_dependents():
     for p in (two_pyramids(), snowflake(), uniform_zero(5, 2), rank3_pair()):
         got = {c.support for c in p.all_circuits()}

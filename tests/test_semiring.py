@@ -6,6 +6,7 @@ import pytest
 from oracles import brute_tdet
 from troplin.semiring import (
     INF,
+    as_point,
     as_scalar,
     check_square,
     format_point,
@@ -56,6 +57,30 @@ def test_point_parse_format():
         parse_point("0,1", 3)
     with pytest.raises(ValueError):
         parse_point("0,inf", 2)  # points are finite
+
+
+def test_point_parse_refuses_empty_fields():
+    # an empty field is a bad literal, not a dropped coordinate
+    for text in ("0,1,", ",0,1", "0,,1"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_point(text, 2)
+    with pytest.raises(ValueError):
+        parse_point("", 0)
+
+
+def test_as_point_reads_exact_finite_values():
+    assert as_point([0, Fraction(1, 2), "-3"], 3) == (0, Fraction(1, 2), -3)
+    assert all(type(x) is Fraction for x in as_point((1, "2"), 2))
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        as_point([0, 0, 0], 2)
+    with pytest.raises(ValueError, match="finite"):
+        as_point([0, INF], 2)
+    with pytest.raises(TypeError):
+        as_point([0.5, 0], 2)
+    with pytest.raises(TypeError):
+        as_point([True, 0], 2)
+    with pytest.raises(TypeError):
+        as_point([None, 0], 2)
 
 
 def test_min_achieved_twice():
