@@ -127,7 +127,7 @@ class ValidationReport:
         if not self.support_ok:
             a, b, e = self.exchange_witness
             lines.append(f"support fails exchange at A={list(a)}, B={list(b)}, a={e}")
-        return "; ".join(lines) if lines else "invalid"
+        return "; ".join(lines)
 
 
 class PlueckerVector:

@@ -20,18 +20,14 @@ def test_context_requires_validation_and_basis():
         LocalContext(p, (1, 2, 3))
     with pytest.raises(ValueError):
         LocalContext(p, (1, 1))
-    q = PlueckerVector(4, 2, {(1, 2): 0, (3, 4): 0})
-    with pytest.raises(Exception):
-        LocalContext(q, (1, 2))  # not validated / not valid
-
-
-def test_context_refuses_a_repeated_basis_element():
     # a repeated element is refused, not read as the set {1, 3}; the order
     # of distinct elements does not matter
-    p = two_pyramids()
     with pytest.raises(ValueError, match="repeated element 3"):
         LocalContext(p, (1, 3, 3))
     assert LocalContext(p, (3, 1)).basis == (1, 3)
+    q = PlueckerVector(4, 2, {(1, 2): 0, (3, 4): 0})
+    with pytest.raises(Exception):
+        LocalContext(q, (1, 2))  # not validated / not valid
 
 
 def test_loopy_support_is_rejected():

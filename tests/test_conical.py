@@ -32,9 +32,6 @@ def test_height_matrix_shape_checks():
         HeightMatrix(4, (1, 2), [[1], [2]])  # one column per non-basis element
     with pytest.raises(TypeError):
         HeightMatrix(4, (1, 2), [[0.5, 1], [2, 3]])
-
-
-def test_height_matrix_refuses_a_repeated_basis_element():
     # B = [1, 2, 2] is not read as {1, 2}, although two rows would fit it
     with pytest.raises(ValueError, match="repeated element 2"):
         HeightMatrix(4, (1, 2, 2), [[1, 2], [3, 4]])

@@ -198,11 +198,8 @@ def test_transversal_rejects_bad_families():
         transversal(4, (1, 2), {3: (3,)})  # representative outside B
     with pytest.raises(ValueError):
         transversal(4, (1, 2), {2: (1,)})  # keyed by a basis element
-
-
-def test_transversal_refuses_a_repeated_basis_element():
     with pytest.raises(ValueError, match="repeated element 1"):
-        transversal(4, (1, 1, 2), {})
+        transversal(4, (1, 1, 2), {})  # not read as the root {1, 2}
 
 
 def test_transversal_matches_brute_sdr():
