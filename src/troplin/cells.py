@@ -6,7 +6,10 @@ achieving the minimum in the chart formula.  A pattern determines a system of
 difference constraints on the chart coordinates (equalities inside each S_i,
 strict inequalities against the rest); the pattern is realized iff that
 system is feasible.  Feasible patterns are mapped back through the chart and
-identified by the matroid of maximum-weight bases at a witness point.
+identified by the matroid of maximum-weight bases at a witness point.  The
+systems are solved on the vector's integer lattice: their bounds are the
+chart's int deltas (p_{B-b+i} - p_B) * D, read in the unit D, so the solver
+never rescales a `Fraction`.  `validate` stays on `Fraction`.
 
 A cell lies in the chart region of every basis of its face matroid, and its
 tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
@@ -27,10 +30,9 @@ facet of the underlying matroid polytope that the lineality does not span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chart import LocalContext
 from .diffcon import Constraint, DifferenceSystem, solve
@@ -60,8 +62,7 @@ class NodeBudget:
             raise EnumerationLimit(f"tie-pattern search exceeded {self.limit} solver nodes")
 
 
-@dataclass
-class Cell:
+class Cell(NamedTuple):
     """One cell, identified by the matroid attached to its relative interior."""
 
     face_matroid: Matroid
@@ -82,12 +83,14 @@ class Cell:
 # tie pattern -> difference system
 
 
-def _selection_system(opts: Sequence[tuple[int, Fraction]], chosen_idx: Sequence[int]):
+def _selection_system(opts: Sequence[tuple[int, int]], chosen_idx: Sequence[int]):
     """Equalities/constraints forcing argmin(slots) == chosen among the options.
 
-    ``opts`` lists (slot, delta) terms x_slot + delta; ``chosen_idx`` indexes
-    into opts.  The first chosen term is the representative: every other
-    chosen term equals it, every unchosen term exceeds it strictly.
+    ``opts`` lists (slot, delta) terms x_slot + delta, with 1-based slots and
+    the deltas on the vector's lattice, so the bounds come out as ints in the
+    same unit; ``chosen_idx`` indexes into opts.  The first chosen term is
+    the representative: every other chosen term equals it, every unchosen
+    term exceeds it strictly.
     """
     rep_slot, rep_delta = opts[chosen_idx[0]]
     chosen_set = set(chosen_idx)
@@ -165,9 +168,11 @@ def enumerate_local_cells(
     """All cells of the local space at ctx.basis, one per feasible tie pattern.
 
     Runs a depth-first product over the per-element selections, pruning any
-    prefix whose partial system is already infeasible.  ``max_nodes`` caps
-    the number of solver calls (the tie-pattern product can explode); pass a
-    `NodeBudget` to share one cap between several charts.
+    prefix whose partial system is already infeasible.  The systems are
+    stated on the vector's lattice: int bounds read in the unit D, straight
+    from the chart's scaled deltas.  ``max_nodes`` caps the number of solver
+    calls (the tie-pattern product can explode); pass a `NodeBudget` to
+    share one cap between several charts.
 
     With ``owned_only`` only the cells whose lex-least face basis is
     ctx.basis are returned: the selection for element i is drawn from the
@@ -177,12 +182,14 @@ def enumerate_local_cells(
     budget = max_nodes if isinstance(max_nodes, NodeBudget) else NodeBudget(max_nodes)
     p = ctx.p
     m = p.m
+    unit = p._weight_lattice()[0]
     underlying = p.underlying_matroid()
     option_rows = []
-    for i, opts in ctx.options:
+    for i, deltas in ctx._deltas:
+        opts = tuple((j + 1, delta) for j, delta in deltas)
         allowed = tuple(
-            t for t, (slot, _) in enumerate(opts)
-            if not owned_only or ctx.basis[slot - 1] < i
+            t for t, (j, _) in enumerate(deltas)
+            if not owned_only or ctx.basis[j] < i
         )
         if not allowed:
             return []
@@ -190,7 +197,7 @@ def enumerate_local_cells(
     cells = []
 
     def leaf(eqs, cons):
-        system = DifferenceSystem(m, tuple(cons), tuple(eqs))
+        system = DifferenceSystem(m, tuple(cons), tuple(eqs), unit)
         res = solve(system)
         if not res.feasible:
             return
@@ -213,7 +220,7 @@ def enumerate_local_cells(
                     leaf(eqs2, cons2)
                     continue
                 probe = solve(
-                    DifferenceSystem(m, tuple(cons2), tuple(eqs2)), want_witness=False
+                    DifferenceSystem(m, tuple(cons2), tuple(eqs2), unit), want_witness=False
                 )
                 if probe.feasible:
                     descend(depth + 1, eqs2, cons2)
@@ -250,8 +257,7 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
 # f-vectors and bounds
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     total: tuple[int, ...]  # index i-1 counts cells of ambient dimension i
     bounded: tuple[int, ...]
 
@@ -316,8 +322,7 @@ def _check_nmi(n, m, i):
         raise ValueError("need 1 <= i <= m <= n")
 
 
-@dataclass(frozen=True)
-class FacetBoundReport:
+class FacetBoundReport(NamedTuple):
     facet_cells: int  # cells of ambient dimension 1 = facets of the dual picture
     bound: int
 

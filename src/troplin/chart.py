@@ -16,7 +16,8 @@ The deltas p_{B - b + i} - p_B are kept on the vector's integer lattice, as
 the lcm of D and x's denominators, v_i * s is an integer minimum, and
 `chart` returns it as Fraction(v_i * s, s); `project`, `chart_inverse`,
 `in_local_space`, `project_any` and every cell witness read through it.
-`options` rebuilds the `Fraction` deltas when it is read.
+Cell enumeration states its difference systems on these int deltas, in
+the unit D; `options` rebuilds the `Fraction` deltas when it is read.
 """
 
 from __future__ import annotations
@@ -81,10 +82,16 @@ class LocalContext:
         )
 
     # -- membership of the chart region --------------------------------------
+    #
+    # Each public read takes the point through `_as_point` once; the
+    # underscored twins take a point already read.
 
     def in_sigma(self, point) -> bool:
         """Does B attain the maximum weight at the point?"""
-        return self.p.matroid_at(point).is_basis(self.basis)
+        return self._in_sigma(self.p._as_point(point))
+
+    def _in_sigma(self, pt) -> bool:
+        return self.p._matroid_at(pt).is_basis(self.basis)
 
     def in_local_space(self, point) -> bool:
         """Membership in the space of a point in this chart region.
@@ -95,10 +102,12 @@ class LocalContext:
         the space iff the projection fixes it.  Outside the region this
         raises ValueError.  The test suite checks it against the definition.
         """
-        pt = self.p._as_point(point)
-        if not self.in_sigma(pt):
+        return self._in_local_space(self.p._as_point(point))
+
+    def _in_local_space(self, pt) -> bool:
+        if not self._in_sigma(pt):
             raise ValueError("point is outside the chart region of this basis")
-        return self.chart(tuple(pt[b - 1] for b in self.basis)) == pt
+        return self._chart(self._coords(pt)) == pt
 
     # -- the chart and its relatives ------------------------------------------
 
@@ -108,8 +117,10 @@ class LocalContext:
         The minima are taken on the lattice: with s the lcm of D and x's
         denominators, v_i * s = min of x_j * s + delta_j * D * (s / D).
         """
+        return self._chart(self.p._as_point(x, self.p.m))
+
+    def _chart(self, xs) -> tuple[Fraction, ...]:
         p = self.p
-        xs = p._as_point(x, p.m)
         s, scaled = p._to_lattice(xs)
         k = s // p._weight_lattice()[0]
         v: list[Fraction] = [Fraction(0)] * p.n
@@ -119,12 +130,16 @@ class LocalContext:
             v[i - 1] = Fraction(min(scaled[j] + delta * k for j, delta in opts), s)
         return tuple(v)
 
+    def _coords(self, pt) -> tuple[Fraction, ...]:
+        """The B-coordinates of a point."""
+        return tuple(pt[b - 1] for b in self.basis)
+
     def chart_inverse(self, point) -> tuple[Fraction, ...]:
         """Restriction to the B-coordinates; inverse of `chart` on the region."""
         pt = self.p._as_point(point)
-        if not self.in_local_space(pt):
+        if not self._in_local_space(pt):
             raise ValueError("point is not in the local space at this basis")
-        return tuple(pt[b - 1] for b in self.basis)
+        return self._coords(pt)
 
     def project(self, point) -> tuple[Fraction, ...]:
         """Retract a chart-region point onto the space.
@@ -133,9 +148,9 @@ class LocalContext:
         B-coordinates.  Requires in_sigma; idempotent; fixes the local space.
         """
         pt = self.p._as_point(point)
-        if not self.in_sigma(pt):
+        if not self._in_sigma(pt):
             raise ValueError("projection is defined on the chart region only")
-        return self.chart(tuple(pt[b - 1] for b in self.basis))
+        return self._chart(self._coords(pt))
 
 
 def project_any(p: PlueckerVector, point):
@@ -146,6 +161,8 @@ def project_any(p: PlueckerVector, point):
     its projection.  No claim is made that the result is independent of the
     choice -- it is simply a deterministic one.  Returns (basis, projection).
     """
-    basis = p.matroid_at(point).bases[0]
+    p._need_validated()
     pt = p._as_point(point)
-    return basis, LocalContext(p, basis).chart(tuple(pt[b - 1] for b in basis))
+    basis = p._matroid_at(pt).bases[0]
+    ctx = LocalContext(p, basis)
+    return basis, ctx._chart(ctx._coords(pt))

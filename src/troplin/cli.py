@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -45,14 +46,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _strict_int(text: str) -> int:
+    """An integer flag value: an optional minus and ASCII digits, nothing
+    else; int() would also take "+1", " 1" and "1_0".  A ValueError here is
+    argparse's "invalid int value"."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_strict_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
-        value = int(text)  # a ValueError here is argparse's "invalid value"
+        value = _strict_int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = "int"  # as for `_strict_int`
     return parse
 
 
@@ -115,7 +128,7 @@ def _get_basis(args, p: PlueckerVector):
     if not args.basis:
         raise UsageError("--basis is required")
     try:
-        basis = tuple(int(x) for x in args.basis.split(","))
+        basis = tuple(_strict_int(x) for x in args.basis.split(","))
     except ValueError:
         raise UsageError(f"--basis must be comma-separated integers, got {args.basis!r}")
     return LocalContext(p, basis)
@@ -444,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="bound tables and fine counts for (n, m)")
     common(sp, needs_file=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--n", type=_strict_int, required=True)
+    sp.add_argument("--m", type=_strict_int, required=True)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("conical", help="is some basis contained in every bounded cell?")
@@ -461,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tau)
 
     sp = sub.add_parser("selftest", help="run the seeded property suite")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_strict_int, default=DEFAULT_SEED)
     sp.add_argument("--scale", type=_int_at_least(1), default=1,
                     help="divide run counts by this")
     sp.set_defaults(func=cmd_selftest)

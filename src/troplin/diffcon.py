@@ -10,49 +10,71 @@ a path cost (c, s) means "c minus s infinitesimals", so
 The system is infeasible exactly when some cycle has total weight below
 (0, 0), i.e. rational part negative, or zero with at least one strict edge.
 
+A system may carry a positive integer ``unit``: every bound c is then read
+as c / unit.  Cell enumeration states its systems on a vector's integer
+lattice this way, with int bounds and unit D, the lcm of the entry
+denominators, so that no bound is rescaled per call.
+
 On a feasible system the witness is read off the potentials in closed form.
-Scale the bounds by the lcm D of their denominators to integers c.  From an
-implicit source at (0, 0), Bellman-Ford ends at lex shortest-path potentials
+Let q be the lcm of the bounds' denominators (1 for int bounds), so the
+bounds scale to integers c, in steps of 1 / (q * unit).  From an implicit
+source at (0, 0), Bellman-Ford ends at lex shortest-path potentials
 (c_j, s_j); with no negative cycle each is the weight of a simple path, so
-c_j is an integer and 0 <= s_j <= k - 1.  The witness is
+c_j is a sum of scaled bounds and 0 <= s_j <= k - 1.  With g the gcd of
+q * unit and every scaled bound, each c_j is a multiple of g, and in steps
+of the coarser lattice 1 / (q * unit / g) the witness is
 
-    x_j = (c_j - s_j / (k + 1)) / D.
+    x_j = (c_j / g - s_j / (k + 1)) / (q * unit / g).
 
-Each edge x_l - x_r <= c / D (strict: <) leaves (c_l, s_l) no worse than
-(c_r + c, s_r + strict) in the lex order.  In integer units:
+Each edge x_l - x_r <= c / (q * unit) (strict: <) leaves (c_l, s_l) no worse
+than (c_r + c, s_r + strict) in the lex order.  In steps of g:
 
-- where c_l < c_r + c, the slack is at least 1, while the s terms move
-  x_l - x_r by at most (k - 1) / (k + 1) < 1, so the edge holds strictly;
+- where c_l < c_r + c, the slack is at least one step, while the s terms
+  move x_l - x_r by at most (k - 1) / (k + 1) < 1 step, so the edge holds
+  strictly;
 - where c_l = c_r + c, the lex order gives s_l >= s_r + strict, so the
-  difference c - (s_l - s_r) / (k + 1) is at most c, and below c if strict;
+  difference is at most the bound, and below it if strict;
 - an equality is a pair of opposite non-strict edges; both are tight, so
-  the lex order gives s_l = s_r and the difference is exactly c.
+  the lex order gives s_l = s_r and the difference is exactly the bound.
+
+The step does not depend on how a system is written.  For `Fraction`
+bounds with unit 1, g = 1: for each prime power exactly dividing q, some
+bound's denominator holds all of it, and that bound scales to an integer
+prime to it.  The same bounds written as ints b over a unit D give
+q * unit / g = D / gcd(D, b...), which is again the lcm of the denominators
+of the b / D.  Bellman-Ford's comparisons do not change under a positive
+scaling, so both spellings give the same feasibility, the same cycle edges
+and the same witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .semiring import as_scalar, INF
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """x_left - x_right <= bound (or < bound when strict).  1-based vars."""
+class Constraint(NamedTuple):
+    """x_left - x_right <= bound (or < bound when strict).  1-based vars.
+
+    The bound is a `Fraction` or an int, read in the system's unit."""
 
     left: int
     right: int
-    bound: Fraction
+    bound: Fraction | int
     strict: bool = False
 
 
-@dataclass(frozen=True)
-class DifferenceSystem:
+class DifferenceSystem(NamedTuple):
+    """Constraints and equalities x_l - x_r = c, every bound read as
+    bound / unit for a positive integer unit."""
+
     num_vars: int
     constraints: tuple[Constraint, ...] = ()
-    equalities: tuple[tuple[int, int, Fraction], ...] = ()  # x_l - x_r = c
+    equalities: tuple[tuple[int, int, Fraction | int], ...] = ()
+    unit: int = 1
 
     def all_edges(self):
         """Normalize to a list of (right, left, bound, strict, origin) edges."""
@@ -73,8 +95,7 @@ class DifferenceSystem:
             raise ValueError(f"variable x{j} out of range [1..{self.num_vars}]")
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     feasible: bool
     witness: tuple[Fraction, ...] | None = None
     cycle: tuple[Constraint, ...] | None = None
@@ -88,8 +109,13 @@ def make_constraint(left: int, right: int, bound, strict: bool = False) -> Const
 
 
 def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
-    """Decide feasibility; return an exact witness or a violating cycle."""
+    """Decide feasibility; return an exact witness or a violating cycle.
+
+    The cycle's constraints carry the system's own bounds, in its unit."""
     k = system.num_vars
+    unit = system.unit
+    if type(unit) is not int or unit < 1:  # not a bool either
+        raise ValueError(f"the unit must be a positive integer, got {unit!r}")
     edges = []
     for right, left, bound, strict, origin in system.all_edges():
         if left == right:
@@ -102,8 +128,9 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
     if not edges:
         return SolveResult(True, witness=tuple(Fraction(0) for _ in range(k)))
 
+    # 1 for int bounds, which are then used as they are
     scale = math.lcm(*(b.denominator for _, _, b, _, _ in edges))
-    iedges = [(r, l, int(b * scale), s, o) for r, l, b, s, o in edges]
+    iedges = [(r, l, b.numerator * (scale // b.denominator), s, o) for r, l, b, s, o in edges]
 
     # implicit super-source: every node starts at distance (0, 0)
     dist_c = [0] * (k + 1)
@@ -146,8 +173,10 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
     if not want_witness:
         return SolveResult(True)
 
-    # epsilon = 1 / (k + 1) integer units; the module docstring proves it
-    den = scale * (k + 1)
+    # steps of g on the lattice 1 / (scale * unit), epsilon = 1 / (k + 1)
+    # step; the module docstring proves it
+    g = math.gcd(scale * unit, *(c for _, _, c, _, _ in iedges))
+    den = (scale * unit // g) * (k + 1)
     return SolveResult(True, witness=tuple(
-        Fraction(dist_c[j] * (k + 1) - dist_s[j], den) for j in range(1, k + 1)
+        Fraction(dist_c[j] // g * (k + 1) - dist_s[j], den) for j in range(1, k + 1)
     ))

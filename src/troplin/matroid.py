@@ -5,13 +5,14 @@ an n-bit mask (bit k <-> element k+1).  Loops (elements in no basis) are
 allowed.
 
 There are two constructors.  `Matroid(n, bases)` (and `Matroid.from_json`)
-takes bases from a caller and verifies the basis-exchange axiom, raising
-`ExchangeError` with the first failing triple.  `Matroid.from_masks` takes
-bases the library derived itself from a family that is a matroid by
-theorem -- the maximal-weight bases of a valuated matroid (Dress & Wenzel),
-a principal transversal family (Edmonds & Fulkerson) -- and skips the scan;
-the test suite and `troplin selftest` check those families against the
-exchange axiom instead.
+takes bases from a caller, refuses a repeated basis with a `ValueError`,
+and verifies the basis-exchange axiom, raising `ExchangeError` with the
+first failing triple.  `Matroid.from_masks` takes bases the library
+derived itself from a family that is a matroid by theorem -- the
+maximal-weight bases of a valuated matroid (Dress & Wenzel), a principal
+transversal family (Edmonds & Fulkerson) -- and skips the scan; the test
+suite and `troplin selftest` check those families against the exchange
+axiom instead.
 """
 
 from __future__ import annotations
@@ -74,10 +75,15 @@ class Matroid:
     __slots__ = ("n", "m", "_subsets", "_masks", "_mask_set", "_loops", "_components")
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
-        """Bases from a caller: checked for size and the exchange axiom."""
+        """Bases from a caller: checked for repeats, size and the exchange axiom."""
         if not 1 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size must be in [1..{MAX_GROUND}]")
-        masks = {mask_from_subset(b, n) for b in bases}
+        masks = set()
+        for b in bases:
+            mask = mask_from_subset(b, n)
+            if mask in masks:
+                raise ValueError(f"repeated basis {list(subset_from_mask(mask))}")
+            masks.add(mask)
         if not masks:
             raise ValueError("a matroid needs at least one basis")
         m = popcount(next(iter(masks)))

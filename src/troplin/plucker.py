@@ -23,10 +23,9 @@ stay on `Fraction`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .matroid import (
     MAX_GROUND,
@@ -70,8 +69,7 @@ class NotValidatedError(RuntimeError):
     """Raised when an operation needs a vector that passed validation."""
 
 
-@dataclass(frozen=True)
-class ValuatedCircuit:
+class ValuatedCircuit(NamedTuple):
     """A valuated circuit: entry vector plus the (m+1)-set that generated it."""
 
     entries: tuple
@@ -103,8 +101,7 @@ class ValuatedCircuit:
         return f"ValuatedCircuit([{body}], from {self.generator})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the three-term relation check plus the support exchange check."""
 
     relation_failures: tuple  # ((S, T), ...) as subset tuples
@@ -357,8 +354,12 @@ class PlueckerVector:
         exchange scan.
         """
         self._need_validated()
+        return self._matroid_at(self._as_point(point))
+
+    def _matroid_at(self, pt: tuple[Fraction, ...]) -> Matroid:
+        """`matroid_at` of a point already read by `_as_point`."""
         d, _, rows = self._weight_lattice()
-        s, xs = self._to_lattice(self._as_point(point))
+        s, xs = self._to_lattice(pt)
         get = xs.__getitem__
         k = s // d
         weights = [sum(map(get, idx)) - pd * k for idx, pd in rows]

@@ -9,8 +9,8 @@ by theorem: `tau`'s vectors and the matroids `matroid_at` selects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import cells as cellmod
 from .chart import LocalContext
@@ -21,8 +21,7 @@ from .matroid import ExchangeError, Matroid, transversal
 DEFAULT_SEED = 1729
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     runs: int
     failures: list[str]

@@ -4,18 +4,18 @@ Everything in here is deliberately naive: straight enumeration, no pruning,
 no shared code with the library internals beyond data types.  Slow is fine;
 wrong is not.  The exceptions are slow paths that library fast paths
 replaced, kept here to check the fast paths against: `all_bases_cells`; the
-`fraction_*` chart and circuit-membership formulas that the integer lattice
-replaced; and `padded_minors`, the maximal minors of the padded matrix
-`augment` that `conical.tau` replaced by minors of V alone.
+`fraction_*` chart, circuit-membership and tie-pattern search paths that
+the integer lattice replaced; and `padded_minors`, the maximal minors of the
+padded matrix `augment` that `conical.tau` replaced by minors of V alone.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from troplin.cells import enumerate_local_cells
+from troplin.cells import Cell, enumerate_local_cells, is_bounded
 from troplin.chart import LocalContext
-from troplin.diffcon import Constraint, DifferenceSystem
+from troplin.diffcon import Constraint, DifferenceSystem, solve
 from troplin.semiring import INF, is_finite, is_orthogonal
 
 
@@ -226,6 +226,49 @@ def fraction_options(p, basis):
         (i, tuple((slot[b], opts[b]) for b in sorted(opts)))
         for i, opts in tie_options(p, basis)
     )
+
+
+def fraction_local_cells(ctx, owned_only=False):
+    """`enumerate_local_cells` with `Fraction` bounds, the search that the
+    lattice systems replaced: the same depth-first product over the tie sets
+    of `fraction_options`, each prefix probed by `solve` with unit 1, no
+    node cap.  Returns the cells sorted by key."""
+    p, basis, m = ctx.p, ctx.basis, ctx.p.m
+    underlying = p.underlying_matroid()
+    rows = []
+    for i, opts in fraction_options(p, basis):
+        allowed = [t for t, (slot, _) in enumerate(opts)
+                   if not owned_only or basis[slot - 1] < i]
+        if not allowed:
+            return []
+        rows.append((opts, allowed))
+    cells = []
+
+    def descend(depth, eqs, cons):
+        if depth == len(rows):
+            res = solve(DifferenceSystem(m, tuple(cons), tuple(eqs)))
+            if res.feasible:
+                point = ctx.chart(res.witness)
+                face = p.matroid_at(point)
+                cells.append(Cell(face, is_bounded(face, underlying), point))
+            return
+        opts, allowed = rows[depth]
+        for size in range(1, len(allowed) + 1):
+            for chosen in combinations(allowed, size):
+                # the first chosen term equals the other chosen ones and lies
+                # strictly below every unchosen one
+                rep_slot, rep_delta = opts[chosen[0]]
+                eqs2 = eqs + [(opts[t][0], rep_slot, rep_delta - opts[t][1])
+                              for t in chosen[1:]]
+                cons2 = cons + [Constraint(rep_slot, slot, delta - rep_delta, True)
+                                for t, (slot, delta) in enumerate(opts) if t not in chosen]
+                if depth + 1 == len(rows) or solve(
+                        DifferenceSystem(m, tuple(cons2), tuple(eqs2)),
+                        want_witness=False).feasible:
+                    descend(depth + 1, eqs2, cons2)
+
+    descend(0, [], [])
+    return sorted(cells, key=lambda c: c.key)
 
 
 def fraction_chart(p, basis, x):

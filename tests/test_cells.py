@@ -11,6 +11,7 @@ from oracles import (
     brute_local_cells,
     brute_max_weight_bases,
     brute_member,
+    fraction_local_cells,
     lattice_simplex_counts,
     mixed_interior_count,
     mixed_total_count,
@@ -292,6 +293,33 @@ def test_pattern_regions_against_oracles():
                     dim, system = oracle[pat]
                     assert c.dim == dim
                     assert c.bounded == recession_01_bounded(system, groups)
+
+
+LATTICE_CASES = [
+    pytest.param(two_pyramids, id="two_pyramids"),
+    pytest.param(snowflake, id="snowflake"),
+    pytest.param(lambda: direct_sum(two_pyramids(), _tau_instance("generic", 4, 2)),
+                 id="two_pyramids+tau_generic_4_2"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind, n, m in (("generic", 6, 3), ("generic", 7, 4), ("generic", 8, 3),
+                       ("tie", 6, 3), ("tie", 7, 3), ("knockout", 6, 3), ("knockout", 7, 3))
+]
+
+
+@pytest.mark.parametrize("make", LATTICE_CASES)
+def test_lattice_search_matches_the_fraction_search(make):
+    # the systems on the lattice, int bounds in the unit D, find the cells
+    # the Fraction systems find, witnesses included: owned cells at every
+    # basis, and the full local complex at the first, middle and last one
+    p = make()
+    bases = p.underlying_matroid().bases
+    for basis in bases:
+        ctx = LocalContext(p, basis)
+        assert enumerate_local_cells(ctx, owned_only=True) == fraction_local_cells(ctx, True)
+    for basis in (bases[0], bases[len(bases) // 2], bases[-1]):
+        ctx = LocalContext(p, basis)
+        assert enumerate_local_cells(ctx) == fraction_local_cells(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,25 @@ def test_in_sigma_boundary():
     # ties still count: at (0,0,0,-5) bases {1,3} and {2,3} share the max
     assert ctx.in_sigma((0, 0, 0, -5))
     assert not ctx.in_sigma((-9, 0, -9, 0))  # {2,4} dominates outright
+
+
+@pytest.mark.parametrize("read", [
+    lambda ctx, pt: ctx.project(pt),
+    lambda ctx, pt: ctx.in_local_space(pt),
+    lambda ctx, pt: ctx.chart_inverse(pt),
+    lambda ctx, pt: project_any(ctx.p, pt),
+], ids=["project", "in_local_space", "chart_inverse", "project_any"])
+def test_each_point_is_read_once(monkeypatch, read):
+    # the region check and the chart take the tuple read at the entry
+    p = two_pyramids()
+    ctx = LocalContext(p, (1, 3))
+    calls = []
+    as_point = PlueckerVector._as_point
+
+    def counted(self, point, length=None):
+        calls.append(point)
+        return as_point(self, point, length)
+
+    monkeypatch.setattr(PlueckerVector, "_as_point", counted)
+    read(ctx, ("5", 5, Fraction(9), "6"))
+    assert len(calls) == 1

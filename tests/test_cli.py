@@ -486,6 +486,28 @@ def test_bad_numeric_options_are_usage_errors(capsys, example1, argv, option):
     assert err.count("\n") == 1 and f"argument {option}: must be at least" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("project", "FILE", "--basis", "1,0_3", "--point", "5,0,9,0"),
+     "error: --basis must be comma-separated integers, got '1,0_3'"),
+    (("project", "FILE", "--basis", "+1,3", "--point", "5,0,9,0"),
+     "error: --basis must be comma-separated integers, got '+1,3'"),
+    (("local", "FILE", "--basis", " 1,3"),
+     "error: --basis must be comma-separated integers, got ' 1,3'"),
+    (("bounds", "--n", "+6", "--m", "3"), "argument --n: invalid int value: '+6'"),
+    (("bounds", "--n", "6", "--m", " 3"), "argument --m: invalid int value: ' 3'"),
+    (("bounds", "--n", "1_0", "--m", "3"), "argument --n: invalid int value: '1_0'"),
+    (("cells", "FILE", "--max-patterns", "1_000"),
+     "argument --max-patterns: invalid int value: '1_000'"),
+    (("selftest", "--seed", "+7"), "argument --seed: invalid int value: '+7'"),
+])
+def test_integer_flags_are_read_strictly(capsys, example1, argv, message):
+    # int() takes each of these; a flag takes an optional minus and digits
+    argv = [example1 if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.rstrip("\n").endswith(message)
+
+
 def test_zero_max_patterns_enumerates_a_full_rank_vector(capsys, tmp_path):
     # m = n: one basis, no non-basis element, so no solver node at all
     path = tmp_path / "full.json"

@@ -113,6 +113,36 @@ def test_solver_matches_fourier_motzkin():
     assert disagreements == 0
 
 
+def test_int_bounds_are_read_in_their_unit():
+    # the 600 seeded systems written as int bounds b over a unit D > 1 give
+    # the feasibility, cycle and witness of the same systems with the bounds
+    # Fraction(b, D); the witness needs the gcd step of the module docstring
+    rng = random.Random(4242)
+    units = random.Random(7)
+    for sys_ in [random_system(rng) for _ in range(600)]:
+        d = 6 * units.randint(1, 5)  # random_system's denominators divide 6
+        scaled = [c.bound * d for c in sys_.constraints] + [c * d for *_, c in sys_.equalities]
+        assert all(b.denominator == 1 for b in scaled)
+        k = sys_.num_vars
+        lattice = DifferenceSystem(
+            k, tuple(c._replace(bound=int(c.bound * d)) for c in sys_.constraints),
+            tuple((l, r, int(c * d)) for l, r, c in sys_.equalities), unit=d)
+        fractions = DifferenceSystem(
+            k, tuple(c._replace(bound=Fraction(c.bound, d)) for c in lattice.constraints),
+            tuple((l, r, Fraction(c, d)) for l, r, c in lattice.equalities))
+        got, want = solve(lattice), solve(fractions)
+        assert got.feasible == want.feasible
+        assert got.witness == want.witness
+        if not got.feasible:
+            assert [c._replace(bound=Fraction(c.bound, d)) for c in got.cycle] == list(want.cycle)
+
+
+@pytest.mark.parametrize("unit", [0, -6, True, Fraction(6)])
+def test_unit_must_be_a_positive_integer(unit):
+    with pytest.raises(ValueError, match="unit must be a positive integer"):
+        solve(DifferenceSystem(2, (Constraint(1, 2, 1),), unit=unit))
+
+
 def test_boundedness_matches_recession_oracle():
     # a feasible region is bounded modulo the all-ones line iff every
     # x_i - x_j is bounded above; a bound, when there is one, is the sum of a

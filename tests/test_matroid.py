@@ -54,6 +54,16 @@ def test_mixed_sizes_rejected():
         Matroid(4, [])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Matroid(3, [(1, 2), (1, 3), (2, 1)]),
+    lambda: Matroid.from_json({"n": 3, "bases": [[1, 2], [1, 3], [1, 3]]}),
+], ids=["constructor", "from_json"])
+def test_repeated_basis_is_refused(build):
+    # a repeated basis is refused, not merged into one, as a repeated entry is
+    with pytest.raises(ValueError, match=r"^repeated basis \[1, [23]\]$"):
+        build()
+
+
 def test_loops():
     M = Matroid(4, [(1, 2), (1, 3), (2, 3)])
     assert M.loops() == (4,)
