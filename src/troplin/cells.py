@@ -5,11 +5,16 @@ Pulling the space back through the chart at a basis B turns each cell into a
 achieving the minimum in the chart formula.  A pattern determines a system of
 difference constraints on the chart coordinates (equalities inside each S_i,
 strict inequalities against the rest); the pattern is realized iff that
-system is feasible.  Feasible patterns are mapped back through the chart and
-identified by the matroid of maximum-weight bases at a witness point.  The
-systems are solved on the vector's integer lattice: their bounds are the
-chart's int deltas (p_{B-b+i} - p_B) * D, read in the unit D, so the solver
-never rescales a `Fraction`.  `validate` stays on `Fraction`.
+system is feasible.  The patterns are searched depth first, one element's
+tie set per level, and a node of the search is one tie set tried on a
+feasible prefix.  Each node adds its constraints to the prefix's closed
+difference-bound matrix (`diffcon.tighten`), which decides exactly whether
+the longer prefix is still feasible.  A full pattern that survives is
+solved once by `diffcon.solve` for a witness point, mapped back through the
+chart and identified by the matroid of maximum-weight bases there.  The
+systems live on the vector's integer lattice: their bounds are the chart's
+int deltas (p_{B-b+i} - p_B) * D, read in the unit D, so neither the matrix
+nor the solver rescales a `Fraction`.  `validate` stays on `Fraction`.
 
 A cell lies in the chart region of every basis of its face matroid, and its
 tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
@@ -35,7 +40,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chart import LocalContext
-from .diffcon import Constraint, DifferenceSystem, solve
+from .diffcon import Constraint, DifferenceSystem, solve, tighten
 from .matroid import Matroid, subset_from_mask
 from .plucker import PlueckerVector
 
@@ -48,7 +53,11 @@ class EnumerationLimit(RuntimeError):
 
 
 class NodeBudget:
-    """A cap on tie-pattern solver nodes, shareable by several chart searches."""
+    """A cap on tie-pattern nodes, shareable by several chart searches.
+
+    A node is one tie set tried on a feasible prefix and decided by the
+    prefix's difference-bound matrix; nodes are spent whether or not the
+    longer prefix stays feasible."""
 
     __slots__ = ("limit", "spent")
 
@@ -167,11 +176,14 @@ def enumerate_local_cells(
 ) -> list[Cell]:
     """All cells of the local space at ctx.basis, one per feasible tie pattern.
 
-    Runs a depth-first product over the per-element selections, pruning any
-    prefix whose partial system is already infeasible.  The systems are
-    stated on the vector's lattice: int bounds read in the unit D, straight
-    from the chart's scaled deltas.  ``max_nodes`` caps the number of solver
-    calls (the tie-pattern product can explode); pass a `NodeBudget` to
+    Runs a depth-first product over the per-element selections.  Each node
+    is one selection added to a feasible prefix: its edges tighten the
+    prefix's closed difference-bound matrix (`diffcon.tighten`), and a node
+    whose prefix turns infeasible is pruned.  Only a leaf that survives is
+    solved, by `solve`, for its witness.  The selections' systems are built
+    once per chart, on the vector's lattice: int bounds read in the unit D,
+    straight from the chart's scaled deltas.  ``max_nodes`` caps the number
+    of tie-pattern nodes (the product can explode); pass a `NodeBudget` to
     share one cap between several charts.
 
     With ``owned_only`` only the cells whose lex-least face basis is
@@ -184,7 +196,8 @@ def enumerate_local_cells(
     m = p.m
     unit = p._weight_lattice()[0]
     underlying = p.underlying_matroid()
-    option_rows = []
+    # per row, every selection as (eqs, cons, its 0-based matrix edges)
+    rows = []
     for i, deltas in ctx._deltas:
         opts = tuple((j + 1, delta) for j, delta in deltas)
         allowed = tuple(
@@ -193,39 +206,39 @@ def enumerate_local_cells(
         )
         if not allowed:
             return []
-        option_rows.append((opts, allowed))
-    cells = []
-
-    def leaf(eqs, cons):
-        system = DifferenceSystem(m, tuple(cons), tuple(eqs), unit)
-        res = solve(system)
-        if not res.feasible:
-            return
-        point = ctx.chart(res.witness)
-        face = p.matroid_at(point)
-        cells.append(Cell(face, is_bounded(face, underlying), point))
-
-    def descend(depth, eqs, cons):
-        if depth == len(option_rows):
-            leaf(eqs, cons)
-            return
-        opts, allowed = option_rows[depth]
+        row = []
         for size in range(1, len(allowed) + 1):
             for chosen_idx in combinations(allowed, size):
-                budget.spend()
-                new_eqs, new_cons = _selection_system(opts, chosen_idx)
-                eqs2 = eqs + new_eqs
-                cons2 = cons + new_cons
-                if depth + 1 == len(option_rows):
-                    leaf(eqs2, cons2)
-                    continue
-                probe = solve(
-                    DifferenceSystem(m, tuple(cons2), tuple(eqs2), unit), want_witness=False
-                )
-                if probe.feasible:
-                    descend(depth + 1, eqs2, cons2)
+                eqs, cons = _selection_system(opts, chosen_idx)
+                edges = DifferenceSystem(m, tuple(cons), tuple(eqs)).all_edges()
+                row.append((eqs, cons, [(r - 1, l - 1, c, s) for r, l, c, s, _ in edges]))
+        rows.append(row)
+    cells = []
+    picked = [None] * len(rows)
 
-    descend(0, [], [])
+    def descend(depth, closed):
+        if depth == len(rows):
+            system = DifferenceSystem(
+                m,
+                tuple(con for _, cons, _ in picked for con in cons),
+                tuple(eq for eqs, _, _ in picked for eq in eqs),
+                unit,
+            )
+            point = ctx.chart(solve(system).witness)
+            face = p.matroid_at(point)
+            cells.append(Cell(face, is_bounded(face, underlying), point))
+            return
+        for selection in rows[depth]:
+            budget.spend()
+            child = closed.copy()
+            if tighten(child, m, selection[2]):
+                picked[depth] = selection
+                descend(depth + 1, child)
+
+    # the empty system: 0 on the diagonal, no path elsewhere
+    empty = [None] * (m * m)
+    empty[::m + 1] = [0] * m
+    descend(0, empty)
     return sorted(cells, key=lambda c: c.key)
 
 

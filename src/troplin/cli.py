@@ -368,8 +368,10 @@ def cmd_tree(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    v = _load_heights(args.file)
-    p = tau(v)
+    p = tau(_load_heights(args.file))
+    # a column of V with no finite entry is in no basis of tau(V)
+    for j in p.underlying_matroid().loops():
+        print(f"column {j} has no finite entries; {j} will be a loop", file=sys.stderr)
     payload = p.to_json()
     lines = [f"rank {p.m} on [{p.n}], support size {len(p.support_masks())}"]
     for item in payload["entries"]:
@@ -411,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--max-patterns", type=_int_at_least(0),
                 default=cellmod.MAX_SOLVER_NODES_DEFAULT,
-                help="cap on tie-pattern solver nodes during enumeration",
+                help="cap on tie-pattern nodes (tie sets tried on a feasible prefix) "
+                     "across the whole enumeration",
             )
 
     sp = sub.add_parser("validate", help="check the three-term relations")

@@ -17,7 +17,6 @@ and recognizes caterpillars (conical <=> caterpillar in rank 2).
 
 from __future__ import annotations
 
-import logging
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -27,8 +26,6 @@ from . import cells as cellmod
 from .matroid import json_int, mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector, check_shape
 from .semiring import INF, Scalar, as_scalar, format_scalar, tdet
-
-log = logging.getLogger("troplin.conical")
 
 
 class HeightMatrix:
@@ -59,9 +56,6 @@ class HeightMatrix:
         self.basis = bset
         self.others = others
         self.rows = tuple(grid)
-        for j in others:
-            if not self.family(j):
-                log.warning("column %d has no finite entries; %d will be a loop", j, j)
 
     @property
     def m(self) -> int:

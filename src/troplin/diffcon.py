@@ -45,6 +45,32 @@ q * unit / g = D / gcd(D, b...), which is again the lcm of the denominators
 of the b / D.  Bellman-Ford's comparisons do not change under a positive
 scaling, so both spellings give the same feasibility, the same cycle edges
 and the same witness.
+
+A search that adds constraints one at a time decides each prefix with
+`tighten` instead, on a closed difference-bound matrix (Bengtsson & Yi,
+"Timed automata: semantics, algorithms and tools", 2004), updated per edge
+as in Cotton & Maler, "Fast and flexible difference constraint propagation
+for DPLL(T)", SAT 2006.  The matrix is a flat list d of k * k entries, with
+0-based variables: d[a * k + b] is the lex-shortest path weight from a to b,
+or None for no path, so the empty system has 0 on the diagonal and None
+elsewhere.  An int bound (c, strict) is encoded as the int c * K - strict
+with K = 2k + 2, and a path's code is the sum of its edges' codes.  Codes
+compare as their lex weights whenever their strict counts differ by less
+than K: if c1 < c2 then c1 * K - s1 <= c2 * K - K - s1 < c2 * K - s2, as
+s2 - s1 < K.
+
+With no negative cycle, every entry is the weight of a simple path: a
+lex-shortest walk loses a cycle, of weight >= 0, and stays shortest.  Such
+a path has at most k - 1 edges, so its strict count s is at most k - 1.
+Adding the edge u -> v of weight w then closes a negative cycle exactly
+when d[v * k + u] + w < 0, a code with s <= k < K.  Otherwise the shortest
+paths that use the new edge use it once, and the update
+
+    d[i * k + j] = min(d[i * k + j], d[i * k + u] + w + d[v * k + j])
+
+compares codes with s <= 2(k - 1) + 1 < K, so it keeps the lex minimum,
+which is again a simple path's weight.  The verdicts are exact, whatever
+the order in which edges arrive.
 """
 
 from __future__ import annotations
@@ -106,6 +132,37 @@ def make_constraint(left: int, right: int, bound, strict: bool = False) -> Const
     if b is INF:
         raise ValueError("constraint bounds must be finite")
     return Constraint(left, right, Fraction(b), strict)
+
+
+def tighten(d: list, k: int, edges) -> bool:
+    """Add edges to the closed difference-bound matrix d, in place.
+
+    Each edge (u, v, c, strict) is x_v - x_u <= c (< c when strict), with
+    0-based variables and an int bound c.  Returns False as soon as an edge
+    closes a negative cycle, leaving d part-updated; the module docstring
+    gives the encoding and proves the verdict exact."""
+    scale = 2 * k + 2
+    for u, v, c, strict in edges:
+        w = c * scale - strict
+        back = d[v * k + u]
+        if back is not None and back + w < 0:
+            return False
+        cur = d[u * k + v]
+        if cur is not None and cur <= w:
+            continue
+        row_v = v * k
+        heads = [(j, d[row_v + j]) for j in range(k) if d[row_v + j] is not None]
+        for i in range(0, k * k, k):
+            into = d[i + u]
+            if into is None:
+                continue
+            into += w
+            for j, out in heads:
+                t = into + out
+                old = d[i + j]
+                if old is None or t < old:
+                    d[i + j] = t
+    return True
 
 
 def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:

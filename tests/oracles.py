@@ -229,10 +229,12 @@ def fraction_options(p, basis):
 
 
 def fraction_local_cells(ctx, owned_only=False):
-    """`enumerate_local_cells` with `Fraction` bounds, the search that the
-    lattice systems replaced: the same depth-first product over the tie sets
-    of `fraction_options`, each prefix probed by `solve` with unit 1, no
-    node cap.  Returns the cells sorted by key."""
+    """`enumerate_local_cells` with `Fraction` bounds and a `solve` per
+    prefix, the search that the lattice systems and the difference-bound
+    matrix replaced: the same depth-first product over the tie sets of
+    `fraction_options`, each prefix probed by `solve` with unit 1, no node
+    cap.  Returns the cells sorted by key and the number of tie-pattern
+    nodes, one per selection tried on a feasible prefix."""
     p, basis, m = ctx.p, ctx.basis, ctx.p.m
     underlying = p.underlying_matroid()
     rows = []
@@ -240,11 +242,13 @@ def fraction_local_cells(ctx, owned_only=False):
         allowed = [t for t, (slot, _) in enumerate(opts)
                    if not owned_only or basis[slot - 1] < i]
         if not allowed:
-            return []
+            return [], 0
         rows.append((opts, allowed))
     cells = []
+    nodes = 0
 
     def descend(depth, eqs, cons):
+        nonlocal nodes
         if depth == len(rows):
             res = solve(DifferenceSystem(m, tuple(cons), tuple(eqs)))
             if res.feasible:
@@ -255,6 +259,7 @@ def fraction_local_cells(ctx, owned_only=False):
         opts, allowed = rows[depth]
         for size in range(1, len(allowed) + 1):
             for chosen in combinations(allowed, size):
+                nodes += 1
                 # the first chosen term equals the other chosen ones and lies
                 # strictly below every unchosen one
                 rep_slot, rep_delta = opts[chosen[0]]
@@ -268,7 +273,7 @@ def fraction_local_cells(ctx, owned_only=False):
                     descend(depth + 1, eqs2, cons2)
 
     descend(0, [], [])
-    return sorted(cells, key=lambda c: c.key)
+    return sorted(cells, key=lambda c: c.key), nodes
 
 
 def fraction_chart(p, basis, x):

@@ -307,6 +307,15 @@ LATTICE_CASES = [
 ]
 
 
+def assert_same_search(ctx, owned_only):
+    """The production search and the Fraction search with a solve per
+    prefix return the same cells, witnesses included, and try the same
+    tie-pattern nodes: the matrix prunes exactly the prefixes solve refuses."""
+    budget = NodeBudget(10**9)
+    cells = enumerate_local_cells(ctx, budget, owned_only=owned_only)
+    assert (cells, budget.spent) == fraction_local_cells(ctx, owned_only)
+
+
 @pytest.mark.parametrize("make", LATTICE_CASES)
 def test_lattice_search_matches_the_fraction_search(make):
     # the systems on the lattice, int bounds in the unit D, find the cells
@@ -315,11 +324,30 @@ def test_lattice_search_matches_the_fraction_search(make):
     p = make()
     bases = p.underlying_matroid().bases
     for basis in bases:
-        ctx = LocalContext(p, basis)
-        assert enumerate_local_cells(ctx, owned_only=True) == fraction_local_cells(ctx, True)
+        assert_same_search(LocalContext(p, basis), True)
     for basis in (bases[0], bases[len(bases) // 2], bases[-1]):
+        assert_same_search(LocalContext(p, basis), False)
+
+
+NODE_CASES = [
+    pytest.param(two_pyramids, id="two_pyramids"),
+    pytest.param(snowflake, id="snowflake"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((6, 3), (7, 3))
+]
+
+
+@pytest.mark.parametrize("make", NODE_CASES)
+def test_matrix_search_matches_the_solver_search_node_for_node(make):
+    # the owned and the full local search at every basis: the budget spent
+    # by the difference-bound matrix search is the solve-per-prefix count
+    p = make()
+    for basis in p.underlying_matroid().bases:
         ctx = LocalContext(p, basis)
-        assert enumerate_local_cells(ctx) == fraction_local_cells(ctx)
+        assert_same_search(ctx, True)
+        assert_same_search(ctx, False)
 
 
 # ---------------------------------------------------------------------------

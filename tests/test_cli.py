@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -464,6 +465,27 @@ def test_tau_round_trip(capsys, tmp_path):
     assert code == 0 and "valid: True" in out
 
 
+def test_tau_names_each_loop_on_stderr(capsys, tmp_path):
+    # the columns of elements 4 and 6 have no finite height, so both are
+    # loops of tau(V): one stderr line each, stdout as without them
+    hm = tmp_path / "v.json"
+    hm.write_text(json.dumps({
+        "n": 6, "B": [1, 2],
+        "V": [["4", "inf", "5", "inf"], ["5", "inf", "5", "inf"]],
+    }))
+    notes = ("column 4 has no finite entries; 4 will be a loop\n"
+             "column 6 has no finite entries; 6 will be a loop\n")
+    code, text, err = run(capsys, "tau", str(hm))
+    assert (code, err) == (0, notes)
+    assert text.startswith("rank 2 on [6], support size 6\n")
+    code, out, err = run(capsys, "tau", str(hm), "--format", "json")
+    assert (code, err) == (0, notes)
+    assert {tuple(e["subset"]) for e in json.loads(out)["entries"]} == set(combinations((1, 2, 3, 5), 2))
+    hm.write_text(json.dumps({"n": 4, "B": [1, 2], "V": [["1", "inf"], ["inf", "4"]]}))
+    code, _, err = run(capsys, "tau", str(hm))
+    assert (code, err) == (0, "")
+
+
 def test_output_is_deterministic(capsys, example1):
     _, first, _ = run(capsys, "fvector", example1, "--format", "json")
     _, second, _ = run(capsys, "fvector", example1, "--format", "json")
@@ -524,17 +546,26 @@ def test_selftest_scaled(capsys):
     assert out.count("PASS") >= 5
 
 
-def test_selftest_passes_without_asserts():
-    # python -O strips assert statements, so no validation may live in one
+def run_python(*argv):
+    """A fresh interpreter with this checkout's troplin on its path."""
     src = str(Path(troplin.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "troplin.cli", "selftest", "--scale", "100"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_selftest_passes_without_asserts():
+    # python -O strips assert statements, so no validation may live in one
+    proc = run_python("-O", "-m", "troplin.cli", "selftest", "--scale", "100")
     assert proc.returncode == 0, proc.stderr
     assert "selftest: PASS" in proc.stdout
+
+
+def test_cli_import_leaves_logging_out():
+    # logging costs milliseconds of import and RSS on every command
+    proc = run_python("-c", "import sys, troplin.cli; sys.exit('logging' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_help_exits_zero(capsys):

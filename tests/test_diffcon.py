@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from troplin.diffcon import (
     DifferenceSystem,
     make_constraint,
     solve,
+    tighten,
 )
 
 
@@ -165,3 +167,108 @@ def test_boundedness_matches_recession_oracle():
         )
         assert bounded == recession_01_bounded(sys_)
     assert checked > 200
+
+
+# ---------------------------------------------------------------------------
+# the closed difference-bound matrix
+
+
+def matrix_edges(system):
+    """The edges (u, v, bound, strict) of an int-bound system, 0-based."""
+    return [(r - 1, l - 1, c, s) for r, l, c, s, _ in system.all_edges()]
+
+
+def closed_matrix(k, edges, rng=None):
+    """Tighten the empty matrix by the edges, in chunks of random size when
+    rng is given; returns the matrix, or None once an edge is refused."""
+    d = [None] * (k * k)
+    d[::k + 1] = [0] * k
+    at = 0
+    while at < len(edges):
+        step = rng.randint(1, len(edges) - at) if rng else 1
+        if not tighten(d, k, edges[at:at + step]):
+            return None
+        at += step
+    return d
+
+
+def lex_shortest_paths(k, edges):
+    """Floyd-Warshall on (bound, -strict count) pairs; None for no path."""
+    dist = [[(0, 0) if a == b else None for b in range(k)] for a in range(k)]
+    for u, v, c, strict in edges:
+        if dist[u][v] is None or (c, -strict) < dist[u][v]:
+            dist[u][v] = (c, -strict)
+    for via in range(k):
+        for a in range(k):
+            for b in range(k):
+                if dist[a][via] is not None and dist[via][b] is not None:
+                    t = (dist[a][via][0] + dist[via][b][0], dist[a][via][1] + dist[via][b][1])
+                    if dist[a][b] is None or t < dist[a][b]:
+                        dist[a][b] = t
+    return dist
+
+
+def decode(code, scale):
+    """The (bound, -strict count) pair of a matrix entry c * scale - s."""
+    if code is None:
+        return None
+    c = -(-code // scale)
+    return c, code - c * scale
+
+
+def test_matrix_verdicts_match_solve_and_fourier_motzkin():
+    # random_system's bounds, scaled to ints over a unit, added in random
+    # orders and chunks: the matrix refuses exactly the infeasible systems,
+    # and on the others holds every lex-shortest path, coded as the module
+    # docstring says (a code c * K - s with 0 <= s < K)
+    rng = random.Random(2006)
+    feasible = infeasible = 0
+    for _ in range(600):
+        sys_ = random_system(rng)
+        d = 6 * rng.randint(1, 5)
+        k = sys_.num_vars
+        lattice = DifferenceSystem(
+            k, tuple(c._replace(bound=int(c.bound * d)) for c in sys_.constraints),
+            tuple((l, r, int(c * d)) for l, r, c in sys_.equalities), unit=d)
+        want = fm_feasible(sys_)
+        assert solve(lattice, want_witness=False).feasible == want
+        edges = matrix_edges(lattice)
+        dist = lex_shortest_paths(k, edges)
+        scale = 2 * k + 2
+        for _ in range(3):
+            rng.shuffle(edges)
+            closed = closed_matrix(k, edges, rng)
+            assert (closed is not None) == want
+            if closed is not None:
+                assert [[decode(e, scale) for e in closed[a * k:a * k + k]]
+                        for a in range(k)] == dist
+        feasible += want
+        infeasible += not want
+    assert feasible > 200 and infeasible > 100
+
+
+@pytest.mark.parametrize("edges, feasible", [
+    # x2 < x1 and x1 < x2: a zero cycle with strict edges
+    ([(0, 1, 0, True), (1, 0, 0, True)], False),
+    # x2 <= x1 and x1 <= x2: a zero cycle with none
+    ([(0, 1, 0, False), (1, 0, 0, False)], True),
+    # x2 - x1 < 1 and x1 - x2 < 0: the strict counts must not outweigh a unit
+    ([(0, 1, 1, True), (1, 0, 0, True)], True),
+    # three strict edges around a cycle of weight 1
+    ([(0, 1, 0, True), (1, 2, 0, True), (2, 0, 1, True)], True),
+    ([(0, 1, 0, True), (1, 2, 0, True), (2, 0, 0, False)], False),
+    # x2 - x1 = 3 and x3 - x2 = -1 pin x3 - x1 to 2
+    ([(0, 1, 3, False), (1, 0, -3, False), (1, 2, -1, False), (2, 1, 1, False),
+      (0, 2, 2, True)], False),
+    ([(0, 1, 3, False), (1, 0, -3, False), (1, 2, -1, False), (2, 1, 1, False),
+      (0, 2, 2, False)], True),
+    ([(0, 1, 3, False), (1, 0, -3, False), (1, 2, -1, False), (2, 1, 1, False),
+      (2, 0, -2, True)], False),
+    # a self-loop holds exactly when its bound does
+    ([(1, 1, 0, False)], True),
+    ([(1, 1, 0, True)], False),
+])
+def test_matrix_explicit_cycles(edges, feasible):
+    k = 3
+    for order in permutations(edges):
+        assert (closed_matrix(k, list(order)) is not None) == feasible
