@@ -9,18 +9,24 @@ system is feasible.  The patterns are searched depth first, one element's
 tie set per level, and a node of the search is one tie set tried on a
 feasible prefix.  Each node adds its constraints to the prefix's closed
 difference-bound matrix (`diffcon.tighten`), which decides exactly whether
-the longer prefix is still feasible.  A full pattern that survives is
-solved once by `diffcon.solve` for a witness point, mapped back through the
-chart and identified by the matroid of maximum-weight bases there.  The
-systems live on the vector's integer lattice: their bounds are the chart's
-int deltas (p_{B-b+i} - p_B) * D, read in the unit D, so neither the matrix
-nor the solver rescales a `Fraction`.  `validate` stays on `Fraction`.
+the longer prefix is still feasible.  A full pattern that survives reads
+its witness off its closed matrix (`diffcon.matrix_witness`): the column
+minima are the potentials that `diffcon.solve` would reach, so the witness
+is the one `solve` returns, and no leaf calls `solve`.  The witness is
+mapped back through the chart and identified by the matroid of
+maximum-weight bases there.  The systems live on the vector's integer
+lattice: their bounds are the chart's int deltas (p_{B-b+i} - p_B) * D,
+read in the unit D, and the witness, the chart point and the face scan
+stay on integers until the cell's `Fraction` witness is built.  `validate`
+stays on `Fraction`.
 
 A cell lies in the chart region of every basis of its face matroid, and its
 tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
 lex-least basis exactly when no such exchange has i < b, so restricting
 every S_i to elements below i finds each cell once, in the chart of its
-lex-least basis, with nothing to merge.
+lex-least basis, with nothing to merge.  No support subset before B in
+lex order has maximum weight at such a cell, so its face is scanned from
+B's row of the support on.
 
 A cell is dual to the face P_M of the matroid subdivision, where M is its
 face matroid, and dim P_M = n - c(M) for c(M) connected components
@@ -40,8 +46,9 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chart import LocalContext
-from .diffcon import Constraint, DifferenceSystem, solve, tighten
-from .matroid import Matroid, subset_from_mask
+from .diffcon import solve  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
+from .diffcon import matrix_witness, tighten
+from .matroid import Matroid, mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector
 
 MAX_ENUMERATION_GROUND = 10
@@ -68,7 +75,7 @@ class NodeBudget:
     def spend(self) -> None:
         self.spent += 1
         if self.spent > self.limit:
-            raise EnumerationLimit(f"tie-pattern search exceeded {self.limit} solver nodes")
+            raise EnumerationLimit(f"cell enumeration exceeded {self.limit} tie-pattern nodes")
 
 
 class Cell(NamedTuple):
@@ -93,26 +100,27 @@ class Cell(NamedTuple):
 
 
 def _selection_system(opts: Sequence[tuple[int, int]], chosen_idx: Sequence[int]):
-    """Equalities/constraints forcing argmin(slots) == chosen among the options.
+    """The matrix edges forcing argmin(slots) == chosen among the options,
+    and the gcd of their bounds (0 when there is no edge).
 
-    ``opts`` lists (slot, delta) terms x_slot + delta, with 1-based slots and
+    ``opts`` lists (slot, delta) terms x_slot + delta, with 0-based slots and
     the deltas on the vector's lattice, so the bounds come out as ints in the
     same unit; ``chosen_idx`` indexes into opts.  The first chosen term is
-    the representative: every other chosen term equals it, every unchosen
-    term exceeds it strictly.
+    the representative: every unchosen term exceeds it strictly, and every
+    other chosen term equals it, as a pair of opposite edges.  An edge
+    (u, v, c, strict) is x_v - x_u <= c (< c when strict), as `tighten`
+    reads it.
     """
     rep_slot, rep_delta = opts[chosen_idx[0]]
-    chosen_set = set(chosen_idx)
-    eqs = []
-    cons = []
+    edges = [
+        (slot, rep_slot, delta - rep_delta, True)
+        for t, (slot, delta) in enumerate(opts) if t not in chosen_idx
+    ]
     for t in chosen_idx[1:]:
         slot, delta = opts[t]
-        eqs.append((slot, rep_slot, rep_delta - delta))
-    for t, (slot, delta) in enumerate(opts):
-        if t in chosen_set:
-            continue
-        cons.append(Constraint(rep_slot, slot, delta - rep_delta, strict=True))
-    return eqs, cons
+        edges += [(rep_slot, slot, rep_delta - delta, False),
+                  (slot, rep_slot, delta - rep_delta, False)]
+    return edges, math.gcd(*(c for _, _, c, _ in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -179,66 +187,61 @@ def enumerate_local_cells(
     Runs a depth-first product over the per-element selections.  Each node
     is one selection added to a feasible prefix: its edges tighten the
     prefix's closed difference-bound matrix (`diffcon.tighten`), and a node
-    whose prefix turns infeasible is pruned.  Only a leaf that survives is
-    solved, by `solve`, for its witness.  The selections' systems are built
-    once per chart, on the vector's lattice: int bounds read in the unit D,
-    straight from the chart's scaled deltas.  ``max_nodes`` caps the number
-    of tie-pattern nodes (the product can explode); pass a `NodeBudget` to
-    share one cap between several charts.
+    whose prefix turns infeasible is pruned.  A leaf that survives reads
+    its witness off its matrix (`diffcon.matrix_witness`).  The selections'
+    edges are built once per chart, on the vector's lattice: int bounds read
+    in the unit D, straight from the chart's scaled deltas.  ``max_nodes``
+    caps the number of tie-pattern nodes (the product can explode); pass a
+    `NodeBudget` to share one cap between several charts.
 
     With ``owned_only`` only the cells whose lex-least face basis is
     ctx.basis are returned: the selection for element i is drawn from the
     basis elements below i, while the unchosen terms above i stay strict
-    constraints, so each leaf system is the one the full search solves.
+    constraints, so each leaf system is the one the full search reaches.
+    As ctx.basis is then the lex-least basis of each face, the face is
+    scanned from its row of the support on.
     """
     budget = max_nodes if isinstance(max_nodes, NodeBudget) else NodeBudget(max_nodes)
     p = ctx.p
     m = p.m
     unit = p._weight_lattice()[0]
     underlying = p.underlying_matroid()
-    # per row, every selection as (eqs, cons, its 0-based matrix edges)
+    start = p._supp_list.index(mask_from_subset(ctx.basis, p.n)) if owned_only else 0
+    # per row, every selection as (its matrix edges, their bounds' gcd)
     rows = []
     for i, deltas in ctx._deltas:
-        opts = tuple((j + 1, delta) for j, delta in deltas)
         allowed = tuple(
             t for t, (j, _) in enumerate(deltas)
             if not owned_only or ctx.basis[j] < i
         )
         if not allowed:
             return []
-        row = []
-        for size in range(1, len(allowed) + 1):
-            for chosen_idx in combinations(allowed, size):
-                eqs, cons = _selection_system(opts, chosen_idx)
-                edges = DifferenceSystem(m, tuple(cons), tuple(eqs)).all_edges()
-                row.append((eqs, cons, [(r - 1, l - 1, c, s) for r, l, c, s, _ in edges]))
-        rows.append(row)
+        rows.append([
+            _selection_system(deltas, chosen_idx)
+            for size in range(1, len(allowed) + 1)
+            for chosen_idx in combinations(allowed, size)
+        ])
     cells = []
-    picked = [None] * len(rows)
 
-    def descend(depth, closed):
+    def descend(depth, closed, g):
         if depth == len(rows):
-            system = DifferenceSystem(
-                m,
-                tuple(con for _, cons, _ in picked for con in cons),
-                tuple(eq for eqs, _, _ in picked for eq in eqs),
-                unit,
-            )
-            point = ctx.chart(solve(system).witness)
-            face = p.matroid_at(point)
+            den, xs = matrix_witness(closed, m, unit, g)
+            s = math.lcm(unit, den)
+            vs = ctx._chart_lattice(s, [x * (s // den) for x in xs])
+            face = p._face(s, vs, start)
+            point = tuple(Fraction(v, s) for v in vs)
             cells.append(Cell(face, is_bounded(face, underlying), point))
             return
-        for selection in rows[depth]:
+        for edges, sel_g in rows[depth]:
             budget.spend()
             child = closed.copy()
-            if tighten(child, m, selection[2]):
-                picked[depth] = selection
-                descend(depth + 1, child)
+            if tighten(child, m, edges):
+                descend(depth + 1, child, math.gcd(g, sel_g))
 
     # the empty system: 0 on the diagonal, no path elsewhere
     empty = [None] * (m * m)
     empty[::m + 1] = [0] * m
-    descend(0, empty)
+    descend(0, empty, unit)
     return sorted(cells, key=lambda c: c.key)
 
 
@@ -246,8 +249,8 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
     """The full cell complex of the finite part of the space.
 
     Finds each cell once, in the chart of the lex-least basis of its face
-    matroid.  ``max_nodes`` caps the solver calls of the whole enumeration;
-    ground sets above `MAX_ENUMERATION_GROUND` are refused.
+    matroid.  ``max_nodes`` caps the tie-pattern nodes of the whole
+    enumeration; ground sets above `MAX_ENUMERATION_GROUND` are refused.
     """
     p._need_validated()
     if p.n > MAX_ENUMERATION_GROUND:

@@ -16,8 +16,10 @@ The deltas p_{B - b + i} - p_B are kept on the vector's integer lattice, as
 the lcm of D and x's denominators, v_i * s is an integer minimum, and
 `chart` returns it as Fraction(v_i * s, s); `project`, `chart_inverse`,
 `in_local_space`, `project_any` and every cell witness read through it.
-Cell enumeration states its difference systems on these int deltas, in
-the unit D; `options` rebuilds the `Fraction` deltas when it is read.
+Cell enumeration builds its difference-bound matrix edges from these int
+deltas, in the unit D, and maps each leaf's witness through the chart
+without leaving the lattice; `options` rebuilds the `Fraction` deltas when
+it is read.
 """
 
 from __future__ import annotations
@@ -120,15 +122,19 @@ class LocalContext:
         return self._chart(self.p._as_point(x, self.p.m))
 
     def _chart(self, xs) -> tuple[Fraction, ...]:
-        p = self.p
-        s, scaled = p._to_lattice(xs)
-        k = s // p._weight_lattice()[0]
-        v: list[Fraction] = [Fraction(0)] * p.n
+        s, scaled = self.p._to_lattice(xs)
+        return tuple(Fraction(v, s) for v in self._chart_lattice(s, scaled))
+
+    def _chart_lattice(self, s: int, xs: list[int]) -> list[int]:
+        """The chart on the lattice: for s a multiple of D and xs[j] = x_j * s,
+        the list of v_i * s."""
+        k = s // self.p._weight_lattice()[0]
+        v = [0] * self.p.n
         for b, xb in zip(self.basis, xs):
             v[b - 1] = xb
         for i, opts in self._deltas:
-            v[i - 1] = Fraction(min(scaled[j] + delta * k for j, delta in opts), s)
-        return tuple(v)
+            v[i - 1] = min(xs[j] + delta * k for j, delta in opts)
+        return v
 
     def _coords(self, pt) -> tuple[Fraction, ...]:
         """The B-coordinates of a point."""

@@ -71,6 +71,22 @@ paths that use the new edge use it once, and the update
 compares codes with s <= 2(k - 1) + 1 < K, so it keeps the lex minimum,
 which is again a simple path's weight.  The verdicts are exact, whatever
 the order in which edges arrive.
+
+A feasible system's witness comes off its closed matrix too
+(`matrix_witness`), with no Bellman-Ford run.  The implicit source reaches
+each node j at (0, 0) directly and along every path into j, so `solve`'s
+potential there is the lex minimum of (0, 0) and of the path weights into
+j: the column minimum min_i d[i * k + j], where the diagonal's 0 stands for
+the source's own edge.  That minimum is a simple path's weight, or 0, so
+its strict count s_j is at most k - 1 < K, and the code w_j = c_j * K - s_j
+decodes as c_j = ceil(w_j / K) and s_j = c_j * K - w_j.  For int bounds
+q = 1, so g is the gcd of the unit and of every bound in the system, and
+the formula above gives the witness `solve` returns, bit for bit:
+
+    x_j = (c_j / g * (k + 1) - s_j) / (unit / g * (k + 1)).
+
+The gcd is taken over the system's bounds, not over the matrix entries:
+it covers the bounds of edges that `tighten` found redundant as well.
 """
 
 from __future__ import annotations
@@ -163,6 +179,23 @@ def tighten(d: list, k: int, edges) -> bool:
                 if old is None or t < old:
                     d[i + j] = t
     return True
+
+
+def matrix_witness(d: list, k: int, unit: int, g: int) -> tuple[int, list[int]]:
+    """The witness `solve` returns, read off a closed difference-bound matrix.
+
+    ``d`` is the closed k x k matrix of a feasible system of int bounds in
+    the positive integer ``unit``, and ``g`` the gcd of the unit and of
+    every bound of the system.  Returns the witness over one denominator,
+    as (den, [x_j * den]); the module docstring proves that it is `solve`'s.
+    """
+    scale = 2 * k + 2
+    out = []
+    for j in range(k):
+        code = min(w for w in d[j::k] if w is not None)
+        c = -(-code // scale)
+        out.append(c // g * (k + 1) - (c * scale - code))
+    return unit // g * (k + 1), out
 
 
 def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:

@@ -69,6 +69,12 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def _lex_sorted(masks) -> tuple[tuple, tuple]:
+    """(subsets, masks) of the given masks, in lexicographic subset order."""
+    pairs = sorted((subset_from_mask(mk), mk) for mk in masks)
+    return tuple(s for s, _ in pairs), tuple(mk for _, mk in pairs)
+
+
 class Matroid:
     """A matroid given by its list of bases."""
 
@@ -92,7 +98,7 @@ class Matroid:
         for mk in masks:
             if popcount(mk) != m:
                 raise ValueError("bases must all have the same size")
-        self._fill(n, masks)
+        self._fill(n, *_lex_sorted(masks))
         bad = kernels.exchange_violation(self._masks, n)
         if bad is not None:
             amask, bmask, elem = bad
@@ -107,17 +113,17 @@ class Matroid:
         bases go through `Matroid(n, bases)` instead.
         """
         obj = cls.__new__(cls)
-        obj._fill(n, masks)
+        obj._fill(n, *_lex_sorted(masks))
         return obj
 
-    def _fill(self, n: int, masks) -> None:
-        # one subset per mask, sorted once: lexicographic subset order
-        pairs = sorted((subset_from_mask(mk), mk) for mk in masks)
+    def _fill(self, n: int, subsets: tuple, masks: tuple) -> None:
+        """Set the slots from the bases as subsets and as masks, both in
+        lexicographic subset order already; every constructor ends here."""
         self.n = n
-        self.m = len(pairs[0][0])
-        self._subsets = tuple(s for s, _ in pairs)
-        self._masks = tuple(mk for _, mk in pairs)
-        self._mask_set = frozenset(self._masks)
+        self.m = len(subsets[0])
+        self._subsets = subsets
+        self._masks = masks
+        self._mask_set = frozenset(masks)
         self._loops = None
         self._components = None
 

@@ -15,7 +15,9 @@ denominators, and a point v is scaled by s, the lcm of D and its own
 denominators, to the integers v_i * s (`_to_lattice`).  Entries scale to
 p_A * D and circuit entries to c_i * D, and s / D is an integer, so the
 argmax of `matroid_at` and the circuit minima of `failing_circuit` compare
-integers and give the exact `Fraction` answers.  `chart.LocalContext` keeps
+integers and give the exact `Fraction` answers.  `contains` reads the same
+argmax without building the matroid: the point is in the space when the
+maximal-weight subsets cover [n].  `chart.LocalContext` keeps
 its chart deltas on the same lattice.  Parsing, formatting and `validate`
 stay on `Fraction`.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .matroid import (
@@ -322,8 +325,10 @@ class PlueckerVector:
         """The entries on an integer lattice, built on first use.
 
         Returns D, the lcm of the entry denominators; {mask: p_A * D}; and
-        per support mask in `_supp_list` order its 0-based element indices
-        and p_A * D.
+        per support mask in `_supp_list` order a row: a getter of its
+        coordinates from a point's list (a slice when m = 1, as a one-index
+        `itemgetter` returns the item itself), p_A * D, the subset and the
+        mask.
         """
         if self._lattice is None:
             d = math.lcm(*(val.denominator for val in self._entries.values()))
@@ -331,11 +336,13 @@ class PlueckerVector:
                 mask: val.numerator * (d // val.denominator)
                 for mask, val in self._entries.items()
             }
-            rows = tuple(
-                (tuple(e - 1 for e in subset_from_mask(mask)), scaled[mask])
-                for mask in self._supp_list
-            )
-            self._lattice = (d, scaled, rows)
+            rows = []
+            for mask in self._supp_list:
+                subset = subset_from_mask(mask)
+                pick = (itemgetter(*(e - 1 for e in subset)) if len(subset) > 1
+                        else itemgetter(slice(subset[0] - 1, subset[0])))
+                rows.append((pick, scaled[mask], subset, mask))
+            self._lattice = (d, scaled, tuple(rows))
         return self._lattice
 
     def _to_lattice(self, coords) -> tuple[int, list[int]]:
@@ -358,14 +365,31 @@ class PlueckerVector:
 
     def _matroid_at(self, pt: tuple[Fraction, ...]) -> Matroid:
         """`matroid_at` of a point already read by `_as_point`."""
+        return self._face(*self._to_lattice(pt))
+
+    def _face(self, s: int, xs: list[int], start: int = 0) -> Matroid:
+        """`matroid_at` of the lattice point (s, xs) of `_to_lattice`.
+
+        Only the support rows from index ``start`` of `_supp_list` on are
+        scanned; a caller passes the index of a subset it knows to be the
+        lex-least winner.  The winners come in lex order, so they fill the
+        matroid as they are.
+        """
+        top = self._top_rows(s, xs, start)
+        face = Matroid.__new__(Matroid)
+        face._fill(self.n, tuple(row[2] for row in top), tuple(row[3] for row in top))
+        return face
+
+    def _top_rows(self, s: int, xs: list[int], start: int = 0) -> list[tuple]:
+        """The `_weight_lattice` rows of maximum weight at the lattice point
+        (s, xs), from row ``start`` on, in `_supp_list` order."""
         d, _, rows = self._weight_lattice()
-        s, xs = self._to_lattice(pt)
-        get = xs.__getitem__
+        if start:
+            rows = rows[start:]
         k = s // d
-        weights = [sum(map(get, idx)) - pd * k for idx, pd in rows]
+        weights = [sum(pick(xs)) - pd * k for pick, pd, _, _ in rows]
         best = max(weights)
-        winners = [mask for mask, w in zip(self._supp_list, weights) if w == best]
-        return Matroid.from_masks(self.n, winners)
+        return [row for row, w in zip(rows, weights) if w == best]
 
     # -- membership -----------------------------------------------------------
 
@@ -405,13 +429,17 @@ class PlueckerVector:
         return self.failing_circuit(point) is None
 
     def contains(self, point) -> bool:
-        """Finite-part membership: the local matroid at the point is loopless.
+        """Finite-part membership: the local matroid at the point is loopless,
+        that is, its bases cover the ground set.
 
         `contains_via_circuits` decides the same predicate independently; the
         test suite and `troplin selftest` check that the two agree.
         """
         self._need_validated()
-        return not self.matroid_at(point).loops()
+        covered = 0
+        for row in self._top_rows(*self._to_lattice(self._as_point(point))):
+            covered |= row[3]
+        return covered == (1 << self.n) - 1
 
     # -- circuit elimination ---------------------------------------------------
 

@@ -5,8 +5,10 @@ no shared code with the library internals beyond data types.  Slow is fine;
 wrong is not.  The exceptions are slow paths that library fast paths
 replaced, kept here to check the fast paths against: `all_bases_cells`; the
 `fraction_*` chart, circuit-membership and tie-pattern search paths that
-the integer lattice replaced; and `padded_minors`, the maximal minors of the
-padded matrix `augment` that `conical.tau` replaced by minors of V alone.
+the integer lattice replaced; `solve_leaf_cells`, the search with the
+`solve` leaf that the witness read off the matrix replaced; and
+`padded_minors`, the maximal minors of the padded matrix `augment` that
+`conical.tau` replaced by minors of V alone.
 """
 
 import math
@@ -15,7 +17,7 @@ from itertools import combinations, permutations, product
 
 from troplin.cells import Cell, enumerate_local_cells, is_bounded
 from troplin.chart import LocalContext
-from troplin.diffcon import Constraint, DifferenceSystem, solve
+from troplin.diffcon import Constraint, DifferenceSystem, solve, tighten
 from troplin.semiring import INF, is_finite, is_orthogonal
 
 
@@ -273,6 +275,62 @@ def fraction_local_cells(ctx, owned_only=False):
                     descend(depth + 1, eqs2, cons2)
 
     descend(0, [], [])
+    return sorted(cells, key=lambda c: c.key), nodes
+
+
+def solve_leaf_cells(ctx, owned_only=False):
+    """`enumerate_local_cells` with the leaf it had before the witness was
+    read off the matrix: the same lattice selections and matrix search, but
+    each surviving leaf builds its `DifferenceSystem` of `Constraint`s and
+    equalities in the unit D, takes `solve`'s witness, and finds the face by
+    `matroid_at`'s scan of every support row.  Returns the cells sorted by
+    key and the number of tie-pattern nodes."""
+    p, basis, m = ctx.p, ctx.basis, ctx.p.m
+    unit = p._weight_lattice()[0]
+    underlying = p.underlying_matroid()
+    rows = []
+    for i, deltas in ctx._deltas:
+        opts = tuple((j + 1, delta) for j, delta in deltas)
+        allowed = [t for t, (j, _) in enumerate(deltas) if not owned_only or basis[j] < i]
+        if not allowed:
+            return [], 0
+        row = []
+        for size in range(1, len(allowed) + 1):
+            for chosen in combinations(allowed, size):
+                rep_slot, rep_delta = opts[chosen[0]]
+                eqs = [(opts[t][0], rep_slot, rep_delta - opts[t][1]) for t in chosen[1:]]
+                cons = [Constraint(rep_slot, slot, delta - rep_delta, True)
+                        for t, (slot, delta) in enumerate(opts) if t not in chosen]
+                edges = DifferenceSystem(m, tuple(cons), tuple(eqs)).all_edges()
+                row.append((eqs, cons, [(r - 1, l - 1, c, st) for r, l, c, st, _ in edges]))
+        rows.append(row)
+    cells = []
+    picked = [None] * len(rows)
+    nodes = 0
+
+    def descend(depth, closed):
+        nonlocal nodes
+        if depth == len(rows):
+            system = DifferenceSystem(
+                m,
+                tuple(con for _, cons, _ in picked for con in cons),
+                tuple(eq for eqs, _, _ in picked for eq in eqs),
+                unit,
+            )
+            point = ctx.chart(solve(system).witness)
+            face = p.matroid_at(point)
+            cells.append(Cell(face, is_bounded(face, underlying), point))
+            return
+        for selection in rows[depth]:
+            nodes += 1
+            child = closed.copy()
+            if tighten(child, m, selection[2]):
+                picked[depth] = selection
+                descend(depth + 1, child)
+
+    empty = [None] * (m * m)
+    empty[::m + 1] = [0] * m
+    descend(0, empty)
     return sorted(cells, key=lambda c: c.key), nodes
 
 

@@ -17,6 +17,7 @@ from oracles import (
     mixed_total_count,
     mobius_invariant,
     recession_01_bounded,
+    solve_leaf_cells,
     tie_pattern,
     tree_failures,
 )
@@ -143,7 +144,7 @@ def test_node_budget_covers_the_whole_enumeration():
     for basis in p.underlying_matroid().bases:
         enumerate_local_cells(LocalContext(p, basis), cap, owned_only=True)
     # ... but the enumeration as a whole does not
-    with pytest.raises(EnumerationLimit, match=f"exceeded {cap} solver nodes"):
+    with pytest.raises(EnumerationLimit, match=f"exceeded {cap} tie-pattern nodes"):
         enumerate_cells(p, max_nodes=cap)
     assert enumerate_cells(p, max_nodes=sum(spent))
 
@@ -348,6 +349,35 @@ def test_matrix_search_matches_the_solver_search_node_for_node(make):
         ctx = LocalContext(p, basis)
         assert_same_search(ctx, True)
         assert_same_search(ctx, False)
+
+
+LEAF_CASES = [
+    pytest.param(lambda: direct_sum(two_pyramids(), _tau_instance("tie", 4, 2)),
+                 id="two_pyramids+tau_tie_4_2"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((6, 3), (7, 4))
+]
+
+
+@pytest.mark.parametrize("make", LEAF_CASES)
+def test_matrix_leaf_matches_the_solve_leaf(make):
+    # the witness read off the closed matrix, and the owned face scanned
+    # from B's row, give the cells, witnesses and node counts of the leaf
+    # that ran solve on a DifferenceSystem and scanned every support row:
+    # owned cells and the full local complex, at every basis
+    p = make()
+    for basis in p.underlying_matroid().bases:
+        ctx = LocalContext(p, basis)
+        for owned_only in (True, False):
+            budget = NodeBudget(10**9)
+            cells = enumerate_local_cells(ctx, budget, owned_only=owned_only)
+            assert (cells, budget.spent) == solve_leaf_cells(ctx, owned_only)
+
+
+def test_the_leaf_cases_include_a_disconnected_matroid():
+    assert len(LEAF_CASES[0].values[0]().underlying_matroid().components()) == 2
 
 
 # ---------------------------------------------------------------------------

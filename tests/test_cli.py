@@ -370,14 +370,14 @@ def test_enumeration_limit_is_one_line(capsys, example1, argv):
     command, *rest = argv
     code, out, err = run(capsys, command, example1, *rest, "--max-patterns", "1")
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "exceeded 1 solver nodes" in err
+    assert err.count("\n") == 1 and "exceeded 1 tie-pattern nodes" in err
 
 
 def test_max_patterns_caps_the_whole_enumeration(capsys, snowflake_file):
-    # every chart of the snowflake fits in 48 solver nodes; all of them do not
+    # every chart of the snowflake fits in 48 tie-pattern nodes; all of them do not
     code, out, err = run(capsys, "cells", snowflake_file, "--max-patterns", "48")
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "exceeded 48 solver nodes" in err
+    assert err.count("\n") == 1 and "exceeded 48 tie-pattern nodes" in err
 
 
 @pytest.mark.parametrize("command", ["fvector", "conical"])
@@ -531,7 +531,7 @@ def test_integer_flags_are_read_strictly(capsys, example1, argv, message):
 
 
 def test_zero_max_patterns_enumerates_a_full_rank_vector(capsys, tmp_path):
-    # m = n: one basis, no non-basis element, so no solver node at all
+    # m = n: one basis, no non-basis element, so no tie-pattern node at all
     path = tmp_path / "full.json"
     path.write_text(json.dumps(_zero_vector(3, 3, ([1, 2, 3],))))
     code, out, err = run(capsys, "cells", str(path), "--max-patterns", "0")

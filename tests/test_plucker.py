@@ -206,6 +206,66 @@ def test_contains_routes_and_definition_agree():
         assert largest >= min(3, len(bases))
 
 
+def seeded_tau(kind, n, m):
+    """Seeded tau: generic heights, heights in {0, 1, 2} (ties everywhere),
+    or heights with a quarter knocked out to INF."""
+    rng = random.Random(f"cover/{kind}/{n}/{m}")
+    if kind == "generic":
+        return tau(random_height_matrix(n, m, rng=rng))
+    if kind == "tie":
+        rows = [[rng.choice((0, 1, 2)) for _ in range(n - m)] for _ in range(m)]
+    else:
+        rows = [[INF if rng.random() < 0.25 else rng.randrange(10) for _ in range(n - m)]
+                for _ in range(m)]
+    return tau(HeightMatrix(n, range(1, m + 1), rows))
+
+
+def _checked(n, m, entries):
+    p = PlueckerVector(n, m, entries)
+    assert p.validate().ok
+    return p
+
+
+COVER_CASES = [
+    pytest.param(lambda: _checked(3, 1, {(1,): 0, (2,): 1, (3,): 3}), id="rank1_3"),
+    pytest.param(lambda: _checked(3, 1, {(1,): 0, (2,): 2}), id="rank1_with_a_loop"),
+    pytest.param(lambda: _checked(4, 2, {(1, 3): 0, (1, 4): 0, (2, 3): 0, (2, 4): 0}),
+                 id="u12_plus_u12"),
+    pytest.param(rank3_pair, id="rank3_pair"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: seeded_tau(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((6, 3), (7, 4))
+]
+
+
+@pytest.mark.parametrize("make", COVER_CASES)
+def test_contains_by_cover_matches_loops_and_circuits(make):
+    # contains reads membership as "the max-weight subsets cover the ground
+    # set", without building the face; on random points (mostly outside)
+    # and chart images (inside) it agrees with the face's loops and with
+    # the circuit test
+    p = make()
+    assert p.validated
+    rng = random.Random(f"cover/{p.n}/{p.m}/{len(p.support())}")
+    points = [
+        tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(p.n))
+        for _ in range(40)
+    ]
+    if not p.underlying_matroid().loops():
+        bases = p.underlying_matroid().bases
+        for t in range(40):
+            ctx = LocalContext(p, bases[t % len(bases)])
+            points.append(ctx.chart(tuple(Fraction(rng.randint(-3, 3)) for _ in range(p.m))))
+    verdicts = set()
+    for v in points:
+        verdict = p.contains(v)
+        assert verdict == (not p.matroid_at(v).loops())
+        assert verdict == p.contains_via_circuits(v)
+        verdicts.add(verdict)
+    assert verdicts == ({True, False} if not p.underlying_matroid().loops() else {False})
+
+
 def tiny_gap():
     entries = {s: 0 for s in ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))}
     entries[(1, 3)] = Fraction(1, 2**300)
