@@ -123,7 +123,13 @@ class LocalContext:
 
     def _chart(self, xs) -> tuple[Fraction, ...]:
         s, scaled = self.p._to_lattice(xs)
-        return tuple(Fraction(v, s) for v in self._chart_lattice(s, scaled))
+        v = self._chart_lattice(s, scaled)
+        # the basis coordinates are x itself: no Fraction to rebuild
+        for b, xb in zip(self.basis, xs):
+            v[b - 1] = xb
+        for i, _ in self._deltas:
+            v[i - 1] = Fraction(v[i - 1], s)
+        return tuple(v)
 
     def _chart_lattice(self, s: int, xs: list[int]) -> list[int]:
         """The chart on the lattice: for s a multiple of D and xs[j] = x_j * s,

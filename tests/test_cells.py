@@ -366,11 +366,14 @@ def test_matrix_leaf_matches_the_solve_leaf(make):
     # the witness read off the closed matrix, and the owned face scanned
     # from B's row, give the cells, witnesses and node counts of the leaf
     # that ran solve on a DifferenceSystem and scanned every support row:
-    # owned cells and the full local complex, at every basis
+    # owned cells at every basis, and the full local complex at the first,
+    # middle and last one
     p = make()
-    for basis in p.underlying_matroid().bases:
+    bases = p.underlying_matroid().bases
+    full = {bases[0], bases[len(bases) // 2], bases[-1]}
+    for basis in bases:
         ctx = LocalContext(p, basis)
-        for owned_only in (True, False):
+        for owned_only in (True, False) if basis in full else (True,):
             budget = NodeBudget(10**9)
             cells = enumerate_local_cells(ctx, budget, owned_only=owned_only)
             assert (cells, budget.spent) == solve_leaf_cells(ctx, owned_only)
