@@ -36,6 +36,21 @@ spanned by the indicator vectors of the underlying matroid's components
 (Speyer 2008), so the minimum is that component count, at least 1.
 "Bounded" means bounded modulo that space: P_M is an interior face, on no
 facet of the underlying matroid polytope that the lineality does not span.
+
+A leaf reads boundedness off its closed difference-bound matrix.  On the
+cell's tie-pattern region R the chart is affine and injective, and it is
+the identity on the coordinates of B.  Every exchange B - b + i lies in one
+component C of the underlying matroid, so adding t * 1_{B & C} to a chart
+point adds t * 1_C to its image: the preimage of the lineality space is
+W = span{1_{B & C}}, and the cell is bounded modulo the lineality exactly
+when R is bounded modulo W.  Points modulo W are fixed by the differences
+x_v - x_u of slots whose basis elements share a component, and on the
+nonempty region R such a difference is bounded above exactly when the
+system has a path from u to v, i.e. when the closed entry d[u * m + v] is
+not None.  So the cell is bounded iff that entry is finite for every
+ordered pair of distinct slots in one underlying component.  Pairs across
+components never have a path; they span the extra lineality of a
+disconnected underlying matroid, so the criterion leaves them out.
 """
 
 from __future__ import annotations
@@ -168,7 +183,12 @@ def unbounded_directions(face: Matroid, underlying: Matroid) -> Iterator[tuple[i
 
 
 def is_bounded(face: Matroid, underlying: Matroid) -> bool:
-    """Is the cell with this face matroid bounded modulo the lineality space?"""
+    """Is the cell with this face matroid bounded modulo the lineality space?
+
+    The face-matroid criterion: no union of face components is a direction
+    of `unbounded_directions`.  Enumeration reads the same verdict off each
+    leaf's closed matrix (see the module docstring); `conical` and the
+    tests use this one."""
     return next(unbounded_directions(face, underlying), None) is None
 
 
@@ -188,11 +208,16 @@ def enumerate_local_cells(
     is one selection added to a feasible prefix: its edges tighten the
     prefix's closed difference-bound matrix (`diffcon.tighten`), and a node
     whose prefix turns infeasible is pruned.  A leaf that survives reads
-    its witness off its matrix (`diffcon.matrix_witness`).  The selections'
-    edges are built once per chart, on the vector's lattice: int bounds read
-    in the unit D, straight from the chart's scaled deltas.  ``max_nodes``
-    caps the number of tie-pattern nodes (the product can explode); pass a
-    `NodeBudget` to share one cap between several charts.
+    its witness off its matrix (`diffcon.matrix_witness`), and is bounded
+    iff its matrix has a finite entry for every ordered pair of slots whose
+    basis elements share a component of the underlying matroid: those
+    entries bound the within-component differences, which fix the cell
+    modulo the lineality space (the module docstring proves it).  The
+    selections' edges and that list of pairs are built once per chart; the
+    edges live on the vector's lattice: int bounds read in the unit D,
+    straight from the chart's scaled deltas.  ``max_nodes`` caps the number
+    of tie-pattern nodes (the product can explode); pass a `NodeBudget` to
+    share one cap between several charts.
 
     With ``owned_only`` only the cells whose lex-least face basis is
     ctx.basis are returned: the selection for element i is drawn from the
@@ -205,8 +230,15 @@ def enumerate_local_cells(
     p = ctx.p
     m = p.m
     unit = p._weight_lattice()[0]
-    underlying = p.underlying_matroid()
     start = p._supp_list.index(mask_from_subset(ctx.basis, p.n)) if owned_only else 0
+    # the matrix entries (u, v) of slots in one underlying component
+    comp = {e: k for k, c in enumerate(p.underlying_matroid().components()) for e in c}
+    linked = [
+        u * m + v
+        for u, bu in enumerate(ctx.basis)
+        for v, bv in enumerate(ctx.basis)
+        if u != v and comp[bu] == comp[bv]
+    ]
     # per row, every selection as (its matrix edges, their bounds' gcd)
     rows = []
     for i, deltas in ctx._deltas:
@@ -230,7 +262,8 @@ def enumerate_local_cells(
             vs = ctx._chart_lattice(s, [x * (s // den) for x in xs])
             face = p._face(s, vs, start)
             point = tuple(Fraction(v, s) for v in vs)
-            cells.append(Cell(face, is_bounded(face, underlying), point))
+            bounded = all(closed[t] is not None for t in linked)
+            cells.append(Cell(face, bounded, point))
             return
         for edges, sel_g in rows[depth]:
             budget.spend()

@@ -14,6 +14,7 @@ first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -396,7 +397,12 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `troplin` parser, built on the first call and shared after it.
+
+    Each `parse_args` starts from a fresh namespace, so no value carries
+    over from one `main` call to the next."""
     ap = _Parser(
         prog="troplin",
         description="Exact tropical Pluecker vectors, charts and cell complexes.",

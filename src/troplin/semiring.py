@@ -124,6 +124,8 @@ def parse_scalar(text: str) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     if x is INF:
         return "inf"
+    if type(x) is Fraction:
+        return str(x)  # the same text as str(Fraction(x)), without the copy
     return str(Fraction(x))
 
 

@@ -358,8 +358,16 @@ def disconnected_sum():
     return p
 
 
+def disconnected_unbounded_sum():
+    """snowflake + generic tau (4,2): both components give unbounded cells."""
+    p = direct_sum(snowflake(), _tau_instance("generic", 4, 2))
+    assert len(p.underlying_matroid().components()) == 2
+    return p
+
+
 LEAF_CASES = [
     pytest.param(disconnected_sum, id="two_pyramids+tau_tie_4_2"),
+    pytest.param(disconnected_unbounded_sum, id="snowflake+tau_generic_4_2"),
 ] + [
     pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind in ("generic", "tie", "knockout")
@@ -369,11 +377,12 @@ LEAF_CASES = [
 
 @pytest.mark.parametrize("make", LEAF_CASES)
 def test_matrix_leaf_matches_the_solve_leaf(make):
-    # the witness read off the closed matrix, and the owned face scanned
-    # from B's row, give the cells, witnesses and node counts of the leaf
-    # that ran solve on a DifferenceSystem and scanned every support row:
-    # owned cells at every basis, and the full local complex at the first,
-    # middle and last one
+    # the witness read off the closed matrix, the owned face scanned from
+    # B's row, and boundedness read off the matrix's within-component
+    # entries give the cells, witnesses, `bounded` flags and node counts of
+    # the leaf that ran solve on a DifferenceSystem, scanned every support
+    # row and asked `is_bounded`: owned cells at every basis, and the full
+    # local complex at the first, middle and last one
     p = make()
     bases = p.underlying_matroid().bases
     full = {bases[0], bases[len(bases) // 2], bases[-1]}

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import troplin
-from troplin.cli import main
+from troplin.cells import enumerate_cells
+from troplin.cli import build_parser, main
 from troplin.examples import snowflake, two_pyramids
 from troplin.selftest import DEFAULT_SEED
 
@@ -378,6 +379,29 @@ def test_max_patterns_caps_the_whole_enumeration(capsys, snowflake_file):
     code, out, err = run(capsys, "cells", snowflake_file, "--max-patterns", "48")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "exceeded 48 tie-pattern nodes" in err
+
+
+def test_main_repeats_in_one_process(capsys, snowflake_file):
+    # the parser is built once per process; no flag value may leak from one
+    # call into the next, so each call answers as it does on a fresh parser
+    sequence = [
+        ("cells", snowflake_file, "--max-patterns", "48"),
+        ("cells", snowflake_file),
+        ("--version",),
+        ("no-such-command",),
+        ("cells", snowflake_file),
+    ]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in sequence]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 2, 0]
+    assert shared[1][1].startswith(f"{len(enumerate_cells(snowflake()))} cells\n")
+    assert shared[4] == shared[1]
 
 
 @pytest.mark.parametrize("command", ["fvector", "conical"])
