@@ -11,6 +11,17 @@ exactly the part of the space where B has maximum weight, and the same
 formula applied to an ambient point y (using y's B-coordinates) is the
 projection onto that part.
 
+The chart region is decided by B's own exchanges, not by a scan of the
+support.  A valuated matroid's basis has maximum weight iff no single
+exchange B - b + i raises the weight (Dress & Wenzel, "Valuated matroids",
+Adv. Math. 93, 1992; Murota, Discrete Convex Analysis, SIAM 2003, ch. 5).
+At y the exchange raises it iff y_i > y_b + p_{B - b + i} - p_B, so B has
+maximum weight at y iff y_i <= v_i for every i outside B, with v the chart
+of y's B-coordinates; and y is in the space iff also y_i = v_i, since the
+minimum over the fundamental circuit of i is then attained twice.  So
+`in_sigma`, `in_local_space`, `project` and `chart_inverse` all compare y
+with that one chart, and `project` returns the chart.
+
 The deltas p_{B - b + i} - p_B are kept on the vector's integer lattice, as
 (p_{B - b + i} - p_B) * D with D the lcm of the entry denominators.  With s
 the lcm of D and x's denominators, v_i * s is an integer minimum, and
@@ -25,6 +36,7 @@ it is read.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le
 from typing import Iterable
 
 from .matroid import mask_from_subset, subset_from_mask
@@ -85,31 +97,48 @@ class LocalContext:
 
     # -- membership of the chart region --------------------------------------
     #
-    # Each public read takes the point through `_as_point` once; the
-    # underscored twins take a point already read.
+    # Each public read takes the point through `_as_point` once, puts it on
+    # the lattice once and compares it there with the chart of its
+    # B-coordinates (the exchange criterion of the module docstring).
 
     def in_sigma(self, point) -> bool:
-        """Does B attain the maximum weight at the point?"""
-        return self._in_sigma(self.p._as_point(point))
+        """Does B attain the maximum weight at the point?
 
-    def _in_sigma(self, pt) -> bool:
-        return self.p._matroid_at(pt).is_basis(self.basis)
+        Decided by B's exchanges alone: B has maximum weight iff no
+        B - b + i outweighs it, that is, iff v_i <= v_b + p_{B-b+i} - p_B
+        for every exchange, iff each v_i outside B is at most its chart
+        minimum (Dress & Wenzel 1992; Murota 2003, ch. 5).
+        """
+        _, ys, v = self._on_lattice(self.p._as_point(point))
+        return all(map(le, ys, v))
 
     def in_local_space(self, point) -> bool:
         """Membership in the space of a point in this chart region.
 
-        In the region B has maximum weight, so each v_i outside B is at most
-        its chart minimum; the minimum of the fundamental circuit over B is
-        attained twice exactly when v_i equals it.  So a region point is in
-        the space iff the projection fixes it.  Outside the region this
-        raises ValueError.  The test suite checks it against the definition.
+        In the region each v_i outside B is at most its chart minimum (the
+        exchange criterion of `in_sigma`); the minimum of the fundamental
+        circuit over B is attained twice exactly when v_i equals it.  So a
+        region point is in the space iff the chart of its B-coordinates
+        gives the point back.  Outside the region this raises ValueError.
+        The test suite checks it against the definition.
         """
-        return self._in_local_space(self.p._as_point(point))
+        _, ys, v = self._region_point(self.p._as_point(point))
+        return ys == v
 
-    def _in_local_space(self, pt) -> bool:
-        if not self._in_sigma(pt):
-            raise ValueError("point is outside the chart region of this basis")
-        return self._chart(self._coords(pt)) == pt
+    def _on_lattice(self, pt) -> tuple[int, list[int], list[int]]:
+        """(s, ys, v): the point on the lattice, ys[i] = pt_i * s, and the
+        chart of its B-coordinates there, v[i] = chart_i * s; v agrees with
+        ys on B."""
+        s, ys = self.p._to_lattice(pt)
+        return s, ys, self._chart_lattice(s, [ys[b - 1] for b in self.basis])
+
+    def _region_point(self, pt, message="point is outside the chart region of this basis"):
+        """`_on_lattice` of a point of the chart region; ValueError(message)
+        outside it."""
+        s, ys, v = self._on_lattice(pt)
+        if not all(map(le, ys, v)):
+            raise ValueError(message)
+        return s, ys, v
 
     # -- the chart and its relatives ------------------------------------------
 
@@ -119,17 +148,19 @@ class LocalContext:
         The minima are taken on the lattice: with s the lcm of D and x's
         denominators, v_i * s = min of x_j * s + delta_j * D * (s / D).
         """
-        return self._chart(self.p._as_point(x, self.p.m))
-
-    def _chart(self, xs) -> tuple[Fraction, ...]:
+        xs = self.p._as_point(x, self.p.m)
         s, scaled = self.p._to_lattice(xs)
         v = self._chart_lattice(s, scaled)
         # the basis coordinates are x itself: no Fraction to rebuild
         for b, xb in zip(self.basis, xs):
             v[b - 1] = xb
+        return self._off_basis(v, s, v)
+
+    def _off_basis(self, out: list, s: int, v: list[int]) -> tuple[Fraction, ...]:
+        """``out``, whose B-coordinates are set, with v_i / s outside B."""
         for i, _ in self._deltas:
-            v[i - 1] = Fraction(v[i - 1], s)
-        return tuple(v)
+            out[i - 1] = Fraction(v[i - 1], s)
+        return tuple(out)
 
     def _chart_lattice(self, s: int, xs: list[int]) -> list[int]:
         """The chart on the lattice: for s a multiple of D and xs[j] = x_j * s,
@@ -142,16 +173,13 @@ class LocalContext:
             v[i - 1] = min(xs[j] + delta * k for j, delta in opts)
         return v
 
-    def _coords(self, pt) -> tuple[Fraction, ...]:
-        """The B-coordinates of a point."""
-        return tuple(pt[b - 1] for b in self.basis)
-
     def chart_inverse(self, point) -> tuple[Fraction, ...]:
         """Restriction to the B-coordinates; inverse of `chart` on the region."""
         pt = self.p._as_point(point)
-        if not self._in_local_space(pt):
+        _, ys, v = self._region_point(pt)
+        if ys != v:
             raise ValueError("point is not in the local space at this basis")
-        return self._coords(pt)
+        return tuple(pt[b - 1] for b in self.basis)
 
     def project(self, point) -> tuple[Fraction, ...]:
         """Retract a chart-region point onto the space.
@@ -160,21 +188,23 @@ class LocalContext:
         B-coordinates.  Requires in_sigma; idempotent; fixes the local space.
         """
         pt = self.p._as_point(point)
-        if not self._in_sigma(pt):
-            raise ValueError("projection is defined on the chart region only")
-        return self._chart(self._coords(pt))
+        s, _, v = self._region_point(pt, "projection is defined on the chart region only")
+        return self._off_basis(list(pt), s, v)
 
 
 def project_any(p: PlueckerVector, point):
     """Project onto the space via the lexicographically least maximal basis.
 
     Convenience wrapper: picks the lex-least basis of the matroid at the
-    point (so the point is in that chart region by construction) and applies
-    its projection.  No claim is made that the result is independent of the
+    point, the first maximal-weight row of the support (so the point is in
+    that chart region by construction), and applies its projection on the
+    lattice point already read.  No claim is made that the result is independent of the
     choice -- it is simply a deterministic one.  Returns (basis, projection).
     """
     p._need_validated()
     pt = p._as_point(point)
-    basis = p._matroid_at(pt).bases[0]
+    s, ys = p._to_lattice(pt)
+    basis = p._top_rows(s, ys)[0][2]  # winners come in lex order
     ctx = LocalContext(p, basis)
-    return basis, ctx._chart(ctx._coords(pt))
+    v = ctx._chart_lattice(s, [ys[b - 1] for b in basis])
+    return basis, ctx._off_basis(list(pt), s, v)

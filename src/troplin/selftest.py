@@ -131,7 +131,9 @@ def check_chart_roundtrip(rng: random.Random, per_fixture: int = 500) -> CheckRe
 
 
 def check_projection(rng: random.Random, per_fixture: int = 200) -> CheckResult:
-    """Projection is idempotent and fixes the local space pointwise."""
+    """Projection is idempotent and fixes the local space pointwise, and
+    every sampled `in_sigma` verdict, read off B's exchanges, equals the
+    scan of the matroid at the point."""
     failures = []
     runs = 0
     for name, p in _fixture_set():
@@ -144,8 +146,6 @@ def check_projection(rng: random.Random, per_fixture: int = 200) -> CheckResult:
             ctx = LocalContext(p, basis)
             if attempts % 2 == 0:
                 point = _random_point(rng, p.n)
-                if not ctx.in_sigma(point):
-                    continue
             else:
                 # chart image with non-basis coordinates nudged down: stays
                 # in the chart region but generally off the space
@@ -154,9 +154,15 @@ def check_projection(rng: random.Random, per_fixture: int = 200) -> CheckResult:
                     if i not in basis and rng.random() < 0.5:
                         v[i - 1] -= Fraction(rng.randint(0, 8), 3)
                 point = tuple(v)
-                if not ctx.in_sigma(point):
+            inside = ctx.in_sigma(point)
+            if inside != p.matroid_at(point).is_basis(basis):
+                failures.append(f"{name}: in_sigma {inside} at {point} for {basis}, "
+                                "the scan disagrees")
+                continue
+            if not inside:
+                if attempts % 2 == 1:
                     failures.append(f"{name}: lowering non-basis coords left sigma")
-                    continue
+                continue
             done += 1
             runs += 1
             proj = ctx.project(point)

@@ -8,17 +8,23 @@ replaced, kept here to check the fast paths against: `all_bases_cells`; the
 the integer lattice replaced; `solve_leaf_cells`, the search with the
 `solve` leaf that the witness read off the matrix replaced; and
 `padded_minors`, the maximal minors of the padded matrix `augment` that
-`conical.tau` replaced by minors of V alone.
+`conical.tau` replaced by minors of V alone; and the `scan_*` chart-region
+reads, which test B against every support row where `LocalContext` reads
+B's own exchanges.  `tau_instance` and `direct_sum` build the seeded test
+vectors that several test files share.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from troplin.cells import Cell, enumerate_local_cells, is_bounded
 from troplin.chart import LocalContext
+from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.diffcon import Constraint, DifferenceSystem, solve, tighten
-from troplin.semiring import INF, is_finite, is_orthogonal
+from troplin.plucker import PlueckerVector
+from troplin.semiring import INF, as_point, is_finite, is_orthogonal
 
 
 def brute_tdet(rows):
@@ -343,6 +349,49 @@ def fraction_chart(p, basis, x):
     for i, opts in tie_options(p, basis):
         v[i - 1] = min(x[basis.index(b)] + delta for b, delta in opts.items())
     return tuple(v)
+
+
+def scan_in_sigma(ctx, pt):
+    """Does B attain the maximum weight at the point?  Read off the matroid
+    of maximal-weight support rows: the scan that the exchange criterion of
+    `LocalContext.in_sigma` replaced."""
+    return ctx.p.matroid_at(pt).is_basis(ctx.basis)
+
+
+def _basis_coords(basis, pt):
+    return tuple(pt[b - 1] for b in basis)
+
+
+def scan_in_local_space(ctx, point):
+    """`LocalContext.in_local_space` by the scan and the Fraction chart."""
+    pt = as_point(point, ctx.p.n)
+    if not scan_in_sigma(ctx, pt):
+        raise ValueError("point is outside the chart region of this basis")
+    return fraction_chart(ctx.p, ctx.basis, _basis_coords(ctx.basis, pt)) == pt
+
+
+def scan_chart_inverse(ctx, point):
+    """`LocalContext.chart_inverse` by the scan and the Fraction chart."""
+    pt = as_point(point, ctx.p.n)
+    if not scan_in_local_space(ctx, pt):
+        raise ValueError("point is not in the local space at this basis")
+    return _basis_coords(ctx.basis, pt)
+
+
+def scan_project(ctx, point):
+    """`LocalContext.project` by the scan and the Fraction chart."""
+    pt = as_point(point, ctx.p.n)
+    if not scan_in_sigma(ctx, pt):
+        raise ValueError("projection is defined on the chart region only")
+    return fraction_chart(ctx.p, ctx.basis, _basis_coords(ctx.basis, pt))
+
+
+def scan_project_any(p, point):
+    """`chart.project_any` through the matroid at the point: its lex-least
+    basis and that basis's Fraction chart."""
+    pt = as_point(point, p.n)
+    basis = p.matroid_at(pt).bases[0]
+    return basis, fraction_chart(p, basis, _basis_coords(basis, pt))
 
 
 def fraction_failing_circuit(p, point):
@@ -689,3 +738,32 @@ def tree_failures(p, cells, tree=None):
     if sorted(tree.edges) != sorted(edges) or sorted(tree.leaves) != sorted(leaves):
         failures.append("tree edges or leaves differ from the cells'")
     return failures
+
+
+def tau_instance(kind, n, m):
+    """A seeded `tau` vector: "generic" heights, "tie" heights in {0, 1, 2},
+    or "knockout" heights with a quarter of them INF and no all-INF column."""
+    rng = random.Random(f"{kind}/{n}/{m}")
+    if kind == "generic":
+        return tau(random_height_matrix(n, m, rng=rng))
+    while True:
+        if kind == "tie":
+            rows = [[rng.choice((0, 1, 2)) for _ in range(n - m)] for _ in range(m)]
+        else:  # knockout
+            rows = [[INF if rng.random() < 0.25 else rng.randrange(10)
+                     for _ in range(n - m)] for _ in range(m)]
+        if all(any(row[j] is not INF for row in rows) for j in range(n - m)):
+            return tau(HeightMatrix(n, range(1, m + 1), rows))
+
+
+def direct_sum(p1, p2):
+    """p_{A + (B shifted by n1)} = p1_A + p2_B, a valid vector on n1 + n2
+    whose underlying matroid is disconnected."""
+    n1 = p1.n
+    entries = {
+        a + tuple(b_elem + n1 for b_elem in b): p1.entry(a) + p2.entry(b)
+        for a in p1.support() for b in p2.support()
+    }
+    p = PlueckerVector(n1 + p2.n, p1.m + p2.m, entries)
+    assert p.validate().ok
+    return p

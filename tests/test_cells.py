@@ -11,6 +11,7 @@ from oracles import (
     brute_local_cells,
     brute_max_weight_bases,
     brute_member,
+    direct_sum,
     fraction_local_cells,
     lattice_simplex_counts,
     mixed_interior_count,
@@ -18,6 +19,7 @@ from oracles import (
     mobius_invariant,
     recession_01_bounded,
     solve_leaf_cells,
+    tau_instance,
     tie_pattern,
     tree_failures,
 )
@@ -159,27 +161,13 @@ def test_ground_size_cap():
 # one find per cell, checked against the every-basis enumeration
 
 
-def _tau_instance(kind, n, m):
-    rng = random.Random(f"{kind}/{n}/{m}")
-    if kind == "generic":
-        return tau(random_height_matrix(n, m, rng=rng))
-    while True:
-        if kind == "tie":
-            rows = [[rng.choice((0, 1, 2)) for _ in range(n - m)] for _ in range(m)]
-        else:  # knockout: a quarter of the heights are INF, no all-INF column
-            rows = [[INF if rng.random() < 0.25 else rng.randrange(10)
-                     for _ in range(n - m)] for _ in range(m)]
-        if all(any(row[j] is not INF for row in rows) for j in range(n - m)):
-            return tau(HeightMatrix(n, range(1, m + 1), rows))
-
-
 OWNER_CASES = [
     pytest.param(two_pyramids, id="two_pyramids"),
     pytest.param(snowflake, id="snowflake"),
     pytest.param(lambda: uniform_zero(5, 2), id="uniform_zero_5_2"),
     pytest.param(tiny_gap, id="tiny_gap"),
 ] + [
-    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind in ("generic", "tie", "knockout")
     for n, m in ((5, 2), (6, 3), (7, 3))
 ]
@@ -209,10 +197,10 @@ def test_each_cell_found_once_matches_all_bases(make):
 EULER_CASES = [
     pytest.param(two_pyramids, id="two_pyramids"),
     pytest.param(snowflake, id="snowflake"),
-    pytest.param(lambda: direct_sum(two_pyramids(), _tau_instance("generic", 4, 2)),
+    pytest.param(lambda: direct_sum(two_pyramids(), tau_instance("generic", 4, 2)),
                  id="two_pyramids+tau_generic_4_2"),
 ] + [
-    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind in ("generic", "tie", "knockout")
     for n, m in ((5, 2), (6, 3), (7, 3))
 ]
@@ -267,8 +255,8 @@ def test_pattern_regions_against_oracles():
     # (boundedness is read modulo the slots of each underlying component,
     # which the direct sum makes more than one)
     cases = [(p, p.underlying_matroid().bases) for p in (two_pyramids(), snowflake(), tiny_gap())]
-    for p in (_tau_instance("generic", 5, 2), _tau_instance("tie", 6, 3),
-              direct_sum(two_pyramids(), _tau_instance("generic", 4, 2))):
+    for p in (tau_instance("generic", 5, 2), tau_instance("tie", 6, 3),
+              direct_sum(two_pyramids(), tau_instance("generic", 4, 2))):
         bases = p.underlying_matroid().bases
         cases.append((p, (bases[0], bases[len(bases) // 2], bases[-1])))
     for p, chart_bases in cases:
@@ -299,10 +287,10 @@ def test_pattern_regions_against_oracles():
 LATTICE_CASES = [
     pytest.param(two_pyramids, id="two_pyramids"),
     pytest.param(snowflake, id="snowflake"),
-    pytest.param(lambda: direct_sum(two_pyramids(), _tau_instance("generic", 4, 2)),
+    pytest.param(lambda: direct_sum(two_pyramids(), tau_instance("generic", 4, 2)),
                  id="two_pyramids+tau_generic_4_2"),
 ] + [
-    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind, n, m in (("generic", 6, 3), ("generic", 7, 4), ("generic", 8, 3),
                        ("tie", 6, 3), ("tie", 7, 3), ("knockout", 6, 3), ("knockout", 7, 3))
 ]
@@ -334,7 +322,7 @@ NODE_CASES = [
     pytest.param(two_pyramids, id="two_pyramids"),
     pytest.param(snowflake, id="snowflake"),
 ] + [
-    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind in ("generic", "tie", "knockout")
     for n, m in ((6, 3), (7, 3))
 ]
@@ -353,14 +341,14 @@ def test_matrix_search_matches_the_solver_search_node_for_node(make):
 
 def disconnected_sum():
     """two_pyramids + tie-heavy tau (4,2): two underlying components."""
-    p = direct_sum(two_pyramids(), _tau_instance("tie", 4, 2))
+    p = direct_sum(two_pyramids(), tau_instance("tie", 4, 2))
     assert len(p.underlying_matroid().components()) == 2
     return p
 
 
 def disconnected_unbounded_sum():
     """snowflake + generic tau (4,2): both components give unbounded cells."""
-    p = direct_sum(snowflake(), _tau_instance("generic", 4, 2))
+    p = direct_sum(snowflake(), tau_instance("generic", 4, 2))
     assert len(p.underlying_matroid().components()) == 2
     return p
 
@@ -369,7 +357,7 @@ LEAF_CASES = [
     pytest.param(disconnected_sum, id="two_pyramids+tau_tie_4_2"),
     pytest.param(disconnected_unbounded_sum, id="snowflake+tau_generic_4_2"),
 ] + [
-    pytest.param(lambda k=kind, n=n, m=m: _tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
     for kind in ("generic", "tie", "knockout")
     for n, m in ((6, 3), (7, 4))
 ]
@@ -561,18 +549,6 @@ def test_is_bounded_frozen_cases():
     assert is_bounded(uniform, uniform)  # the star's vertex
     # a 2-cell of U(2,4) with face {13, 14, 23, 24}: an edge between two vertices
     assert is_bounded(u24, uniform)
-
-
-def direct_sum(p1, p2):
-    """p_{A + (B shifted by n1)} = p1_A + p2_B, a valid vector on n1 + n2."""
-    n1 = p1.n
-    entries = {
-        a + tuple(b_elem + n1 for b_elem in b): p1.entry(a) + p2.entry(b)
-        for a in p1.support() for b in p2.support()
-    }
-    p = PlueckerVector(n1 + p2.n, p1.m + p2.m, entries)
-    assert p.validate().ok
-    return p
 
 
 def rank1_3():

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_member
+from oracles import (
+    brute_member,
+    direct_sum,
+    scan_chart_inverse,
+    scan_in_local_space,
+    scan_in_sigma,
+    scan_project,
+    scan_project_any,
+    tau_instance,
+)
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
@@ -162,11 +171,12 @@ def test_in_sigma_boundary():
 
 
 @pytest.mark.parametrize("read", [
+    lambda ctx, pt: ctx.in_sigma(pt),
     lambda ctx, pt: ctx.project(pt),
     lambda ctx, pt: ctx.in_local_space(pt),
     lambda ctx, pt: ctx.chart_inverse(pt),
     lambda ctx, pt: project_any(ctx.p, pt),
-], ids=["project", "in_local_space", "chart_inverse", "project_any"])
+], ids=["in_sigma", "project", "in_local_space", "chart_inverse", "project_any"])
 def test_each_point_is_read_once(monkeypatch, read):
     # the region check and the chart take the tuple read at the entry
     p = two_pyramids()
@@ -181,3 +191,87 @@ def test_each_point_is_read_once(monkeypatch, read):
     monkeypatch.setattr(PlueckerVector, "_as_point", counted)
     read(ctx, ("5", 5, Fraction(9), "6"))
     assert len(calls) == 1
+
+
+REGION_VECTORS = [
+    pytest.param(two_pyramids, id="two_pyramids"),
+    pytest.param(snowflake, id="snowflake"),
+    *(pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+      for kind in ("generic", "tie", "knockout") for n, m in ((5, 2), (6, 3), (7, 4))),
+    pytest.param(lambda: direct_sum(two_pyramids(), tau_instance("generic", 4, 2)),
+                 id="two_pyramids+tau_generic_4_2"),
+]
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def region_points(rng, ctx):
+    """Seeded random points; a chart image, the image nudged up and down at
+    each coordinate in turn, and the image with every non-basis coordinate
+    but one lowered: a tie on the region's boundary."""
+    p = ctx.p
+    for _ in range(3):
+        yield tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(p.n))
+    image = ctx.chart(rand_x(rng, p.m))
+    yield image
+    for e in range(p.n):
+        for step in (Fraction(1, 3), Fraction(-1, 3)):
+            y = list(image)
+            y[e] += step
+            yield tuple(y)
+    outside = [i for i in range(1, p.n + 1) if i not in ctx.basis]
+    for keep in outside:
+        y = list(image)
+        for i in outside:
+            if i != keep:
+                y[i - 1] -= Fraction(rng.randint(1, 6), 2)
+        yield tuple(y)
+
+
+@pytest.mark.parametrize("make", REGION_VECTORS)
+def test_region_reads_match_the_scan(make):
+    # the exchange criterion against the support scan: verdicts, outputs
+    # and error messages of every chart-region read
+    p = make()
+    rng = random.Random(f"region/{p.n}/{p.m}/{len(p.support())}")
+    bases = p.underlying_matroid().bases
+    seen = set()
+    for basis in bases[::max(1, len(bases) // 6)]:
+        ctx = LocalContext(p, basis)
+        for y in region_points(rng, ctx):
+            # also at a basis that wins at y, so that random points reach
+            # the projection too
+            for c in (ctx, LocalContext(p, rng.choice(p.matroid_at(y).bases))):
+                inside = c.in_sigma(y)
+                assert inside == scan_in_sigma(c, y), (c.basis, y)
+                for read, scan in ((c.in_local_space, scan_in_local_space),
+                                   (c.project, scan_project),
+                                   (c.chart_inverse, scan_chart_inverse)):
+                    assert _outcome(read, y) == _outcome(scan, c, y), (read.__name__, c.basis, y)
+                seen.add((inside, inside and c.in_local_space(y)))
+            assert project_any(p, y) == scan_project_any(p, y)
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_region_reads_do_not_scan_the_support(monkeypatch):
+    # the region reads compare the point with its chart; no support row is
+    # weighed
+    p = snowflake()
+    ctx = LocalContext(p, (1, 3))
+    image = ctx.chart((Fraction(0), Fraction(5)))
+    below = (image[0], image[1] - 1) + image[2:]
+    above = (image[0], image[1] + 1) + image[2:]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned the support")
+
+    monkeypatch.setattr(PlueckerVector, "_top_rows", refuse)
+    assert ctx.in_sigma(image) and ctx.in_sigma(below) and not ctx.in_sigma(above)
+    assert ctx.in_local_space(image) and not ctx.in_local_space(below)
+    assert ctx.project(below) == image
+    assert ctx.chart_inverse(image) == (Fraction(0), Fraction(5))

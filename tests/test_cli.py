@@ -587,9 +587,16 @@ def test_selftest_passes_without_asserts():
 
 
 def test_cli_import_leaves_logging_out():
-    # logging costs milliseconds of import and RSS on every command
-    proc = run_python("-c", "import sys, troplin.cli; sys.exit('logging' in sys.modules)")
+    # logging costs milliseconds of import and RSS on every command; the
+    # property suite is left out too, as only `selftest` needs it
+    proc = run_python("-c", "import sys, troplin.cli; "
+                      "sys.exit('logging' in sys.modules or 'troplin.selftest' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_selftest_seed_default_is_the_suites():
+    # the parser names the default without importing the suite
+    assert build_parser().parse_args(["selftest"]).seed == DEFAULT_SEED == 1729
 
 
 def test_help_exits_zero(capsys):
