@@ -26,7 +26,9 @@ lex-least basis exactly when no such exchange has i < b, so restricting
 every S_i to elements below i finds each cell once, in the chart of its
 lex-least basis, with nothing to merge.  No support subset before B in
 lex order has maximum weight at such a cell, so its face is scanned from
-B's row of the support on.
+B's row of the support on.  A basis with some i outside it and no exchange
+B - b + i in the support with b < i owns no cell, and `enumerate_cells`
+skips it on the support masks alone, before it builds the chart.
 
 A cell is dual to the face P_M of the matroid subdivision, where M is its
 face matroid, and dim P_M = n - c(M) for c(M) connected components
@@ -282,7 +284,8 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
     """The full cell complex of the finite part of the space.
 
     Finds each cell once, in the chart of the lex-least basis of its face
-    matroid.  ``max_nodes`` caps the tie-pattern nodes of the whole
+    matroid; a basis that `_may_own` rules out is skipped before its chart
+    is built.  ``max_nodes`` caps the tie-pattern nodes of the whole
     enumeration; ground sets above `MAX_ENUMERATION_GROUND` are refused.
     """
     p._need_validated()
@@ -297,9 +300,31 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
         )
     budget = NodeBudget(max_nodes)
     found = []
-    for basis in matroid.bases:
-        found += enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
+    for basis, bmask in zip(matroid.bases, matroid.basis_masks):
+        if _may_own(bmask, p.n, p._entries):
+            found += enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
     return sorted(found, key=lambda c: c.key)
+
+
+def _may_own(bmask: int, n: int, support) -> bool:
+    """Can a cell have the basis with this mask as its lex-least face basis?
+
+    Not when some i outside B has no exchange B - b + i in the support with
+    b < i: `enumerate_local_cells` with ``owned_only`` then returns [] before
+    it spends a node, so the chart is not built at all."""
+    for i in range(n):
+        ibit = 1 << i
+        if bmask & ibit:
+            continue
+        below = bmask & (ibit - 1)
+        while below:
+            bbit = below & -below
+            below ^= bbit
+            if ((bmask ^ bbit) | ibit) in support:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

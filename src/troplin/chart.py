@@ -27,10 +27,25 @@ The deltas p_{B - b + i} - p_B are kept on the vector's integer lattice, as
 the lcm of D and x's denominators, v_i * s is an integer minimum, and
 `chart` returns it as Fraction(v_i * s, s); `project`, `chart_inverse`,
 `in_local_space`, `project_any` and every cell witness read through it.
-Cell enumeration builds its difference-bound matrix edges from these int
-deltas, in the unit D, and maps each leaf's witness through the chart
-without leaving the lattice; `options` rebuilds the `Fraction` deltas when
-it is read.
+The vector caches the deltas per basis (`PlueckerVector._chart_rows`), and
+a `LocalContext` reads them from there.  Cell enumeration builds its
+difference-bound matrix edges from these int deltas, in the unit D, and
+maps each leaf's witness through the chart without leaving the lattice;
+`options` rebuilds the `Fraction` deltas when it is read.
+
+`project_any` projects through the lex-least basis of maximum weight at y
+without weighing the support.  The steepest ascent of `contains` ends at
+some basis B of maximum weight.  The bases of maximum weight form a matroid
+M (Dress & Wenzel), and B - b + i is one of them iff the exchange is a tie:
+y_i = v_i and b attains i's chart minimum.  A basis of M with no tie
+exchange b -> i with i < b is its lex-least basis B0: otherwise the least
+element x of B0 - B is below every element of B - B0, and the fundamental
+circuit of x over B meets B - B0 in some b > x.  The same argument makes
+one pass over i in increasing order enough.  While B agrees with B0 below
+i, i is in B0 - B exactly when some tie b -> i has b > i, and taking any
+one keeps the agreement up to i.  So the descent makes at most
+|B0 - B| <= min(m, n - m) exchanges, each to a lex-smaller basis, and then
+projects with B0's chart.
 """
 
 from __future__ import annotations
@@ -40,12 +55,21 @@ from operator import le
 from typing import Iterable
 
 from .matroid import mask_from_subset, subset_from_mask
-from .plucker import PlueckerVector
+from .plucker import PlueckerVector, chart_fill
 from .semiring import INF
 
 
 class LoopyMatroidError(ValueError):
     """The underlying matroid has loops, so the finite part of the space is empty."""
+
+
+def _refuse_loops(p: PlueckerVector) -> None:
+    loops = p.underlying_matroid().loops()
+    if loops:
+        raise LoopyMatroidError(
+            f"underlying matroid has loops {loops}; "
+            "the space has no finite points and no charts"
+        )
 
 
 class LocalContext:
@@ -62,29 +86,10 @@ class LocalContext:
             raise ValueError(f"basis must have {p.m} elements")
         if p.entry_mask(bmask) is INF:
             raise ValueError(f"{bset} is not in the support")
-        matroid = p.underlying_matroid()
-        if matroid.loops():
-            raise LoopyMatroidError(
-                f"underlying matroid has loops {matroid.loops()}; "
-                "the space has no finite points and no charts"
-            )
-        self.basis = bset
-        _, scaled, _ = p._weight_lattice()
-        p_b = scaled[bmask]
-        # per non-basis i: ((0-based slot, (p_{B-b+i} - p_B) * D), ...) over
-        # the b whose exchange B - b + i is in the support, C(i,B) - i
-        deltas: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        for i in range(1, p.n + 1):
-            ibit = 1 << (i - 1)
-            if bmask & ibit:
-                continue
-            opts = []
-            for j, b in enumerate(bset):
-                exch = scaled.get((bmask ^ (1 << (b - 1))) | ibit)
-                if exch is not None:
-                    opts.append((j, exch - p_b))
-            deltas.append((i, tuple(opts)))
-        self._deltas = tuple(deltas)
+        _refuse_loops(p)
+        # per non-basis i: ((0-based slot, (p_{B-b+i} - p_B) * D), ...), from
+        # the vector's cache
+        self.basis, self._deltas = p._chart_rows(bmask)
 
     @property
     def options(self):
@@ -154,24 +159,15 @@ class LocalContext:
         # the basis coordinates are x itself: no Fraction to rebuild
         for b, xb in zip(self.basis, xs):
             v[b - 1] = xb
-        return self._off_basis(v, s, v)
-
-    def _off_basis(self, out: list, s: int, v: list[int]) -> tuple[Fraction, ...]:
-        """``out``, whose B-coordinates are set, with v_i / s outside B."""
-        for i, _ in self._deltas:
-            out[i - 1] = Fraction(v[i - 1], s)
-        return tuple(out)
+        return _off_basis(self._deltas, v, s, v)
 
     def _chart_lattice(self, s: int, xs: list[int]) -> list[int]:
         """The chart on the lattice: for s a multiple of D and xs[j] = x_j * s,
         the list of v_i * s."""
-        k = s // self.p._weight_lattice()[0]
         v = [0] * self.p.n
         for b, xb in zip(self.basis, xs):
             v[b - 1] = xb
-        for i, opts in self._deltas:
-            v[i - 1] = min(xs[j] + delta * k for j, delta in opts)
-        return v
+        return chart_fill(v, xs, self._deltas, s // self.p._weight_lattice()[0])
 
     def chart_inverse(self, point) -> tuple[Fraction, ...]:
         """Restriction to the B-coordinates; inverse of `chart` on the region."""
@@ -189,22 +185,61 @@ class LocalContext:
         """
         pt = self.p._as_point(point)
         s, _, v = self._region_point(pt, "projection is defined on the chart region only")
-        return self._off_basis(list(pt), s, v)
+        return _off_basis(self._deltas, list(pt), s, v)
+
+
+def _off_basis(rows: tuple, out: list, s: int, v: list[int]) -> tuple[Fraction, ...]:
+    """``out``, whose B-coordinates are set, with v_i / s at each non-basis
+    i of the chart ``rows``."""
+    for i, _ in rows:
+        out[i - 1] = Fraction(v[i - 1], s)
+    return tuple(out)
+
+
+def _lex_exchange(basis: tuple, rows: tuple, k: int, ys: list[int], v: list[int],
+                  start: int) -> tuple[int, int]:
+    """At a basis of maximum weight, the tie exchange b -> i with
+    start <= i < b of the least i and, for it, the greatest b: (i, the mask
+    of {b, i}), or (0, 0) when there is none."""
+    for i, opts in rows:
+        vi = v[i - 1]
+        if i < start or vi != ys[i - 1]:
+            continue
+        for j, delta in reversed(opts):
+            b = basis[j]
+            if b < i:
+                break
+            if ys[b - 1] + delta * k == vi:
+                return i, (1 << (b - 1)) | (1 << (i - 1))
+    return 0, 0
 
 
 def project_any(p: PlueckerVector, point):
     """Project onto the space via the lexicographically least maximal basis.
 
-    Convenience wrapper: picks the lex-least basis of the matroid at the
-    point, the first maximal-weight row of the support (so the point is in
-    that chart region by construction), and applies its projection on the
-    lattice point already read.  No claim is made that the result is independent of the
-    choice -- it is simply a deterministic one.  Returns (basis, projection).
+    Convenience wrapper: the steepest ascent of `contains` reaches a basis
+    of maximum weight at the point, and one pass of tie exchanges b -> i
+    with i < b, over i in increasing order, descends from it to the
+    lex-least basis of the matroid at the point: a basis of a matroid with
+    no such exchange is its lex-least one, and while the walk's basis
+    agrees with that one below i, i belongs to it exactly when such an
+    exchange brings i in (the module docstring has the proof).  So the
+    point is in that chart region by construction, and its projection is
+    applied on the lattice point already read.  No claim is made that the
+    result is independent of the choice -- it is simply a deterministic
+    one.  Returns (basis, projection).
     """
     p._need_validated()
     pt = p._as_point(point)
+    _refuse_loops(p)
     s, ys = p._to_lattice(pt)
-    basis = p._top_rows(s, ys)[0][2]  # winners come in lex order
-    ctx = LocalContext(p, basis)
-    v = ctx._chart_lattice(s, [ys[b - 1] for b in basis])
-    return basis, ctx._off_basis(list(pt), s, v)
+    k = s // p._weight_lattice()[0]
+    bmask, v = p._maximal(s, ys)
+    basis, rows = p._chart_rows(bmask)
+    i = 0
+    while True:
+        i, swap = _lex_exchange(basis, rows, k, ys, v, i + 1)
+        if not swap:
+            return basis, _off_basis(rows, list(pt), s, v)
+        bmask ^= swap
+        basis, rows, v = p._chart_at(bmask, k, ys)

@@ -15,11 +15,24 @@ denominators, and a point v is scaled by s, the lcm of D and its own
 denominators, to the integers v_i * s (`_to_lattice`).  Entries scale to
 p_A * D and circuit entries to c_i * D, and s / D is an integer, so the
 argmax of `matroid_at` and the circuit minima of `failing_circuit` compare
-integers and give the exact `Fraction` answers.  `contains` reads the same
-argmax without building the matroid: the point is in the space when the
-maximal-weight subsets cover [n].  `chart.LocalContext` keeps
-its chart deltas on the same lattice.  Parsing, formatting and `validate`
-stay on `Fraction`.
+integers and give the exact `Fraction` answers.  Parsing, formatting and
+`validate` stay on `Fraction`.
+
+The chart at a support basis B (`_chart_rows`, cached per basis mask) lists
+for each i outside B the exchanges B - b + i in the support with their
+deltas (p_{B-b+i} - p_B) * D; `chart.LocalContext` reads its rows from it.
+`contains` never weighs the whole support.  It walks from the first support
+row by steepest ascent (`_maximal`): at B the gain of i is g_i = y_i - v_i,
+with v the chart of y's B-coordinates, and g_i is the largest weight gain of
+an exchange that brings i in.  While some gain is positive the walk takes
+the exchange of the largest one; when none is, B has maximum weight, since
+a valuated matroid's basis is maximal iff no single exchange raises its
+weight (Dress & Wenzel, "Valuated matroids", Adv. Math. 93, 1992).  Basic
+steepest ascent ends within half the l1 distance from the start to a
+nearest maximal basis (Minamikawa & Shioura, J. Oper. Res. Soc. Japan 64,
+2021), so within min(m, n - m) exchanges.  The point is in the space iff
+the underlying matroid has no loops and every gain there is 0: y is then
+the chart of its own B-coordinates, the `in_local_space` criterion.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .matroid import (
@@ -66,6 +79,17 @@ def check_shape(n: int, m: int) -> None:
             f"shape n={n}, m={m} needs {pairs} relation checks, "
             f"over the cap {MAX_RELATION_PAIRS}"
         )
+
+
+def chart_fill(v: list[int], xs: list[int], rows: tuple, k: int) -> list[int]:
+    """The chart on the lattice, written into v: for each non-basis i of
+    ``rows`` (as `PlueckerVector._chart_rows` lists them) with options,
+    v_i * s = the minimum of xs[j] + delta * k, where xs[j] = x_j * s is the
+    j-th basis coordinate and k = s / D.  Other entries of v stay."""
+    for i, opts in rows:
+        if opts:
+            v[i - 1] = min([xs[j] + delta * k for j, delta in opts])
+    return v
 
 
 class NotValidatedError(RuntimeError):
@@ -135,6 +159,7 @@ class PlueckerVector:
 
     __slots__ = (
         "n", "m", "_entries", "_matroid", "_circuits", "_supp_list", "_lattice", "_circuit_rows",
+        "_charts",
     )
 
     def __init__(self, n: int, m: int, entries: Mapping):
@@ -178,6 +203,7 @@ class PlueckerVector:
         self._circuits = None
         self._lattice = None
         self._circuit_rows = None
+        self._charts: dict[int, tuple] = {}
         self._supp_list = sorted(table, key=subset_from_mask)
 
     @property
@@ -348,8 +374,67 @@ class PlueckerVector:
     def _to_lattice(self, coords) -> tuple[int, list[int]]:
         """Coordinates (Fractions) on the lattice: (s, [x_i * s]) with s the
         lcm of D and their denominators, so s / D is an integer."""
-        s = math.lcm(self._weight_lattice()[0], *(x.denominator for x in coords))
-        return s, [x.numerator * (s // x.denominator) for x in coords]
+        ratios = [x.as_integer_ratio() for x in coords]
+        # the small denominators first: one lcm with the large D, not one each
+        s = math.lcm(self._weight_lattice()[0], math.lcm(*[q for _, q in ratios]))
+        return s, [a * (s // q) for a, q in ratios]
+
+    def _chart_rows(self, bmask: int) -> tuple[tuple[int, ...], tuple]:
+        """The chart at the support basis with mask ``bmask``, built on first
+        use: (B, rows), with B sorted and per non-basis i, in increasing
+        order, (i, ((0-based slot j, (p_{B-b_j+i} - p_B) * D), ...)) over the
+        b_j whose exchange B - b_j + i is in the support, C(i,B) - i, in slot
+        order.  A loop has no options.  Plain tuples, cached by mask."""
+        chart = self._charts.get(bmask)
+        if chart is None:
+            scaled = self._weight_lattice()[1]
+            p_b = scaled[bmask]
+            basis = subset_from_mask(bmask)
+            rows = []
+            for i in range(1, self.n + 1):
+                ibit = 1 << (i - 1)
+                if bmask & ibit:
+                    continue
+                opts = []
+                for j, b in enumerate(basis):
+                    exch = scaled.get((bmask ^ (1 << (b - 1))) | ibit)
+                    if exch is not None:
+                        opts.append((j, exch - p_b))
+                rows.append((i, tuple(opts)))
+            chart = self._charts[bmask] = (basis, tuple(rows))
+        return chart
+
+    def _chart_at(self, bmask: int, k: int, ys: list[int]) -> tuple[tuple, tuple, list[int]]:
+        """(B, rows, v) at the support basis ``bmask`` for the lattice point
+        ys, scaled by s = k * D: v is ys with each non-basis i that has
+        options replaced by its chart minimum v_i * s, the chart of ys's
+        B-coordinates (`chart_fill`)."""
+        basis, rows = self._chart_rows(bmask)
+        return basis, rows, chart_fill(list(ys), [ys[b - 1] for b in basis], rows, k)
+
+    def _maximal(self, s: int, ys: list[int]) -> tuple[int, list[int]]:
+        """A basis of maximum weight at the lattice point (s, ys), by
+        steepest ascent from the first support row: (its mask, v), with v
+        as `_chart_at` gives it there.
+
+        At B the gain g_i = ys_i - v_i of a non-basis i is the largest weight
+        gain of an exchange B - b + i, attained at a b of i's chart minimum.
+        The walk stops when no gain is positive and otherwise exchanges the
+        first such b for the first i of the largest gain (see the module
+        docstring for why it stops within min(m, n - m) exchanges).
+        """
+        k = s // self._weight_lattice()[0]
+        bmask = self._supp_list[0]
+        while True:
+            basis, rows, v = self._chart_at(bmask, k, ys)
+            gains = list(map(sub, ys, v))
+            best = max(gains)
+            if best <= 0:
+                return bmask, v
+            i = gains.index(best) + 1
+            opts = next(opts for e, opts in rows if e == i)
+            j = next(j for j, delta in opts if ys[basis[j] - 1] + delta * k == v[i - 1])
+            bmask ^= (1 << (basis[j] - 1)) | (1 << (i - 1))
 
     def matroid_at(self, point) -> Matroid:
         """Matroid of maximum-weight support subsets at the point.
@@ -429,17 +514,25 @@ class PlueckerVector:
         return self.failing_circuit(point) is None
 
     def contains(self, point) -> bool:
-        """Finite-part membership: the local matroid at the point is loopless,
-        that is, its bases cover the ground set.
+        """Finite-part membership, read at one basis of maximum weight.
+
+        `_maximal` walks from the first support row by steepest ascent,
+        taking the exchange of the largest gain g_i = y_i - v_i (v the chart
+        of y's B-coordinates) until no gain is positive; B then has maximum
+        weight (Dress & Wenzel 1992), after at most min(m, n - m) exchanges
+        (Minamikawa & Shioura 2021).  The point is in the space iff the
+        underlying matroid has no loops and every gain at B is 0, the
+        `in_local_space` criterion: the chart of y's B-coordinates gives y
+        back.  No other support row is weighed.
 
         `contains_via_circuits` decides the same predicate independently; the
         test suite and `troplin selftest` check that the two agree.
         """
         self._need_validated()
-        covered = 0
-        for row in self._top_rows(*self._to_lattice(self._as_point(point))):
-            covered |= row[3]
-        return covered == (1 << self.n) - 1
+        s, ys = self._to_lattice(self._as_point(point))
+        if self._matroid.loops():
+            return False
+        return self._maximal(s, ys)[1] == ys
 
     # -- circuit elimination ---------------------------------------------------
 

@@ -8,10 +8,12 @@ replaced, kept here to check the fast paths against: `all_bases_cells`; the
 the integer lattice replaced; `solve_leaf_cells`, the search with the
 `solve` leaf that the witness read off the matrix replaced; and
 `padded_minors`, the maximal minors of the padded matrix `augment` that
-`conical.tau` replaced by minors of V alone; and the `scan_*` chart-region
+`conical.tau` replaced by minors of V alone; the `scan_*` chart-region
 reads, which test B against every support row where `LocalContext` reads
-B's own exchanges.  `tau_instance` and `direct_sum` build the seeded test
-vectors that several test files share.
+B's own exchanges; and `scan_contains`, the cover test over every support
+row that the steepest ascent of `PlueckerVector.contains` replaced.
+`tau_instance` and `direct_sum` build the seeded test vectors that several
+test files share.
 """
 
 import math
@@ -384,6 +386,17 @@ def scan_project(ctx, point):
     if not scan_in_sigma(ctx, pt):
         raise ValueError("projection is defined on the chart region only")
     return fraction_chart(ctx.p, ctx.basis, _basis_coords(ctx.basis, pt))
+
+
+def scan_contains(p, point):
+    """`PlueckerVector.contains` by the cover test it replaced: the point is
+    in the space when the maximal-weight support rows cover [n], that is,
+    when the matroid at the point is loopless."""
+    p._need_validated()
+    covered = 0
+    for row in p._top_rows(*p._to_lattice(p._as_point(point))):
+        covered |= row[3]
+    return covered == (1 << p.n) - 1
 
 
 def scan_project_any(p, point):

@@ -26,6 +26,7 @@ from oracles import (
 from troplin.cells import (
     EnumerationLimit,
     NodeBudget,
+    _may_own,
     adjacency_dot,
     adjacency_graph,
     bound_bounded,
@@ -188,6 +189,25 @@ def test_each_cell_found_once_matches_all_bases(make):
         assert brute_member(p, cell.witness)
         assert cell.face_matroid.bases == brute_max_weight_bases(p, cell.witness)
         assert not cell.face_matroid.loops()
+
+
+@pytest.mark.parametrize("make", OWNER_CASES)
+def test_skipped_charts_own_no_cell(make):
+    # enumerate_cells skips, on support masks alone, every basis with an
+    # element i outside it and no exchange B - b + i with b < i: its owned
+    # search finds no cell and spends no node, and its chart is never built
+    p = make()
+    owners = {c.face_matroid.basis_masks[0] for c in enumerate_cells(p)}
+    built = set(p._charts)
+    matroid = p.underlying_matroid()
+    for basis, bmask in zip(matroid.bases, matroid.basis_masks):
+        assert (bmask in built) == _may_own(bmask, p.n, p._entries)
+        if bmask not in built:
+            budget = NodeBudget(10**6)
+            assert enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True) == []
+            assert budget.spent == 0
+            assert bmask not in owners
+    assert built < set(matroid.basis_masks)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,7 @@ def test_region_reads_do_not_scan_the_support(monkeypatch):
     image = ctx.chart((Fraction(0), Fraction(5)))
     below = (image[0], image[1] - 1) + image[2:]
     above = (image[0], image[1] + 1) + image[2:]
+    projections = [scan_project_any(p, y) for y in (image, below, above)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("scanned the support")
@@ -275,3 +276,6 @@ def test_region_reads_do_not_scan_the_support(monkeypatch):
     assert ctx.in_local_space(image) and not ctx.in_local_space(below)
     assert ctx.project(below) == image
     assert ctx.chart_inverse(image) == (Fraction(0), Fraction(5))
+    # membership and project_any walk by exchanges from the first support row
+    assert p.contains(image) and not p.contains(below) and not p.contains(above)
+    assert [project_any(p, y) for y in (image, below, above)] == projections

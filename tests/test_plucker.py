@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,15 +12,19 @@ from oracles import (
     brute_max_weight_bases,
     brute_member,
     brute_relation_failures,
+    direct_sum,
     fraction_chart,
     fraction_failing_circuit,
     fraction_options,
+    scan_contains,
+    scan_project_any,
 )
-from troplin.chart import LocalContext, project_any
+from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
+from troplin.matroid import subset_from_mask
 from troplin.plucker import NotValidatedError, PlueckerVector
-from troplin.semiring import INF
+from troplin.semiring import INF, as_point
 
 
 def rank3_pair():
@@ -262,8 +267,79 @@ def test_contains_by_cover_matches_loops_and_circuits(make):
         verdict = p.contains(v)
         assert verdict == (not p.matroid_at(v).loops())
         assert verdict == p.contains_via_circuits(v)
+        assert verdict == scan_contains(p, v)
         verdicts.add(verdict)
     assert verdicts == ({True, False} if not p.underlying_matroid().loops() else {False})
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_vector(name):
+    with open(FIXTURES / name, encoding="utf-8") as fh:
+        p = PlueckerVector.from_json(json.load(fh))
+    assert p.validate().ok
+    return p
+
+
+ASCENT_CASES = COVER_CASES + [
+    pytest.param(lambda k=kind, n=n, m=m: seeded_tau(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("tie", "knockout")
+    for n, m in ((8, 4), (9, 4), (10, 5))
+] + [
+    pytest.param(lambda: fixture_vector("example1.json"), id="example1"),
+    pytest.param(lambda: fixture_vector("snowflake.json"), id="snowflake"),
+    pytest.param(lambda: direct_sum(two_pyramids(), rank3_pair()), id="two_pyramids+rank3_pair"),
+]
+
+
+@pytest.mark.parametrize("make", ASCENT_CASES)
+def test_steepest_ascent_within_the_step_bound(make, monkeypatch):
+    # _maximal walks from the first support row to a basis of maximum weight
+    # in at most min(m, n - m) exchanges (Minamikawa & Shioura 2021); a spy
+    # on the chart cache counts the charts each walk reads.  contains and
+    # project_any, which read the walk's end, agree with the support scans
+    p = make()
+    rng = random.Random(f"ascent/{p.n}/{p.m}/{len(p.support())}")
+    bases = p.underlying_matroid().bases
+    loopless = not p.underlying_matroid().loops()
+    points = [
+        tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(p.n))
+        for _ in range(40)
+    ]
+    if loopless:
+        for _ in range(40):
+            ctx = LocalContext(p, rng.choice(bases))
+            points.append(ctx.chart(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                          for _ in range(p.m))))
+    bound = min(p.m, p.n - p.m)
+    reads = []
+    chart_rows = PlueckerVector._chart_rows
+
+    def spy(self, bmask):
+        reads.append(bmask)
+        # project_any reads the walk's end again and then makes at most
+        # min(m, n - m) exchanges of its lex descent
+        assert len(reads) <= 2 * bound + 2, "the walk does not end"
+        return chart_rows(self, bmask)
+
+    def walked(read, *args):
+        reads.clear()
+        return read(*args)
+
+    monkeypatch.setattr(PlueckerVector, "_chart_rows", spy)
+    for y in points:
+        bmask, _ = walked(p._maximal, *p._to_lattice(as_point(y, p.n)))
+        assert reads[0] == p.support_masks()[0]
+        assert len(reads) - 1 <= bound, (y, reads)
+        assert p.matroid_at(y).is_basis(subset_from_mask(bmask)), y
+        assert walked(p.contains, y) == scan_contains(p, y), y
+        assert len(reads) - 1 <= bound
+        if loopless:
+            assert walked(project_any, p, y) == scan_project_any(p, y), y
+        else:
+            with pytest.raises(LoopyMatroidError):
+                project_any(p, y)
 
 
 def tiny_gap():
