@@ -10,9 +10,10 @@ tie set per level, and a node of the search is one tie set tried on a
 feasible prefix.  Each node adds its constraints to the prefix's closed
 difference-bound matrix (`diffcon.tighten`), which decides exactly whether
 the longer prefix is still feasible.  A full pattern that survives reads
-its witness off its closed matrix (`diffcon.matrix_witness`): the column
-minima are the potentials that `diffcon.solve` would reach, so the witness
-is the one `solve` returns, and no leaf calls `solve`.  The witness is
+its witness off its closed matrix (`diffcon.matrix_witness`), as
+`diffcon.solve` does: the column minima are the potentials that
+Bellman-Ford reaches, so the witness is the one the test suite's
+Bellman-Ford oracle returns, and no leaf calls `solve`.  The witness is
 mapped back through the chart and identified by the matroid of
 maximum-weight bases there.  The systems live on the vector's integer
 lattice: their bounds are the chart's int deltas (p_{B-b+i} - p_B) * D,

@@ -1,9 +1,9 @@
 """Difference-constraint systems with mixed strict / non-strict inequalities.
 
 A system over variables x_1..x_k consists of constraints x_l - x_r <= c or
-x_l - x_r < c and equalities x_l - x_r = c, with rational c.  Feasibility is
-decided exactly by Bellman-Ford on lexicographic edge weights (c, #strict):
-a path cost (c, s) means "c minus s infinitesimals", so
+x_l - x_r < c and equalities x_l - x_r = c, with rational c.  Each is an
+edge r -> l of lexicographic weight (c, #strict): a path of weight (c, s)
+means "c minus s infinitesimals", so
 
     (c1, s1) < (c2, s2)  iff  c1 < c2, or c1 = c2 and s1 > s2.
 
@@ -15,49 +15,17 @@ as c / unit.  Cell enumeration states its systems on a vector's integer
 lattice this way, with int bounds and unit D, the lcm of the entry
 denominators, so that no bound is rescaled per call.
 
-On a feasible system the witness is read off the potentials in closed form.
-Let q be the lcm of the bounds' denominators (1 for int bounds), so the
-bounds scale to integers c, in steps of 1 / (q * unit).  From an implicit
-source at (0, 0), Bellman-Ford ends at lex shortest-path potentials
-(c_j, s_j); with no negative cycle each is the weight of a simple path, so
-c_j is a sum of scaled bounds and 0 <= s_j <= k - 1.  With g the gcd of
-q * unit and every scaled bound, each c_j is a multiple of g, and in steps
-of the coarser lattice 1 / (q * unit / g) the witness is
-
-    x_j = (c_j / g - s_j / (k + 1)) / (q * unit / g).
-
-Each edge x_l - x_r <= c / (q * unit) (strict: <) leaves (c_l, s_l) no worse
-than (c_r + c, s_r + strict) in the lex order.  In steps of g:
-
-- where c_l < c_r + c, the slack is at least one step, while the s terms
-  move x_l - x_r by at most (k - 1) / (k + 1) < 1 step, so the edge holds
-  strictly;
-- where c_l = c_r + c, the lex order gives s_l >= s_r + strict, so the
-  difference is at most the bound, and below it if strict;
-- an equality is a pair of opposite non-strict edges; both are tight, so
-  the lex order gives s_l = s_r and the difference is exactly the bound.
-
-The step does not depend on how a system is written.  For `Fraction`
-bounds with unit 1, g = 1: for each prime power exactly dividing q, some
-bound's denominator holds all of it, and that bound scales to an integer
-prime to it.  The same bounds written as ints b over a unit D give
-q * unit / g = D / gcd(D, b...), which is again the lcm of the denominators
-of the b / D.  Bellman-Ford's comparisons do not change under a positive
-scaling, so both spellings give the same feasibility, the same cycle edges
-and the same witness.
-
-A search that adds constraints one at a time decides each prefix with
-`tighten` instead, on a closed difference-bound matrix (Bengtsson & Yi,
+Feasibility is decided on a closed difference-bound matrix (Bengtsson & Yi,
 "Timed automata: semantics, algorithms and tools", 2004), updated per edge
-as in Cotton & Maler, "Fast and flexible difference constraint propagation
-for DPLL(T)", SAT 2006.  The matrix is a flat list d of k * k entries, with
-0-based variables: d[a * k + b] is the lex-shortest path weight from a to b,
-or None for no path, so the empty system has 0 on the diagonal and None
-elsewhere.  An int bound (c, strict) is encoded as the int c * K - strict
-with K = 2k + 2, and a path's code is the sum of its edges' codes.  Codes
-compare as their lex weights whenever their strict counts differ by less
-than K: if c1 < c2 then c1 * K - s1 <= c2 * K - K - s1 < c2 * K - s2, as
-s2 - s1 < K.
+by `tighten` as in Cotton & Maler, "Fast and flexible difference constraint
+propagation for DPLL(T)", SAT 2006.  The matrix is a flat list d of k * k
+entries, with 0-based variables: d[a * k + b] is the lex-shortest path
+weight from a to b, or None for no path, so the empty system has 0 on the
+diagonal and None elsewhere.  An int bound (c, strict) is encoded as the
+int c * K - strict with K = 2k + 2, and a path's code is the sum of its
+edges' codes.  Codes compare as their lex weights whenever their strict
+counts differ by less than K: if c1 < c2 then
+c1 * K - s1 <= c2 * K - K - s1 < c2 * K - s2, as s2 - s1 < K.
 
 With no negative cycle, every entry is the weight of a simple path: a
 lex-shortest walk loses a cycle, of weight >= 0, and stays shortest.  Such
@@ -70,23 +38,65 @@ paths that use the new edge use it once, and the update
 
 compares codes with s <= 2(k - 1) + 1 < K, so it keeps the lex minimum,
 which is again a simple path's weight.  The verdicts are exact, whatever
-the order in which edges arrive.
+the order in which edges arrive.  A search that adds constraints a
+selection at a time calls `tighten` itself and keeps each prefix's matrix.
 
-A feasible system's witness comes off its closed matrix too
-(`matrix_witness`), with no Bellman-Ford run.  The implicit source reaches
-each node j at (0, 0) directly and along every path into j, so `solve`'s
-potential there is the lex minimum of (0, 0) and of the path weights into
-j: the column minimum min_i d[i * k + j], where the diagonal's 0 stands for
-the source's own edge.  That minimum is a simple path's weight, or 0, so
-its strict count s_j is at most k - 1 < K, and the code w_j = c_j * K - s_j
-decodes as c_j = ceil(w_j / K) and s_j = c_j * K - w_j.  For int bounds
-q = 1, so g is the gcd of the unit and of every bound in the system, and
-the formula above gives the witness `solve` returns, bit for bit:
+`solve` scales a system's bounds to integers by q, the lcm of their
+denominators (1 for int bounds), so they step in 1 / (q * unit), and adds
+its edges one at a time to the empty matrix.  The first edge u -> v that
+`tighten` refuses closes a negative cycle with a lex-shortest path v ~> u
+of the matrix as it stood before that edge, of weight d[v * k + u].  Every
+step a -> b of such a path is tight: its code plus d[b * k + u] is
+d[a * k + u], as the suffixes of a shortest path are shortest.  Conversely
+the codes along a walk of tight steps from v to u sum to d[v * k + u].  So
+`solve` walks breadth first from v along tight steps over the edges added
+before, with a visited set since equalities make zero cycles, and returns
+that path with the refused edge in front: a cycle of negative weight.  A
+self-loop is its own cycle, or else holds and is set aside; q, and g
+below, are taken over the other edges.
 
-    x_j = (c_j / g * (k + 1) - s_j) / (unit / g * (k + 1)).
+A feasible system's witness comes off its closed matrix (`matrix_witness`).
+Let (c_j, s_j) be the column minimum min_i d[i * k + j], the diagonal's 0
+included: the lex-least weight of a path into j, or (0, 0).  It is a simple
+path's weight or 0, so 0 <= s_j <= k - 1 < K, and the code
+w_j = c_j * K - s_j decodes as c_j = ceil(w_j / K) and s_j = c_j * K - w_j.
+Each c_j is a sum of scaled bounds, so with g the gcd of q * unit and every
+scaled bound, each c_j is a multiple of g, and in steps of the coarser
+lattice 1 / (q * unit / g) the witness is
+
+    x_j = (c_j / g - s_j / (k + 1)) / (q * unit / g)
+        = (c_j / g * (k + 1) - s_j) / (q * unit / g * (k + 1)).
+
+Take an edge x_l - x_r <= c / (q * unit) (strict: <).  A path into r, or
+the empty one at r, goes on along the edge to a walk into l, and no walk
+into l weighs less than (c_l, s_l), as no cycle is negative.  So (c_l, s_l)
+is no worse than (c_r + c, s_r + strict) in the lex order.  In steps of g:
+
+- where c_l < c_r + c, the slack is at least one step, while the s terms
+  move x_l - x_r by at most (k - 1) / (k + 1) < 1 step, so the edge holds
+  strictly;
+- where c_l = c_r + c, the lex order gives s_l >= s_r + strict, so the
+  difference is at most the bound, and below it if strict;
+- an equality is a pair of opposite non-strict edges; both are tight, so
+  the lex order gives s_l = s_r and the difference is exactly the bound.
 
 The gcd is taken over the system's bounds, not over the matrix entries:
 it covers the bounds of edges that `tighten` found redundant as well.
+
+The step does not depend on how a system is written.  For `Fraction`
+bounds with unit 1, g = 1: for each prime power exactly dividing q, some
+bound's denominator holds all of it, and that bound scales to an integer
+prime to it.  The same bounds written as ints b over a unit D give
+q * unit / g = D / gcd(D, b...), which is again the lcm of the denominators
+of the b / D.  Codes compare as lex weights, and those comparisons do not
+change under a positive scaling, so both spellings give the same
+feasibility, the same cycle and the same witness.
+
+The column minima are the potentials that Bellman-Ford reaches from an
+implicit source at (0, 0) over the same edges: the lex-least weights of
+the paths into each node, the source's own edge included.  So the witness
+is the one Bellman-Ford on lex potentials returns, bit for bit; the test
+suite keeps that solver as an independent oracle.
 """
 
 from __future__ import annotations
@@ -155,8 +165,8 @@ def tighten(d: list, k: int, edges) -> bool:
 
     Each edge (u, v, c, strict) is x_v - x_u <= c (< c when strict), with
     0-based variables and an int bound c.  Returns False as soon as an edge
-    closes a negative cycle, leaving d part-updated; the module docstring
-    gives the encoding and proves the verdict exact."""
+    closes a negative cycle, leaving d closed over the edges before it; the
+    module docstring gives the encoding and proves the verdict exact."""
     scale = 2 * k + 2
     for u, v, c, strict in edges:
         w = c * scale - strict
@@ -182,12 +192,13 @@ def tighten(d: list, k: int, edges) -> bool:
 
 
 def matrix_witness(d: list, k: int, unit: int, g: int) -> tuple[int, list[int]]:
-    """The witness `solve` returns, read off a closed difference-bound matrix.
+    """The witness of a feasible system, read off its closed matrix.
 
     ``d`` is the closed k x k matrix of a feasible system of int bounds in
     the positive integer ``unit``, and ``g`` the gcd of the unit and of
     every bound of the system.  Returns the witness over one denominator,
-    as (den, [x_j * den]); the module docstring proves that it is `solve`'s.
+    as (den, [x_j * den]); the module docstring proves that it satisfies
+    the system.
     """
     scale = 2 * k + 2
     out = []
@@ -201,7 +212,9 @@ def matrix_witness(d: list, k: int, unit: int, g: int) -> tuple[int, list[int]]:
 def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
     """Decide feasibility; return an exact witness or a violating cycle.
 
-    The cycle's constraints carry the system's own bounds, in its unit."""
+    The edges go one at a time into the empty closed matrix; the module
+    docstring proves the verdict, the cycle and the witness.  The cycle's
+    constraints carry the system's own bounds, in its unit."""
     k = system.num_vars
     unit = system.unit
     if type(unit) is not int or unit < 1:  # not a bool either
@@ -213,60 +226,44 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
             if bound < 0 or (bound == 0 and strict):
                 return SolveResult(False, cycle=(origin,))
             continue
-        edges.append((right, left, bound, 1 if strict else 0, origin))
-
-    if not edges:
-        return SolveResult(True, witness=tuple(Fraction(0) for _ in range(k)))
+        edges.append((right - 1, left - 1, bound, 1 if strict else 0, origin))
 
     # 1 for int bounds, which are then used as they are
-    scale = math.lcm(*(b.denominator for _, _, b, _, _ in edges))
-    iedges = [(r, l, b.numerator * (scale // b.denominator), s, o) for r, l, b, s, o in edges]
-
-    # implicit super-source: every node starts at distance (0, 0)
-    dist_c = [0] * (k + 1)
-    dist_s = [0] * (k + 1)
-    pred: list[tuple | None] = [None] * (k + 1)
-
-    def relax_once() -> int | None:
-        changed = None
-        for r, l, c, s, o in iedges:
-            nc = dist_c[r] + c
-            ns = dist_s[r] + s
-            if nc < dist_c[l] or (nc == dist_c[l] and ns > dist_s[l]):
-                dist_c[l] = nc
-                dist_s[l] = ns
-                pred[l] = (r, o)
-                changed = l
-        return changed
-
-    for _ in range(k):
-        if relax_once() is None:
-            break
-    else:
-        hot = relax_once()
-        if hot is not None:
-            # k + 1 steps back among k nodes repeat one, so node is on the cycle
-            node = hot
-            for _ in range(k + 1):
-                node = pred[node][0]
-            # pred[v] = (u, origin) is the edge u -> v; read the cycle off preds
-            origins = []
-            cur = node
-            while True:
-                cur, origin = pred[cur]
-                origins.append(origin)
-                if cur == node:
-                    break
-            origins.reverse()
-            return SolveResult(False, cycle=tuple(origins))
+    q = math.lcm(*(b.denominator for _, _, b, _, _ in edges))
+    d = [None] * (k * k)
+    d[::k + 1] = [0] * k
+    added = []
+    for u, v, b, strict, origin in edges:
+        edge = (u, v, b.numerator * (q // b.denominator), strict)
+        if not tighten(d, k, (edge,)):
+            return SolveResult(False, cycle=(origin, *_tight_path(d, k, added, v, u)))
+        added.append((edge, origin))
 
     if not want_witness:
         return SolveResult(True)
+    g = math.gcd(q * unit, *(c for (_, _, c, _), _ in added))
+    den, xs = matrix_witness(d, k, q * unit, g)
+    return SolveResult(True, witness=tuple(Fraction(x, den) for x in xs))
 
-    # steps of g on the lattice 1 / (scale * unit), epsilon = 1 / (k + 1)
-    # step; the module docstring proves it
-    g = math.gcd(scale * unit, *(c for _, _, c, _, _ in iedges))
-    den = (scale * unit // g) * (k + 1)
-    return SolveResult(True, witness=tuple(
-        Fraction(dist_c[j] // g * (k + 1) - dist_s[j], den) for j in range(1, k + 1)
-    ))
+
+def _tight_path(d: list, k: int, edges: list, start: int, end: int) -> list[Constraint]:
+    """The origins of a lex-shortest path start ~> end in the closed matrix
+    d, found breadth first along tight steps over the (edge, origin) pairs
+    ``edges``; the module docstring proves that one exists."""
+    scale = 2 * k + 2
+    parent = {start: None}
+    frontier = [start]
+    for a in frontier:
+        if a == end:
+            break
+        for (u, v, c, strict), origin in edges:
+            rest = d[v * k + end]
+            if (u == a and v not in parent and rest is not None
+                    and c * scale - strict + rest == d[a * k + end]):
+                parent[v] = (a, origin)
+                frontier.append(v)
+    path = []
+    while parent[end] is not None:
+        end, origin = parent[end]
+        path.append(origin)
+    return path[::-1]

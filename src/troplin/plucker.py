@@ -446,35 +446,27 @@ class PlueckerVector:
         exchange scan.
         """
         self._need_validated()
-        return self._matroid_at(self._as_point(point))
-
-    def _matroid_at(self, pt: tuple[Fraction, ...]) -> Matroid:
-        """`matroid_at` of a point already read by `_as_point`."""
-        return self._face(*self._to_lattice(pt))
+        return self._face(*self._to_lattice(self._as_point(point)))
 
     def _face(self, s: int, xs: list[int], start: int = 0) -> Matroid:
-        """`matroid_at` of the lattice point (s, xs) of `_to_lattice`.
+        """`matroid_at` of the lattice point (s, xs) of `_to_lattice`: the
+        `_weight_lattice` rows of maximum weight there.
 
         Only the support rows from index ``start`` of `_supp_list` on are
         scanned; a caller passes the index of a subset it knows to be the
         lex-least winner.  The winners come in lex order, so they fill the
         matroid as they are.
         """
-        top = self._top_rows(s, xs, start)
-        face = Matroid.__new__(Matroid)
-        face._fill(self.n, tuple(row[2] for row in top), tuple(row[3] for row in top))
-        return face
-
-    def _top_rows(self, s: int, xs: list[int], start: int = 0) -> list[tuple]:
-        """The `_weight_lattice` rows of maximum weight at the lattice point
-        (s, xs), from row ``start`` on, in `_supp_list` order."""
         d, _, rows = self._weight_lattice()
         if start:
             rows = rows[start:]
         k = s // d
         weights = [sum(pick(xs)) - pd * k for pick, pd, _, _ in rows]
         best = max(weights)
-        return [row for row, w in zip(rows, weights) if w == best]
+        top = [row for row, w in zip(rows, weights) if w == best]
+        face = Matroid.__new__(Matroid)
+        face._fill(self.n, tuple(row[2] for row in top), tuple(row[3] for row in top))
+        return face
 
     # -- membership -----------------------------------------------------------
 

@@ -5,13 +5,15 @@ no shared code with the library internals beyond data types.  Slow is fine;
 wrong is not.  The exceptions are slow paths that library fast paths
 replaced, kept here to check the fast paths against: `all_bases_cells`; the
 `fraction_*` chart, circuit-membership and tie-pattern search paths that
-the integer lattice replaced; `solve_leaf_cells`, the search with the
-`solve` leaf that the witness read off the matrix replaced; and
-`padded_minors`, the maximal minors of the padded matrix `augment` that
-`conical.tau` replaced by minors of V alone; the `scan_*` chart-region
-reads, which test B against every support row where `LocalContext` reads
-B's own exchanges; and `scan_contains`, the cover test over every support
-row that the steepest ascent of `PlueckerVector.contains` replaced.
+the integer lattice replaced; `bellman_ford_solve`, the solver that the
+closed difference-bound matrix replaced inside `diffcon.solve`;
+`solve_leaf_cells`, the search with the `solve` leaf that the witness read
+off the matrix replaced; `padded_minors`, the maximal minors of the padded
+matrix `augment` that `conical.tau` replaced by minors of V alone; the
+`scan_*` chart-region reads, which test B against every support row where
+`LocalContext` reads B's own exchanges; and `scan_contains`, the cover test
+over every support row that the steepest ascent of `PlueckerVector.contains`
+replaced.
 `tau_instance` and `direct_sum` build the seeded test vectors that several
 test files share.
 """
@@ -24,7 +26,7 @@ from itertools import combinations, permutations, product
 from troplin.cells import Cell, enumerate_local_cells, is_bounded
 from troplin.chart import LocalContext
 from troplin.conical import HeightMatrix, random_height_matrix, tau
-from troplin.diffcon import Constraint, DifferenceSystem, solve, tighten
+from troplin.diffcon import Constraint, DifferenceSystem, SolveResult, tighten
 from troplin.plucker import PlueckerVector
 from troplin.semiring import INF, as_point, is_finite, is_orthogonal
 
@@ -191,21 +193,23 @@ def all_bases_cells(p):
 
     Returns (cell, owners) pairs sorted by key, where owners lists every
     basis whose chart found the cell and the kept cell is the first find.
-    Asserts that no chart finds one cell twice and that every find of a
-    cell agrees on its dimension and boundedness.
+    Raises AssertionError, under ``python -O`` too, when a chart finds one
+    cell twice or two finds of a cell disagree on its dimension or
+    boundedness.
     """
     merged = {}
     for basis in p.underlying_matroid().bases:
         local = enumerate_local_cells(LocalContext(p, basis))
         keys = [c.key for c in local]
-        assert len(set(keys)) == len(keys), f"two tie patterns at {basis} gave one cell"
+        if len(set(keys)) != len(keys):
+            raise AssertionError(f"two tie patterns at {basis} gave one cell")
         for cell in local:
             if cell.key not in merged:
                 merged[cell.key] = (cell, [])
             first, owners = merged[cell.key]
-            assert (first.dim, first.bounded) == (cell.dim, cell.bounded), (
-                f"cell {cell.key} found with inconsistent geometry at {basis}"
-            )
+            if (first.dim, first.bounded) != (cell.dim, cell.bounded):
+                raise AssertionError(
+                    f"cell {cell.key} found with inconsistent geometry at {basis}")
             owners.append(basis)
     return [(cell, tuple(owners)) for cell, owners in (merged[k] for k in sorted(merged))]
 
@@ -239,12 +243,12 @@ def fraction_options(p, basis):
 
 
 def fraction_local_cells(ctx, owned_only=False):
-    """`enumerate_local_cells` with `Fraction` bounds and a `solve` per
+    """`enumerate_local_cells` with `Fraction` bounds and a Bellman-Ford per
     prefix, the search that the lattice systems and the difference-bound
     matrix replaced: the same depth-first product over the tie sets of
-    `fraction_options`, each prefix probed by `solve` with unit 1, no node
-    cap.  Returns the cells sorted by key and the number of tie-pattern
-    nodes, one per selection tried on a feasible prefix."""
+    `fraction_options`, each prefix probed by `bellman_ford_solve` with
+    unit 1, no node cap.  Returns the cells sorted by key and the number of
+    tie-pattern nodes, one per selection tried on a feasible prefix."""
     p, basis, m = ctx.p, ctx.basis, ctx.p.m
     underlying = p.underlying_matroid()
     rows = []
@@ -260,7 +264,7 @@ def fraction_local_cells(ctx, owned_only=False):
     def descend(depth, eqs, cons):
         nonlocal nodes
         if depth == len(rows):
-            res = solve(DifferenceSystem(m, tuple(cons), tuple(eqs)))
+            res = bellman_ford_solve(DifferenceSystem(m, tuple(cons), tuple(eqs)))
             if res.feasible:
                 point = ctx.chart(res.witness)
                 face = p.matroid_at(point)
@@ -277,7 +281,7 @@ def fraction_local_cells(ctx, owned_only=False):
                               for t in chosen[1:]]
                 cons2 = cons + [Constraint(rep_slot, slot, delta - rep_delta, True)
                                 for t, (slot, delta) in enumerate(opts) if t not in chosen]
-                if depth + 1 == len(rows) or solve(
+                if depth + 1 == len(rows) or bellman_ford_solve(
                         DifferenceSystem(m, tuple(cons2), tuple(eqs2)),
                         want_witness=False).feasible:
                     descend(depth + 1, eqs2, cons2)
@@ -290,9 +294,9 @@ def solve_leaf_cells(ctx, owned_only=False):
     """`enumerate_local_cells` with the leaf it had before the witness was
     read off the matrix: the same lattice selections and matrix search, but
     each surviving leaf builds its `DifferenceSystem` of `Constraint`s and
-    equalities in the unit D, takes `solve`'s witness, and finds the face by
-    `matroid_at`'s scan of every support row.  Returns the cells sorted by
-    key and the number of tie-pattern nodes."""
+    equalities in the unit D, takes `bellman_ford_solve`'s witness, and
+    finds the face by `matroid_at`'s scan of every support row.  Returns
+    the cells sorted by key and the number of tie-pattern nodes."""
     p, basis, m = ctx.p, ctx.basis, ctx.p.m
     unit = p._weight_lattice()[0]
     underlying = p.underlying_matroid()
@@ -325,7 +329,7 @@ def solve_leaf_cells(ctx, owned_only=False):
                 tuple(eq for eqs, _, _ in picked for eq in eqs),
                 unit,
             )
-            point = ctx.chart(solve(system).witness)
+            point = ctx.chart(bellman_ford_solve(system).witness)
             face = p.matroid_at(point)
             cells.append(Cell(face, is_bounded(face, underlying), point))
             return
@@ -394,8 +398,8 @@ def scan_contains(p, point):
     when the matroid at the point is loopless."""
     p._need_validated()
     covered = 0
-    for row in p._top_rows(*p._to_lattice(p._as_point(point))):
-        covered |= row[3]
+    for mask in p._face(*p._to_lattice(p._as_point(point))).basis_masks:
+        covered |= mask
     return covered == (1 << p.n) - 1
 
 
@@ -577,6 +581,93 @@ def recession_01_bounded(system: DifferenceSystem, groups=None) -> bool:
         if ok:
             return False
     return True
+
+
+def bellman_ford_solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
+    """`diffcon.solve` by Bellman-Ford, the solver it had before it ran on
+    the closed difference-bound matrix: feasibility, an exact witness or a
+    violating cycle, with nothing shared with `tighten`.
+
+    Bellman-Ford runs on lexicographic edge weights (c, #strict), the
+    bounds scaled to ints by the lcm q of their denominators, from an
+    implicit source at (0, 0).  With no negative cycle it ends at lex
+    shortest-path potentials (c_j, s_j), each the weight of a simple path
+    or 0, and the witness is x_j = (c_j / g * (k + 1) - s_j) /
+    (q * unit / g * (k + 1)), with g the gcd of q * unit and every scaled
+    bound; the `diffcon` module docstring proves that these potentials are
+    the column minima `solve` reads, so the two witnesses agree bit for
+    bit.  A relaxation still changing a potential after k rounds lies on a
+    negative cycle or past one; k + 1 predecessor steps back land on it,
+    and the cycle is read off the predecessors.  The cycle's constraints
+    carry the system's own bounds, in its unit."""
+    k = system.num_vars
+    unit = system.unit
+    if type(unit) is not int or unit < 1:  # not a bool either
+        raise ValueError(f"the unit must be a positive integer, got {unit!r}")
+    edges = []
+    for right, left, bound, strict, origin in system.all_edges():
+        if left == right:
+            # self-loop: 0 <= bound must hold (strictly if strict)
+            if bound < 0 or (bound == 0 and strict):
+                return SolveResult(False, cycle=(origin,))
+            continue
+        edges.append((right, left, bound, 1 if strict else 0, origin))
+
+    if not edges:
+        return SolveResult(True, witness=tuple(Fraction(0) for _ in range(k)))
+
+    # 1 for int bounds, which are then used as they are
+    scale = math.lcm(*(b.denominator for _, _, b, _, _ in edges))
+    iedges = [(r, l, b.numerator * (scale // b.denominator), s, o) for r, l, b, s, o in edges]
+
+    # implicit super-source: every node starts at distance (0, 0)
+    dist_c = [0] * (k + 1)
+    dist_s = [0] * (k + 1)
+    pred: list[tuple | None] = [None] * (k + 1)
+
+    def relax_once() -> int | None:
+        changed = None
+        for r, l, c, s, o in iedges:
+            nc = dist_c[r] + c
+            ns = dist_s[r] + s
+            if nc < dist_c[l] or (nc == dist_c[l] and ns > dist_s[l]):
+                dist_c[l] = nc
+                dist_s[l] = ns
+                pred[l] = (r, o)
+                changed = l
+        return changed
+
+    for _ in range(k):
+        if relax_once() is None:
+            break
+    else:
+        hot = relax_once()
+        if hot is not None:
+            # k + 1 steps back among k nodes repeat one, so node is on the cycle
+            node = hot
+            for _ in range(k + 1):
+                node = pred[node][0]
+            # pred[v] = (u, origin) is the edge u -> v; read the cycle off preds
+            origins = []
+            cur = node
+            while True:
+                cur, origin = pred[cur]
+                origins.append(origin)
+                if cur == node:
+                    break
+            origins.reverse()
+            return SolveResult(False, cycle=tuple(origins))
+
+    if not want_witness:
+        return SolveResult(True)
+
+    # steps of g on the lattice 1 / (scale * unit), epsilon = 1 / (k + 1)
+    # step; the module docstring proves it
+    g = math.gcd(scale * unit, *(c for _, _, c, _, _ in iedges))
+    den = (scale * unit // g) * (k + 1)
+    return SolveResult(True, witness=tuple(
+        Fraction(dist_c[j] // g * (k + 1) - dist_s[j], den) for j in range(1, k + 1)
+    ))
 
 
 def random_system(rng, max_vars=4, max_cons=8) -> DifferenceSystem:
@@ -771,12 +862,15 @@ def tau_instance(kind, n, m):
 
 def direct_sum(p1, p2):
     """p_{A + (B shifted by n1)} = p1_A + p2_B, a valid vector on n1 + n2
-    whose underlying matroid is disconnected."""
+    whose underlying matroid is disconnected; validated here, so the
+    result is ready to use."""
     n1 = p1.n
     entries = {
         a + tuple(b_elem + n1 for b_elem in b): p1.entry(a) + p2.entry(b)
         for a in p1.support() for b in p2.support()
     }
     p = PlueckerVector(n1 + p2.n, p1.m + p2.m, entries)
-    assert p.validate().ok
+    report = p.validate()
+    if not report.ok:
+        raise ValueError(f"the direct sum is not a valid vector: {report.summary()}")
     return p

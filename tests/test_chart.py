@@ -271,7 +271,7 @@ def test_region_reads_do_not_scan_the_support(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scanned the support")
 
-    monkeypatch.setattr(PlueckerVector, "_top_rows", refuse)
+    monkeypatch.setattr(PlueckerVector, "_face", refuse)
     assert ctx.in_sigma(image) and ctx.in_sigma(below) and not ctx.in_sigma(above)
     assert ctx.in_local_space(image) and not ctx.in_local_space(below)
     assert ctx.project(below) == image

@@ -4,7 +4,13 @@ from itertools import permutations
 
 import pytest
 
-from oracles import check_witness, fm_feasible, random_system, recession_01_bounded
+from oracles import (
+    bellman_ford_solve,
+    check_witness,
+    fm_feasible,
+    random_system,
+    recession_01_bounded,
+)
 from troplin.diffcon import (
     Constraint,
     DifferenceSystem,
@@ -115,6 +121,13 @@ def test_solver_matches_fourier_motzkin():
     assert disagreements == 0
 
 
+def lattice_spelling(sys_, d):
+    """The system with every bound b written as the int b * d over unit d."""
+    return DifferenceSystem(
+        sys_.num_vars, tuple(c._replace(bound=int(c.bound * d)) for c in sys_.constraints),
+        tuple((l, r, int(c * d)) for l, r, c in sys_.equalities), unit=d)
+
+
 def test_int_bounds_are_read_in_their_unit():
     # the 600 seeded systems written as int bounds b over a unit D > 1 give
     # the feasibility, cycle and witness of the same systems with the bounds
@@ -126,9 +139,7 @@ def test_int_bounds_are_read_in_their_unit():
         scaled = [c.bound * d for c in sys_.constraints] + [c * d for *_, c in sys_.equalities]
         assert all(b.denominator == 1 for b in scaled)
         k = sys_.num_vars
-        lattice = DifferenceSystem(
-            k, tuple(c._replace(bound=int(c.bound * d)) for c in sys_.constraints),
-            tuple((l, r, int(c * d)) for l, r, c in sys_.equalities), unit=d)
+        lattice = lattice_spelling(sys_, d)
         fractions = DifferenceSystem(
             k, tuple(c._replace(bound=Fraction(c.bound, d)) for c in lattice.constraints),
             tuple((l, r, Fraction(c, d)) for l, r, c in lattice.equalities))
@@ -137,6 +148,36 @@ def test_int_bounds_are_read_in_their_unit():
         assert got.witness == want.witness
         if not got.feasible:
             assert [c._replace(bound=Fraction(c.bound, d)) for c in got.cycle] == list(want.cycle)
+
+
+def test_solve_matches_bellman_ford():
+    # the matrix solver and the Bellman-Ford oracle on the 600 seeded
+    # systems, in their Fraction spelling and as int bounds over a unit:
+    # the same verdict and witness, and on an infeasible system a cycle of
+    # the system's own edges that chains head to tail, closes and certifies
+    rng = random.Random(4242)
+    units = random.Random(7)
+    tiny_gap = DifferenceSystem(2, (
+        Constraint(2, 1, Fraction(0), strict=True),
+        Constraint(1, 2, Fraction(1, 2**300), strict=True),
+    ))
+    systems = [tiny_gap]
+    for sys_ in [random_system(rng) for _ in range(600)]:
+        systems += [sys_, lattice_spelling(sys_, 6 * units.randint(1, 5))]
+    infeasible = 0
+    for sys_ in systems:
+        got, want = solve(sys_), bellman_ford_solve(sys_)
+        assert got.feasible == want.feasible
+        assert got.witness == want.witness
+        if got.feasible:
+            continue
+        infeasible += 1
+        own = {origin for *_, origin in sys_.all_edges()}
+        assert set(got.cycle) <= own
+        assert all(c.left == nxt.right for c, nxt in zip(got.cycle, got.cycle[1:] + got.cycle[:1]))
+        total = sum((Fraction(c.bound, sys_.unit) for c in got.cycle), Fraction(0))
+        assert total < 0 or (total == 0 and any(c.strict for c in got.cycle))
+    assert infeasible > 200
 
 
 @pytest.mark.parametrize("unit", [0, -6, True, Fraction(6)])
@@ -227,11 +268,9 @@ def test_matrix_verdicts_match_solve_and_fourier_motzkin():
         sys_ = random_system(rng)
         d = 6 * rng.randint(1, 5)
         k = sys_.num_vars
-        lattice = DifferenceSystem(
-            k, tuple(c._replace(bound=int(c.bound * d)) for c in sys_.constraints),
-            tuple((l, r, int(c * d)) for l, r, c in sys_.equalities), unit=d)
+        lattice = lattice_spelling(sys_, d)
         want = fm_feasible(sys_)
-        assert solve(lattice, want_witness=False).feasible == want
+        assert bellman_ford_solve(lattice, want_witness=False).feasible == want
         edges = matrix_edges(lattice)
         dist = lex_shortest_paths(k, edges)
         scale = 2 * k + 2

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from oracles import (
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
-from troplin.matroid import subset_from_mask
+from troplin.matroid import ExchangeError, Matroid, subset_from_mask
 from troplin.plucker import NotValidatedError, PlueckerVector
 from troplin.semiring import INF, as_point
 
@@ -75,6 +76,30 @@ def test_relation_failures_match_definition():
             assert got == brute_relation_failures(q)
             failing += bool(got)
     assert failing >= 20
+
+
+def test_relations_imply_the_support_exchange_axiom():
+    # with S = A - a and T = B + a the term at a is p_A + p_B, finite, so a
+    # second finite term gives b in B - A with A - a + b in the support: a
+    # vector with no failing relation has a matroid support, and the scan
+    # in `Matroid(n, support)` passes on it
+    rng = random.Random(2718)
+    non_matroids = passing = 0
+    for _ in range(2000):
+        n = rng.randint(4, 6)
+        m = rng.randint(2, n - 2)
+        subsets = list(combinations(range(1, n + 1), m))
+        keep = rng.random()
+        support = [a for a in subsets if rng.random() < keep] or subsets[:1]
+        p = PlueckerVector(n, m, {a: rng.randint(0, 2) for a in support})
+        failures = p.validate().relation_failures
+        try:
+            Matroid(n, support)
+        except ExchangeError:
+            non_matroids += 1
+            assert failures, support
+        passing += not failures
+    assert non_matroids > 500 and passing > 300
 
 
 def test_validate_support_failure():
