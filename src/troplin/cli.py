@@ -69,40 +69,45 @@ def _int_at_least(low: int):
     return parse
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key is refused by name."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so before the next clause
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
+    # a decode error, a repeated key, nesting past the recursion limit or an
+    # integer literal past the interpreter's digit limit
+    except (RecursionError, ValueError) as exc:
+        raise UsageError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _load_plucker(path: str) -> PlueckerVector:
+def _load_record(path: str, cls, kind: str):
+    """``cls.from_json`` of the file at ``path``; a bad record is a usage error."""
     obj = _load_json(path)
     try:
-        return PlueckerVector.from_json(obj)
+        return cls.from_json(obj)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad Pluecker file {path}: {exc}") from None
+        raise UsageError(f"bad {kind} file {path}: {exc}") from None
 
 
 def _load_validated(path: str) -> PlueckerVector:
-    p = _load_plucker(path)
+    p = _load_record(path, PlueckerVector, "Pluecker")
     report = p.validate()
     if not report.ok:
         raise ValueError(f"input is not a tropical Pluecker vector: {report.summary()}")
     return p
-
-
-def _load_heights(path: str) -> HeightMatrix:
-    obj = _load_json(path)
-    try:
-        return HeightMatrix.from_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad height-matrix file {path}: {exc}") from None
 
 
 def _get_point(args, name: str, n: int):
@@ -147,7 +152,7 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 
 def cmd_validate(args) -> int:
-    p = _load_plucker(args.file)
+    p = _load_record(args.file, PlueckerVector, "Pluecker")
     report = p.validate()
     payload = {
         "valid": report.ok,
@@ -240,6 +245,11 @@ def _cell_payload(cell) -> dict:
     }
 
 
+def _cell_line(cell) -> str:
+    bases = ["".join(map(str, b)) for b in cell.face_matroid.bases]
+    return f"  dim={cell.dim} bounded={cell.bounded} bases={bases}"
+
+
 def _fvector_lines(p, fv, with_total_cap: bool) -> list[str]:
     # The total-count cap is a statement about one chart's complex; only the
     # bounded cap is meaningful against a global f-vector.
@@ -268,11 +278,7 @@ def cmd_local(args) -> int:
     }
     payload.update(fv.to_json())
     lines = [f"{len(local)} cells in the local complex at {list(ctx.basis)}"]
-    for c in local:
-        lines.append(
-            f"  dim={c.dim} bounded={c.bounded} "
-            f"bases={[''.join(map(str, b)) for b in c.face_matroid.bases]}"
-        )
+    lines += [_cell_line(c) for c in local]
     lines += _fvector_lines(p, fv, with_total_cap=True)
     _emit(args, payload, lines)
     return 0
@@ -287,12 +293,7 @@ def cmd_cells(args) -> int:
         print(cellmod.adjacency_dot(cells))
         return 0
     payload = {"cells": [_cell_payload(c) for c in cells]}
-    lines = [f"{len(cells)} cells"]
-    for c in cells:
-        lines.append(
-            f"  dim={c.dim} bounded={c.bounded} "
-            f"bases={[''.join(map(str, b)) for b in c.face_matroid.bases]}"
-        )
+    lines = [f"{len(cells)} cells"] + [_cell_line(c) for c in cells]
     _emit(args, payload, lines)
     return 0
 
@@ -368,7 +369,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    p = tau(_load_heights(args.file))
+    p = tau(_load_record(args.file, HeightMatrix, "height-matrix"))
     # a column of V with no finite entry is in no basis of tau(V)
     for j in p.underlying_matroid().loops():
         print(f"column {j} has no finite entries; {j} will be a loop", file=sys.stderr)

@@ -11,9 +11,9 @@ The system is infeasible exactly when some cycle has total weight below
 (0, 0), i.e. rational part negative, or zero with at least one strict edge.
 
 A system may carry a positive integer ``unit``: every bound c is then read
-as c / unit.  Cell enumeration states its systems on a vector's integer
-lattice this way, with int bounds and unit D, the lcm of the entry
-denominators, so that no bound is rescaled per call.
+as c / unit.  Cell enumeration builds no `DifferenceSystem`: it hands the
+int edges of its tie patterns straight to `tighten` and `matrix_witness`,
+in the unit D, the lcm of the vector's entry denominators.
 
 Feasibility is decided on a closed difference-bound matrix (Bengtsson & Yi,
 "Timed automata: semantics, algorithms and tools", 2004), updated per edge

@@ -8,11 +8,11 @@ There are two constructors.  `Matroid(n, bases)` (and `Matroid.from_json`)
 takes bases from a caller, refuses a repeated basis with a `ValueError`,
 and verifies the basis-exchange axiom, raising `ExchangeError` with the
 first failing triple.  `Matroid.from_masks` takes bases the library
-derived itself from a family that is a matroid by theorem -- the
-maximal-weight bases of a valuated matroid (Dress & Wenzel), a principal
-transversal family (Edmonds & Fulkerson) -- and skips the scan; the test
-suite and `troplin selftest` check those families against the exchange
-axiom instead.
+derived itself and skips the scan: a family that is a matroid by theorem
+-- the maximal-weight bases of a valuated matroid (Dress & Wenzel), a
+principal transversal family (Edmonds & Fulkerson) -- which the test suite
+and `troplin selftest` check against the exchange axiom instead, or a
+vector's support that `PlueckerVector.validate` has just scanned.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class Matroid:
         """Trusted constructor for bases the library derived itself.
 
         ``masks`` are distinct, nonempty, equal-size bitmasks of a family
-        that is a matroid by theorem; nothing is checked, so a caller's
-        bases go through `Matroid(n, bases)` instead.
+        that is a matroid by theorem or by a scan already made; nothing is
+        checked, so a caller's bases go through `Matroid(n, bases)` instead.
         """
         obj = cls.__new__(cls)
         obj._fill(n, *_lex_sorted(masks))

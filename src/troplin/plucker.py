@@ -43,9 +43,9 @@ from itertools import combinations
 from operator import itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple
 
+from . import kernels
 from .matroid import (
     MAX_GROUND,
-    ExchangeError,
     Matroid,
     json_int,
     mask_from_subset,
@@ -58,7 +58,6 @@ from .semiring import (
     as_scalar,
     format_scalar,
     is_orthogonal,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
-    min_achieved_twice,
 )
 
 
@@ -238,41 +237,37 @@ class PlueckerVector:
         vector as validated; on failure it is cleared.  The report lists
         every failing (S, T) pair.
         """
-        failures = []
-        n, m = self.n, self.m
+        n, m, entries = self.n, self.m, self._entries
         elems = range(1, n + 1)
+        tops = [(t, sum(1 << (e - 1) for e in t)) for t in combinations(elems, m + 1)]
+        failures = []
         for s_combo in combinations(elems, m - 1):
-            smask = mask_from_subset(s_combo, n)
-            for t_combo in combinations(elems, m + 1):
-                tmask = mask_from_subset(t_combo, n)
+            smask = sum(1 << (e - 1) for e in s_combo)
+            for t_combo, tmask in tops:
                 if not smask & ~tmask:
                     continue  # S inside T: the two terms coincide, so it holds
-                free = tmask & ~smask
+                # the finite terms only: the relation fails iff the least of
+                # them occurs once, as an INF term is never that minimum
                 terms = []
-                any_finite = False
-                rest = free
+                rest = tmask & ~smask
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
-                    a = self._entries.get(smask | bit)
-                    b = self._entries.get(tmask & ~bit)
-                    if a is None or b is None:
-                        terms.append(INF)
-                    else:
-                        terms.append(a + b)
-                        any_finite = True
-                if not any_finite:
-                    continue
-                if not min_achieved_twice(terms):
+                    a = entries.get(smask | bit)
+                    if a is not None:
+                        b = entries.get(tmask ^ bit)
+                        if b is not None:
+                            terms.append(a + b)
+                if terms and terms.count(min(terms)) == 1:
                     failures.append((s_combo, t_combo))
+        # the support masks are distinct m-sets in lex order already
+        bad = kernels.exchange_violation(self._supp_list, n)
         witness = None
-        matroid = None
-        try:
-            matroid = Matroid(n, self.support())  # caller's support: scanned
-        except ExchangeError as exc:
-            witness = (exc.a_subset, exc.b_subset, exc.element)
+        if bad is not None:
+            amask, bmask, elem = bad
+            witness = (subset_from_mask(amask), subset_from_mask(bmask), elem)
         report = ValidationReport(tuple(failures), witness)
-        self._matroid = matroid if report.ok else None
+        self._matroid = Matroid.from_masks(n, self._supp_list) if report.ok else None
         return report
 
     def underlying_matroid(self) -> Matroid:

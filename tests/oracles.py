@@ -532,7 +532,8 @@ def fm_feasible_rows(k, rows):
                 new_rows.append((coeffs, b * pb + a * nb, ps or ns))
         rows = _strongest(new_rows)
     for coeffs, bound, strict in rows:
-        assert not any(coeffs)
+        if any(coeffs):
+            raise AssertionError(f"elimination left a variable in {coeffs}")
         if bound < 0 or (strict and bound == 0):
             return False
     return True
@@ -700,7 +701,8 @@ def multinomial(total, parts):
     """total! / prod(part!), or 0 when a part is negative."""
     if any(p < 0 for p in parts):
         return 0
-    assert sum(parts) == total
+    if sum(parts) != total:
+        raise ValueError(f"parts {parts} do not sum to {total}")
     out, rest = 1, total
     for p in parts:
         out *= math.comb(rest, p)
@@ -720,7 +722,8 @@ def mixed_total_count(s, r, k):
     if s < 1:
         return 0
     value = Fraction(s, s + k) * multinomial(r + s - 1, (s, r - 1 - k, k))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError(f"mixed_total_count({s}, {r}, {k}) = {value} is not an integer")
     return int(value)
 
 

@@ -24,7 +24,7 @@ from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.matroid import ExchangeError, Matroid, subset_from_mask
-from troplin.plucker import NotValidatedError, PlueckerVector
+from troplin.plucker import NotValidatedError, PlueckerVector, ValidationReport
 from troplin.semiring import INF, as_point
 
 
@@ -305,6 +305,65 @@ def fixture_vector(name):
         p = PlueckerVector.from_json(json.load(fh))
     assert p.validate().ok
     return p
+
+
+def scanned_report(p):
+    """The reference for `validate`: (report, matroid or None), with the
+    relations straight from the definition and the support through the
+    caller-input constructor `Matroid(n, bases)`, whose scan raises the
+    exchange triple."""
+    try:
+        matroid, witness = Matroid(p.n, p.support()), None
+    except ExchangeError as exc:
+        matroid, witness = None, (exc.a_subset, exc.b_subset, exc.element)
+    return ValidationReport(brute_relation_failures(p), witness), matroid
+
+
+def _perturbed(base, rng, moves):
+    """``base``'s entries after ``moves`` seeded moves: an entry moved by a
+    small rational, knocked out to INF, or added off the support."""
+    support = base.support()
+    others = [a for a in combinations(range(1, base.n + 1), base.m) if a not in support]
+    entries = {a: base.entry(a) for a in support}
+    for _ in range(moves):
+        roll = rng.random()
+        target = rng.choice(support)
+        if roll < 0.4 and len(entries) > 1:
+            entries.pop(target, None)
+        elif roll < 0.7 and others:
+            entries[rng.choice(others)] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        elif target in entries:
+            entries[target] += Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+    return PlueckerVector(base.n, base.m, entries)
+
+
+def test_validate_matches_the_scanned_path():
+    # the fixtures and seeded tau up to (7,4), each perturbed, and random
+    # supports on [4..6], most of them no matroid
+    rng = random.Random(1992)
+    bases = [two_pyramids(), uniform_zero(5, 2), snowflake(), rank3_pair(),
+             fixture_vector("example1.json"), fixture_vector("snowflake.json")]
+    bases += [seeded_tau(kind, n, m) for kind in ("generic", "tie", "knockout")
+              for n, m in ((6, 3), (7, 4))]
+    vectors = [_perturbed(base, rng, moves) for base in bases for moves in range(8)]
+    for _ in range(150):
+        n = rng.randint(4, 6)
+        m = rng.randint(2, n - 2)
+        subsets = list(combinations(range(1, n + 1), m))
+        keep = rng.random()
+        support = [a for a in subsets if rng.random() < keep] or subsets[:1]
+        vectors.append(PlueckerVector(n, m, {a: rng.randint(0, 2) for a in support}))
+    counts = {"passing": 0, "relations": 0, "non_matroid": 0}
+    for p in vectors:
+        report, matroid = scanned_report(p)
+        assert p.validate() == report
+        assert p.validated == report.ok
+        if report.ok:
+            assert p.underlying_matroid() == matroid
+        counts["passing"] += report.ok
+        counts["relations"] += bool(report.relation_failures)
+        counts["non_matroid"] += not report.support_ok
+    assert min(counts.values()) >= 40, counts
 
 
 ASCENT_CASES = COVER_CASES + [
