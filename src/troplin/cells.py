@@ -190,8 +190,8 @@ def is_bounded(face: Matroid, underlying: Matroid) -> bool:
 
     The face-matroid criterion: no union of face components is a direction
     of `unbounded_directions`.  Enumeration reads the same verdict off each
-    leaf's closed matrix (see the module docstring); `conical` and the
-    tests use this one."""
+    leaf's closed matrix (see the module docstring); only the tests call
+    this one, and perfbench's tracer wraps it by name."""
     return next(unbounded_directions(face, underlying), None) is None
 
 

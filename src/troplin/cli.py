@@ -322,21 +322,15 @@ def cmd_bounds(args) -> int:
         raise UsageError(f"ground set size {n} exceeds the cap {MAX_GROUND}")
     rows = []
     for i in range(1, m + 1):
-        total, bounded = cellmod.bound_total(n, m, i), cellmod.bound_bounded(n, m, i)
         # a fine mixed subdivision attains both caps
         rows.append({
             "dim": i,
-            "cap_total": total,
-            "cap_bounded": bounded,
-            "fine_total": total,
-            "fine_bounded": bounded,
+            "cap_total": cellmod.bound_total(n, m, i),
+            "cap_bounded": cellmod.bound_bounded(n, m, i),
         })
-    lines = ["dim  cap_total  cap_bounded  fine_total  fine_bounded"]
+    lines = ["dim  cap_total  cap_bounded"]
     for row in rows:
-        lines.append(
-            f"{row['dim']:>3}  {row['cap_total']:>9}  {row['cap_bounded']:>11}  "
-            f"{row['fine_total']:>10}  {row['fine_bounded']:>12}"
-        )
+        lines.append(f"{row['dim']:>3}  {row['cap_total']:>9}  {row['cap_bounded']:>11}")
     _emit(args, {"n": n, "m": m, "rows": rows}, lines)
     return 0
 
@@ -467,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, max_patterns=True)
     sp.set_defaults(func=cmd_fvector)
 
-    sp = sub.add_parser("bounds", help="bound tables and fine counts for (n, m)")
+    sp = sub.add_parser("bounds", help="per-dimension cell caps for (n, m)")
     common(sp, needs_file=False)
     sp.add_argument("--n", type=_strict_int, required=True)
     sp.add_argument("--m", type=_strict_int, required=True)

@@ -199,10 +199,7 @@ def build_tree(p: PlueckerVector, cell_list=None) -> Tree:
 
 def is_caterpillar(tree: Tree) -> bool:
     """True iff the internal nodes induce a path (single node counts)."""
-    count = len(tree.node_bases)
-    if count == 1:
-        return True
-    return all(tree.internal_degree(i) <= 2 for i in range(count))
+    return all(tree.internal_degree(i) <= 2 for i in range(len(tree.node_bases)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Bitmask kernels: the basis-exchange scan and transversal basis enumeration.
 
-Subsets of [n] are n-bit ints; bit k stands for element k+1.
+Subsets of [n] are n-bit ints; bit k stands for element k+1.  The
+transversal search runs its definition as written, trying every bijection:
+through `matroid.transversal` it is the reference that `troplin selftest`
+and the tests compare `tau`'s support against, on no production path.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 # perfbench records this and refuses to compare runs whose backends differ.
 BACKEND = "python"
@@ -40,57 +43,22 @@ def exchange_violation(masks, n):
     return None
 
 
-def _admits_matching(amask, b_mask, slot_index, slot_masks):
-    """Perfect matching of A\\B into B\\A along the allowed slot masks."""
-    free = b_mask & ~amask
-    adj = []
-    need = amask & ~b_mask
-    while need:
-        bit = need & -need
-        need ^= bit
-        a = slot_masks[slot_index[bit.bit_length()]] & free
-        if a == 0:
-            return False
-        adj.append(a)
-
-    matched_right = {}  # right bit -> left index
-    seen = 0
-
-    def augment(u):
-        nonlocal seen
-        avail = adj[u] & ~seen
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            seen |= bit
-            w = matched_right.get(bit)
-            if w is None or augment(w):
-                matched_right[bit] = u
-                return True
-        return False
-
-    for u in range(len(adj)):
-        seen = 0
-        if not augment(u):
-            return False
-    return True
-
-
 def transversal_basis_masks(n, m, b_mask, slot_elems, slot_masks):
     """Bases of the principal transversal structure rooted at B.
 
     ``slot_elems`` lists the elements outside B (ascending) and
     ``slot_masks[k]`` is the bitmask of elements of B that slot_elems[k] may
-    be matched to.  An m-subset A qualifies iff A\\B admits a system of
-    distinct representatives inside B\\A (elements of A∩B represent
-    themselves).  Returns the qualifying masks in lexicographic subset order.
+    be matched to.  An m-subset A qualifies iff some bijection from A\\B
+    onto B\\A sends each element into its slot mask (elements of A∩B
+    represent themselves).  Returns the qualifying masks in lexicographic
+    subset order.
     """
-    slot_index = {e: k for k, e in enumerate(slot_elems)}
+    slot_of = dict(zip(slot_elems, slot_masks))
     out = []
     for combo in combinations(range(1, n + 1), m):
-        amask = 0
-        for e in combo:
-            amask |= 1 << (e - 1)
-        if _admits_matching(amask, b_mask, slot_index, slot_masks):
+        amask = sum(1 << (e - 1) for e in combo)
+        need = [slot_of[e] for e in combo if e in slot_of]
+        free = [1 << k for k in range(n) if (b_mask & ~amask) >> k & 1]
+        if any(all(s & b for s, b in zip(need, perm)) for perm in permutations(free)):
             out.append(amask)
     return out

@@ -129,34 +129,13 @@ def format_scalar(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-def min_achieved_twice(terms: Sequence[Scalar]) -> bool:
-    """True iff the minimum of ``terms`` is INF or attained at least twice.
-
-    This is the recurring "tropical vanishing" condition: a tropical linear
-    form vanishes at a point when its minimum is achieved twice (or never).
-    """
-    if not terms:
-        raise ValueError("empty term list")
-    best = terms[0]
-    for t in terms[1:]:
-        if t < best:
-            best = t
-    if best is INF:
-        return True
-    hits = 0
-    for t in terms:
-        if t == best:
-            hits += 1
-            if hits >= 2:
-                return True
-    return False
-
-
 def is_orthogonal(x: Vector, y: Vector) -> bool:
     """Tropical orthogonality: min_i (x_i + y_i) is INF or achieved twice."""
     if len(x) != len(y):
         raise ValueError("orthogonality needs vectors of equal length")
-    return min_achieved_twice([a + b for a, b in zip(x, y)])
+    terms = [a + b for a, b in zip(x, y)]
+    best = min(terms)
+    return best is INF or terms.count(best) > 1
 
 
 def check_square(rows) -> int:

@@ -49,11 +49,11 @@ def test_validate_bad_vector(capsys, tmp_path):
         "entries": [{"subset": [1, 2], "value": "0"},
                     {"subset": [3, 4], "value": "0"}],
     }))
-    code, out, _ = run(capsys, "validate", str(path))
-    assert code == 1
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
     assert "valid: False" in out
-    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
-    assert code == 1
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["support_exchange_ok"] is False
     assert payload["exchange_witness"] == {"A": [1, 2], "B": [3, 4], "a": 1}
@@ -232,10 +232,10 @@ def test_bounds(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "6", "--m", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["rows"][0] == {
-        "dim": 1, "cap_total": 6, "cap_bounded": 6,
-        "fine_total": 6, "fine_bounded": 6,
-    }
+    assert payload["rows"][0] == {"dim": 1, "cap_total": 6, "cap_bounded": 6}
+    code, out, _ = run(capsys, "bounds", "--n", "6", "--m", "3")
+    assert code == 0
+    assert out.splitlines()[0] == "dim  cap_total  cap_bounded"
     code, _, err = run(capsys, "bounds", "--n", "2", "--m", "5")
     assert code == 2
 

@@ -10,6 +10,7 @@ from oracles import (
     brute_exchange_violation,
     hull_edges,
 )
+from troplin import kernels
 from troplin.cells import enumerate_cells
 from troplin.conical import HeightMatrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
@@ -217,16 +218,33 @@ def test_transversal_matches_brute_sdr():
     from itertools import permutations
 
     rng = random.Random(5)
+    shapes = []
     for _ in range(60):
         n = rng.randint(2, 6)
-        m = rng.randint(1, n)
+        shapes.append((n, rng.randint(1, n), "random"))
+    # up to n = 8: empty, full and random families, and m = n
+    shapes += [
+        (n, m, kind)
+        for n in range(1, 9)
+        for m in sorted({1, max(1, n // 2), n})
+        for kind in ("empty", "full", "random")
+    ]
+    for n, m, kind in shapes:
         B = tuple(sorted(rng.sample(range(1, n + 1), m)))
         fams = {}
         for j in range(1, n + 1):
             if j in B:
                 continue
-            fams[j] = tuple(sorted(rng.sample(B, rng.randint(0, m))))
+            size = 0 if kind == "empty" else m if kind == "full" else rng.randint(0, m)
+            fams[j] = tuple(sorted(rng.sample(B, size)))
         M = transversal(n, B, fams)
+        others = [j for j in range(1, n + 1) if j not in B]
+        masks = kernels.transversal_basis_masks(
+            n, m, mask_from_subset(B, n), others,
+            [mask_from_subset(fams[j], n) for j in others],
+        )
+        subsets = [subset_from_mask(a) for a in masks]
+        assert subsets == sorted(subsets)  # lexicographic subset order
         expect = []
         for A in combinations(range(1, n + 1), m):
             outside = [j for j in A if j not in B]

@@ -12,7 +12,6 @@ from troplin.semiring import (
     format_point,
     format_scalar,
     is_orthogonal,
-    min_achieved_twice,
     parse_point,
     parse_scalar,
     tdet,
@@ -78,13 +77,14 @@ def test_as_point_reads_exact_finite_values():
         as_point([None, 0], 2)
 
 
-def test_min_achieved_twice():
-    assert min_achieved_twice([INF, INF])
-    assert min_achieved_twice([Fraction(1), 1, 5])
-    assert not min_achieved_twice([Fraction(1), 2, INF])
-    assert not min_achieved_twice([INF, 3])
+def test_is_orthogonal_vanishing():
+    # the sums against the zero vector are the terms themselves
+    assert is_orthogonal([INF, INF], [0, 0])
+    assert is_orthogonal([Fraction(1), 1, 5], [0, 0, 0])
+    assert not is_orthogonal([Fraction(1), 2, INF], [0, 0, 0])
+    assert not is_orthogonal([INF, 3], [0, 0])
     with pytest.raises(ValueError):
-        min_achieved_twice([])
+        is_orthogonal([], [])
 
 
 def test_support_and_orthogonality():
