@@ -38,7 +38,7 @@ from .conical import (
     random_height_matrix,
     tau,
 )
-from .diffcon import Constraint, DifferenceSystem, make_constraint, solve
+from .diffcon import Constraint, DifferenceSystem, solve
 from .matroid import ExchangeError, Matroid
 from .plucker import NotValidatedError, PlueckerVector, ValuatedCircuit
 from .semiring import INF, as_scalar, format_scalar, is_finite, parse_scalar, tdet
@@ -76,7 +76,6 @@ __all__ = [
     "is_conical",
     "is_finite",
     "local_complex_is_fine",
-    "make_constraint",
     "parse_scalar",
     "project_any",
     "random_height_matrix",

@@ -302,30 +302,20 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
     budget = NodeBudget(max_nodes)
     found = []
     for basis, bmask in zip(matroid.bases, matroid.basis_masks):
-        if _may_own(bmask, p.n, p._entries):
+        if _may_own(matroid, bmask):
             found += enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
     return sorted(found, key=lambda c: c.key)
 
 
-def _may_own(bmask: int, n: int, support) -> bool:
+def _may_own(matroid: Matroid, bmask: int) -> bool:
     """Can a cell have the basis with this mask as its lex-least face basis?
 
     Not when some i outside B has no exchange B - b + i in the support with
-    b < i: `enumerate_local_cells` with ``owned_only`` then returns [] before
-    it spends a node, so the chart is not built at all."""
-    for i in range(n):
-        ibit = 1 << i
-        if bmask & ibit:
-            continue
-        below = bmask & (ibit - 1)
-        while below:
-            bbit = below & -below
-            below ^= bbit
-            if ((bmask ^ bbit) | ibit) in support:
-                break
-        else:
-            return False
-    return True
+    b < i, i.e. no b < i in i's fundamental circuit: `enumerate_local_cells`
+    with ``owned_only`` then returns [] before it spends a node, so the
+    chart is not built at all."""
+    return all(matroid.fundamental_circuit_mask(bmask, 1 << i) & bmask & ((1 << i) - 1)
+               for i in range(matroid.n) if not bmask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +361,29 @@ def f_vector(cells: Iterable[Cell], m: int | None = None) -> FVector:
 
 
 def _comb0(a: int, b: int) -> int:
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
+    """C(a, b), 0 outside 0 <= b <= a, but C(a, 0) = 1 for every a: the
+    sum of no simplices is one point."""
+    if b == 0:
+        return 1
+    return math.comb(a, b) if 0 < b <= a else 0
 
 
 def bound_bounded(n: int, m: int, i: int) -> int:
     """Cap on the number of bounded i-dimensional cells, any local space on
-    (n, m); attained exactly in the generic (fine) case, where it counts the
-    interior (m-i)-faces of a fine mixed subdivision of (n-m) times the
-    (m-1)-simplex."""
+    (n, m) with a connected underlying matroid; attained exactly in the
+    generic (fine) case, where it counts the interior (m-i)-faces of a fine
+    mixed subdivision of (n-m) times the (m-1)-simplex.  A disconnected
+    underlying matroid can exceed it: "bounded" is then modulo the wider
+    lineality of its components, not the all-ones line the cap assumes."""
     _check_nmi(n, m, i)
     return _comb0(n - i - 1, i - 1) * _comb0(n - 2 * i, m - i)
 
 
 def bound_total(n: int, m: int, i: int) -> int:
-    """Cap on the total number of i-dimensional cells of a local space; the
-    count of all (m-i)-faces of that fine mixed subdivision."""
+    """Cap on the total number of i-dimensional cells of a local space with
+    a connected underlying matroid; the count of all (m-i)-faces of that
+    fine mixed subdivision, which at n = m is one point.  A disconnected
+    underlying matroid can exceed it, as for `bound_bounded`."""
     _check_nmi(n, m, i)
     return _comb0(n - i - 1, m - i) * _comb0(n - 1, i - 1)
 
@@ -419,7 +415,7 @@ def check_facet_bound(p: PlueckerVector, cells: list[Cell] | None = None) -> Fac
     if cells is None:
         cells = enumerate_cells(p)
     count = sum(1 for c in cells if c.dim == 1)
-    return FacetBoundReport(count, math.comb(p.n - 2, p.m - 1))
+    return FacetBoundReport(count, _comb0(p.n - 2, p.m - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "across the whole enumeration",
             )
 
-    sp = sub.add_parser("validate", help="check the three-term relations")
+    sp = sub.add_parser("validate", help="check the tropical Pluecker relations")
     common(sp)
     sp.set_defaults(func=cmd_validate)
 

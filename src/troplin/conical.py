@@ -23,6 +23,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import cells as cellmod
+from .chart import LocalContext
 from .matroid import json_int, mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector, check_shape
 from .semiring import INF, Scalar, as_scalar, format_scalar, tdet
@@ -97,7 +98,7 @@ def tau(v: HeightMatrix) -> PlueckerVector:
     the columns A - B: the identity pins each element of A & B to its own
     row at cost 0.  By the theorem above the vector is built trusted, with
     no relation or exchange scan; the test suite checks it against the
-    padded-matrix minors of `tests/oracles.py`, the three-term relations and
+    padded-matrix minors of `tests/oracles.py`, the Pluecker relations and
     `matroid.transversal`, and `troplin selftest` validates it.
     """
     n, m = v.n, v.m
@@ -250,8 +251,6 @@ def random_height_matrix(
 
 def local_complex_is_fine(p: PlueckerVector, basis: Iterable[int]) -> bool:
     """Genericity detector: does the local f-vector attain every cap?"""
-    from .chart import LocalContext
-
     ctx = LocalContext(p, basis)
     local = cellmod.enumerate_local_cells(ctx)
     fv = cellmod.f_vector(local, p.m)

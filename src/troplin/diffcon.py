@@ -10,10 +10,9 @@ means "c minus s infinitesimals", so
 The system is infeasible exactly when some cycle has total weight below
 (0, 0), i.e. rational part negative, or zero with at least one strict edge.
 
-A system may carry a positive integer ``unit``: every bound c is then read
-as c / unit.  Cell enumeration builds no `DifferenceSystem`: it hands the
-int edges of its tie patterns straight to `tighten` and `matrix_witness`,
-in the unit D, the lcm of the vector's entry denominators.
+Cell enumeration builds no `DifferenceSystem`: it hands the int edges of
+its tie patterns straight to `tighten` and `matrix_witness`, every bound b
+read as b / D, with D the lcm of the vector's entry denominators.
 
 Feasibility is decided on a closed difference-bound matrix (Bengtsson & Yi,
 "Timed automata: semantics, algorithms and tools", 2004), updated per edge
@@ -42,8 +41,8 @@ the order in which edges arrive.  A search that adds constraints a
 selection at a time calls `tighten` itself and keeps each prefix's matrix.
 
 `solve` scales a system's bounds to integers by q, the lcm of their
-denominators (1 for int bounds), so they step in 1 / (q * unit), and adds
-its edges one at a time to the empty matrix.  The first edge u -> v that
+denominators (1 for int bounds), so they step in 1 / q, and adds its edges
+one at a time to the empty matrix.  The first edge u -> v that
 `tighten` refuses closes a negative cycle with a lex-shortest path v ~> u
 of the matrix as it stood before that edge, of weight d[v * k + u].  Every
 step a -> b of such a path is tight: its code plus d[b * k + u] is
@@ -56,21 +55,23 @@ self-loop is its own cycle, or else holds and is set aside; q, and g
 below, are taken over the other edges.
 
 A feasible system's witness comes off its closed matrix (`matrix_witness`).
+Its int bounds c are read as c / u for a positive integer unit u: u = q
+for the scaled bounds of `solve`, u = D for enumeration's edges.
 Let (c_j, s_j) be the column minimum min_i d[i * k + j], the diagonal's 0
 included: the lex-least weight of a path into j, or (0, 0).  It is a simple
 path's weight or 0, so 0 <= s_j <= k - 1 < K, and the code
 w_j = c_j * K - s_j decodes as c_j = ceil(w_j / K) and s_j = c_j * K - w_j.
-Each c_j is a sum of scaled bounds, so with g the gcd of q * unit and every
-scaled bound, each c_j is a multiple of g, and in steps of the coarser
-lattice 1 / (q * unit / g) the witness is
+Each c_j is a sum of bounds, so with g the gcd of u and every bound, each
+c_j is a multiple of g, and in steps of the coarser lattice 1 / (u / g)
+the witness is
 
-    x_j = (c_j / g - s_j / (k + 1)) / (q * unit / g)
-        = (c_j / g * (k + 1) - s_j) / (q * unit / g * (k + 1)).
+    x_j = (c_j / g - s_j / (k + 1)) / (u / g)
+        = (c_j / g * (k + 1) - s_j) / (u / g * (k + 1)).
 
-Take an edge x_l - x_r <= c / (q * unit) (strict: <).  A path into r, or
-the empty one at r, goes on along the edge to a walk into l, and no walk
-into l weighs less than (c_l, s_l), as no cycle is negative.  So (c_l, s_l)
-is no worse than (c_r + c, s_r + strict) in the lex order.  In steps of g:
+Take an edge x_l - x_r <= c / u (strict: <).  A path into r, or the empty
+one at r, goes on along the edge to a walk into l, and no walk into l
+weighs less than (c_l, s_l), as no cycle is negative.  So (c_l, s_l) is no
+worse than (c_r + c, s_r + strict) in the lex order.  In steps of g:
 
 - where c_l < c_r + c, the slack is at least one step, while the s terms
   move x_l - x_r by at most (k - 1) / (k + 1) < 1 step, so the edge holds
@@ -83,14 +84,15 @@ is no worse than (c_r + c, s_r + strict) in the lex order.  In steps of g:
 The gcd is taken over the system's bounds, not over the matrix entries:
 it covers the bounds of edges that `tighten` found redundant as well.
 
-The step does not depend on how a system is written.  For `Fraction`
-bounds with unit 1, g = 1: for each prime power exactly dividing q, some
+The step does not depend on how a system is written.  For the `Fraction`
+bounds of `solve`, g = 1: for each prime power exactly dividing q, some
 bound's denominator holds all of it, and that bound scales to an integer
-prime to it.  The same bounds written as ints b over a unit D give
-q * unit / g = D / gcd(D, b...), which is again the lcm of the denominators
-of the b / D.  Codes compare as lex weights, and those comparisons do not
-change under a positive scaling, so both spellings give the same
-feasibility, the same cycle and the same witness.
+prime to it.  The same bounds written as ints b over D give
+D / g = D / gcd(D, b...), which is again the lcm of the denominators of
+the b / D.  Codes compare as lex weights, and those comparisons do not
+change under a positive scaling, so `solve` on the `Fraction` spelling and
+`tighten` with `matrix_witness` on the int spelling give the same
+feasibility and the same witness.
 
 The column minima are the potentials that Bellman-Ford reaches from an
 implicit source at (0, 0) over the same edges: the lex-least weights of
@@ -105,13 +107,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .semiring import as_scalar, INF
-
 
 class Constraint(NamedTuple):
     """x_left - x_right <= bound (or < bound when strict).  1-based vars.
 
-    The bound is a `Fraction` or an int, read in the system's unit."""
+    The bound is a `Fraction` or an int."""
 
     left: int
     right: int
@@ -120,13 +120,11 @@ class Constraint(NamedTuple):
 
 
 class DifferenceSystem(NamedTuple):
-    """Constraints and equalities x_l - x_r = c, every bound read as
-    bound / unit for a positive integer unit."""
+    """Constraints and equalities x_l - x_r = c."""
 
     num_vars: int
     constraints: tuple[Constraint, ...] = ()
     equalities: tuple[tuple[int, int, Fraction | int], ...] = ()
-    unit: int = 1
 
     def all_edges(self):
         """Normalize to a list of (right, left, bound, strict, origin) edges."""
@@ -151,13 +149,6 @@ class SolveResult(NamedTuple):
     feasible: bool
     witness: tuple[Fraction, ...] | None = None
     cycle: tuple[Constraint, ...] | None = None
-
-
-def make_constraint(left: int, right: int, bound, strict: bool = False) -> Constraint:
-    b = as_scalar(bound)
-    if b is INF:
-        raise ValueError("constraint bounds must be finite")
-    return Constraint(left, right, Fraction(b), strict)
 
 
 def tighten(d: list, k: int, edges) -> bool:
@@ -209,16 +200,13 @@ def matrix_witness(d: list, k: int, unit: int, g: int) -> tuple[int, list[int]]:
     return unit // g * (k + 1), out
 
 
-def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
+def solve(system: DifferenceSystem) -> SolveResult:
     """Decide feasibility; return an exact witness or a violating cycle.
 
     The edges go one at a time into the empty closed matrix; the module
     docstring proves the verdict, the cycle and the witness.  The cycle's
-    constraints carry the system's own bounds, in its unit."""
+    constraints carry the system's own bounds."""
     k = system.num_vars
-    unit = system.unit
-    if type(unit) is not int or unit < 1:  # not a bool either
-        raise ValueError(f"the unit must be a positive integer, got {unit!r}")
     edges = []
     for right, left, bound, strict, origin in system.all_edges():
         if left == right:
@@ -239,10 +227,8 @@ def solve(system: DifferenceSystem, want_witness: bool = True) -> SolveResult:
             return SolveResult(False, cycle=(origin, *_tight_path(d, k, added, v, u)))
         added.append((edge, origin))
 
-    if not want_witness:
-        return SolveResult(True)
-    g = math.gcd(q * unit, *(c for (_, _, c, _), _ in added))
-    den, xs = matrix_witness(d, k, q * unit, g)
+    g = math.gcd(q, *(c for (_, _, c, _), _ in added))
+    den, xs = matrix_witness(d, k, q, g)
     return SolveResult(True, witness=tuple(Fraction(x, den) for x in xs))
 
 

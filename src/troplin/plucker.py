@@ -1,9 +1,10 @@
 """Tropical Pluecker vectors (valuated matroids) and their circuits.
 
 A tropical Pluecker vector of rank m on [n] assigns a scalar p_A to every
-m-subset A, with the nonempty finite support closed under the three-term
-exchange relations: for every (m-1)-subset S and (m+1)-subset T, the minimum
-of p_{S+i} + p_{T-i} over i in T\\S is INF or achieved at least twice.
+m-subset A, with a nonempty finite support, satisfying the tropical
+Pluecker relations: for every (m-1)-subset S and (m+1)-subset T, the
+minimum of p_{S+i} + p_{T-i} over i in T\\S is INF or achieved at least
+twice.  The three-term relations are the pairs with |S & T| = m - 2.
 
 The valuated circuits live on the (m+1)-subsets S: (c_S)_i = p_{S-i} for
 i in S and INF outside.  Two circuits with equal support differ by a global
@@ -128,7 +129,7 @@ class ValuatedCircuit(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    """Outcome of the three-term relation check plus the support exchange check."""
+    """Outcome of the tropical Pluecker relation check plus the support exchange check."""
 
     relation_failures: tuple  # ((S, T), ...) as subset tuples
     exchange_witness: tuple | None  # (A, B, element) subsets when the support fails
@@ -231,7 +232,7 @@ class PlueckerVector:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check all three-term relations and the support exchange axiom.
+        """Check all tropical Pluecker relations and the support exchange axiom.
 
         On success the scanned underlying matroid is cached, which flags the
         vector as validated; on failure it is cleared.  The report lists
@@ -322,9 +323,7 @@ class PlueckerVector:
             raise ValueError(f"{bset} is not in the support")
         if not 1 <= e <= self.n or (bmask >> (e - 1)) & 1:
             raise ValueError(f"element {e} must lie outside the basis")
-        c = self.circuit(bset + (e,))
-        assert c is not None  # p_B itself is finite
-        return c
+        return self.circuit(bset + (e,))  # never None: p_B is finite
 
     # -- weights and local matroids -----------------------------------------
 

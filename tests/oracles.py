@@ -106,7 +106,7 @@ def brute_max_weight_bases(p, point):
 
 
 def brute_relation_failures(p):
-    """Every failing three-term relation, straight from the definition: for
+    """Every failing tropical Pluecker relation, straight from the definition: for
     each (m-1)-subset S and (m+1)-subset T (S inside T included), the min of
     p_{S+i} + p_{T-i} over i in T - S is finite and attained only once.
     Returns the (S, T) pairs in lexicographic order, S first."""
@@ -246,8 +246,8 @@ def fraction_local_cells(ctx, owned_only=False):
     """`enumerate_local_cells` with `Fraction` bounds and a Bellman-Ford per
     prefix, the search that the lattice systems and the difference-bound
     matrix replaced: the same depth-first product over the tie sets of
-    `fraction_options`, each prefix probed by `bellman_ford_solve` with
-    unit 1, no node cap.  Returns the cells sorted by key and the number of
+    `fraction_options`, each prefix probed by `bellman_ford_solve`, no
+    node cap.  Returns the cells sorted by key and the number of
     tie-pattern nodes, one per selection tried on a feasible prefix."""
     p, basis, m = ctx.p, ctx.basis, ctx.p.m
     underlying = p.underlying_matroid()
@@ -294,7 +294,7 @@ def solve_leaf_cells(ctx, owned_only=False):
     """`enumerate_local_cells` with the leaf it had before the witness was
     read off the matrix: the same lattice selections and matrix search, but
     each surviving leaf builds its `DifferenceSystem` of `Constraint`s and
-    equalities in the unit D, takes `bellman_ford_solve`'s witness, and
+    equalities with the bounds b / D, takes `bellman_ford_solve`'s witness, and
     finds the face by `matroid_at`'s scan of every support row.  Returns
     the cells sorted by key and the number of tie-pattern nodes."""
     p, basis, m = ctx.p, ctx.basis, ctx.p.m
@@ -325,9 +325,9 @@ def solve_leaf_cells(ctx, owned_only=False):
         if depth == len(rows):
             system = DifferenceSystem(
                 m,
-                tuple(con for _, cons, _ in picked for con in cons),
-                tuple(eq for eqs, _, _ in picked for eq in eqs),
-                unit,
+                tuple(con._replace(bound=Fraction(con.bound, unit))
+                      for _, cons, _ in picked for con in cons),
+                tuple((l, r, Fraction(c, unit)) for eqs, _, _ in picked for l, r, c in eqs),
             )
             point = ctx.chart(bellman_ford_solve(system).witness)
             face = p.matroid_at(point)
@@ -594,17 +594,14 @@ def bellman_ford_solve(system: DifferenceSystem, want_witness: bool = True) -> S
     implicit source at (0, 0).  With no negative cycle it ends at lex
     shortest-path potentials (c_j, s_j), each the weight of a simple path
     or 0, and the witness is x_j = (c_j / g * (k + 1) - s_j) /
-    (q * unit / g * (k + 1)), with g the gcd of q * unit and every scaled
-    bound; the `diffcon` module docstring proves that these potentials are
-    the column minima `solve` reads, so the two witnesses agree bit for
-    bit.  A relaxation still changing a potential after k rounds lies on a
-    negative cycle or past one; k + 1 predecessor steps back land on it,
-    and the cycle is read off the predecessors.  The cycle's constraints
-    carry the system's own bounds, in its unit."""
+    (q / g * (k + 1)), with g the gcd of q and every scaled bound; the
+    `diffcon` module docstring proves that these potentials are the column
+    minima `solve` reads, so the two witnesses agree bit for bit.  A
+    relaxation still changing a potential after k rounds lies on a negative
+    cycle or past one; k + 1 predecessor steps back land on it, and the
+    cycle is read off the predecessors.  The cycle's constraints carry the
+    system's own bounds."""
     k = system.num_vars
-    unit = system.unit
-    if type(unit) is not int or unit < 1:  # not a bool either
-        raise ValueError(f"the unit must be a positive integer, got {unit!r}")
     edges = []
     for right, left, bound, strict, origin in system.all_edges():
         if left == right:
@@ -662,10 +659,10 @@ def bellman_ford_solve(system: DifferenceSystem, want_witness: bool = True) -> S
     if not want_witness:
         return SolveResult(True)
 
-    # steps of g on the lattice 1 / (scale * unit), epsilon = 1 / (k + 1)
-    # step; the module docstring proves it
-    g = math.gcd(scale * unit, *(c for _, _, c, _, _ in iedges))
-    den = (scale * unit // g) * (k + 1)
+    # steps of g on the lattice 1 / scale, epsilon = 1 / (k + 1) step; the
+    # module docstring proves it
+    g = math.gcd(scale, *(c for _, _, c, _, _ in iedges))
+    den = (scale // g) * (k + 1)
     return SolveResult(True, witness=tuple(
         Fraction(dist_c[j] // g * (k + 1) - dist_s[j], den) for j in range(1, k + 1)
     ))
@@ -712,15 +709,19 @@ def multinomial(total, parts):
 
 def mixed_interior_count(s, r, k):
     """Interior k-faces of a fine mixed subdivision of s times the
-    (r-1)-simplex, for s >= 1 (0 when s = 0, where there is no such face);
-    the bounded local cells of dimension r - k at (n, m) = (s + r, r)."""
-    return multinomial(s - 1 + k, (s - r + k, r - 1 - k, k)) if s >= 1 else 0
+    (r-1)-simplex; the bounded local cells of dimension r - k at
+    (n, m) = (s + r, r).  At s = 0 the sum is one point, a vertex that lies
+    on every facet of the simplex unless r = 1, where there is no facet."""
+    if s == 0:
+        return int(k == 0 and r == 1)
+    return multinomial(s - 1 + k, (s - r + k, r - 1 - k, k))
 
 
 def mixed_total_count(s, r, k):
-    """All k-faces (interior or not) of that fine mixed subdivision."""
-    if s < 1:
-        return 0
+    """All k-faces (interior or not) of that fine mixed subdivision; at
+    s = 0, the one point."""
+    if s == 0:
+        return int(k == 0)
     value = Fraction(s, s + k) * multinomial(r + s - 1, (s, r - 1 - k, k))
     if value.denominator != 1:
         raise AssertionError(f"mixed_total_count({s}, {r}, {k}) = {value} is not an integer")

@@ -201,7 +201,7 @@ def test_skipped_charts_own_no_cell(make):
     built = set(p._charts)
     matroid = p.underlying_matroid()
     for basis, bmask in zip(matroid.bases, matroid.basis_masks):
-        assert (bmask in built) == _may_own(bmask, p.n, p._entries)
+        assert (bmask in built) == _may_own(matroid, bmask)
         if bmask not in built:
             budget = NodeBudget(10**6)
             assert enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True) == []
@@ -439,7 +439,7 @@ def test_mixed_counts_at_k0_match_lattice_points():
 
 def test_caps_equal_fine_counts_under_substitution():
     # the binomial caps against the multinomial counts of a fine mixed
-    # subdivision, which attains them; n = m gives 0 on both sides
+    # subdivision, which attains them; at n = m the subdivision is one point
     for n in range(1, 13):
         for m in range(1, n + 1):
             s, r = n - m, m
@@ -456,6 +456,34 @@ def test_local_counts_respect_caps():
             for i in range(1, p.m + 1):
                 assert fv.total[i - 1] <= bound_total(p.n, p.m, i)
                 assert fv.bounded[i - 1] <= bound_bounded(p.n, p.m, i)
+
+
+def test_caps_assume_a_connected_underlying_matroid():
+    # seeded tau instances with a connected underlying matroid stay under
+    # the caps in every chart, and under the bounded cap globally; the
+    # disconnected U(1,1) + U(1,2) has a bounded 2-cell against a bounded
+    # cap of 0, as it is bounded modulo its components' wider lineality
+    checked = 0
+    for kind in ("generic", "tie", "knockout"):
+        for n, m in ((4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (7, 3)):
+            p = tau_instance(kind, n, m)
+            matroid = p.underlying_matroid()
+            if len(matroid.components()) > 1:
+                continue
+            checked += 1
+            dims = range(1, m + 1)
+            for basis in matroid.bases:
+                fv = f_vector(enumerate_local_cells(LocalContext(p, basis)), m)
+                assert all(fv.total[i - 1] <= bound_total(n, m, i) for i in dims)
+                assert all(fv.bounded[i - 1] <= bound_bounded(n, m, i) for i in dims)
+            fv = f_vector(enumerate_cells(p), m)
+            assert all(fv.bounded[i - 1] <= bound_bounded(n, m, i) for i in dims)
+    assert checked == 17
+    p = PlueckerVector(3, 2, {(1, 2): 0, (1, 3): 0})
+    assert p.validate().ok
+    assert p.underlying_matroid().components() == ((1,), (2, 3))
+    assert f_vector(enumerate_cells(p), 2).bounded == (0, 1)
+    assert bound_bounded(3, 2, 2) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,30 @@ def test_bounds(capsys):
     assert code == 2
 
 
+def test_bounds_at_n_equals_m(capsys):
+    # the local space at n = m is one cell of dimension m, and the fine
+    # mixed subdivision it is dual to, a sum of no simplices, is one point
+    code, out, _ = run(capsys, "bounds", "--n", "1", "--m", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"dim": 1, "cap_total": 1, "cap_bounded": 1}]
+    code, out, _ = run(capsys, "bounds", "--n", "3", "--m", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [
+        {"dim": 1, "cap_total": 0, "cap_bounded": 0},
+        {"dim": 2, "cap_total": 0, "cap_bounded": 0},
+        {"dim": 3, "cap_total": 1, "cap_bounded": 0},
+    ]
+
+
+def test_fvector_on_a_one_element_vector(capsys, tmp_path):
+    # n = 1: the facet bound C(n - 2, m - 1) = C(-1, 0) is 1
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "entries": [{"subset": [1], "value": "0"}]}))
+    code, out, err = run(capsys, "fvector", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "minimal cells (dual facets): 1 <= 1: True"
+
+
 def test_bounds_refuses_a_ground_set_over_the_cap(capsys):
     # refused before any table is built, so a huge n costs nothing
     for n in ("17", "3000"):

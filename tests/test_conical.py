@@ -124,7 +124,7 @@ def cross_check_matrices():
 def test_tau_matches_the_padded_matrix_minors():
     # tau reads its minors off V and trusts that they form a valuated matroid
     # with a matroid support; here the minors are checked against the padded
-    # matrix [I | V] and the vector against the three-term relations and the
+    # matrix [I | V] and the vector against the Pluecker relations and the
     # scanning constructor
     matrices = cross_check_matrices()
     assert any(v.basis != tuple(range(1, v.m + 1)) for v in matrices)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -14,7 +15,7 @@ from oracles import (
 from troplin.diffcon import (
     Constraint,
     DifferenceSystem,
-    make_constraint,
+    matrix_witness,
     solve,
     tighten,
 )
@@ -91,14 +92,6 @@ def test_variable_range_checked():
         solve(DifferenceSystem(2, (Constraint(1, 3, Fraction(0)),)))
 
 
-def test_make_constraint_rejects_inf():
-    from troplin.semiring import INF
-
-    with pytest.raises(ValueError):
-        make_constraint(1, 2, INF)
-    assert make_constraint(1, 2, 2).bound == Fraction(2)
-
-
 def test_solver_matches_fourier_motzkin():
     rng = random.Random(4242)
     # x1 - x2 in (0, 2^-300): a witness needs an epsilon below 2^-300
@@ -122,16 +115,19 @@ def test_solver_matches_fourier_motzkin():
 
 
 def lattice_spelling(sys_, d):
-    """The system with every bound b written as the int b * d over unit d."""
+    """The system with every bound b written as the int b * d."""
     return DifferenceSystem(
         sys_.num_vars, tuple(c._replace(bound=int(c.bound * d)) for c in sys_.constraints),
-        tuple((l, r, int(c * d)) for l, r, c in sys_.equalities), unit=d)
+        tuple((l, r, int(c * d)) for l, r, c in sys_.equalities))
 
 
 def test_int_bounds_are_read_in_their_unit():
-    # the 600 seeded systems written as int bounds b over a unit D > 1 give
-    # the feasibility, cycle and witness of the same systems with the bounds
-    # Fraction(b, D); the witness needs the gcd step of the module docstring
+    # the 600 seeded systems written as int bounds b, read as b / D for a
+    # unit D > 1, as cell enumeration writes them: `tighten` and
+    # `matrix_witness` give the feasibility and witness that `solve` gives
+    # on the same systems with the bounds Fraction(b, D), and `solve` on
+    # the ints gives the same cycle, scaled; the witness needs the gcd step
+    # of the module docstring
     rng = random.Random(4242)
     units = random.Random(7)
     for sys_ in [random_system(rng) for _ in range(600)]:
@@ -143,16 +139,21 @@ def test_int_bounds_are_read_in_their_unit():
         fractions = DifferenceSystem(
             k, tuple(c._replace(bound=Fraction(c.bound, d)) for c in lattice.constraints),
             tuple((l, r, Fraction(c, d)) for l, r, c in lattice.equalities))
-        got, want = solve(lattice), solve(fractions)
-        assert got.feasible == want.feasible
-        assert got.witness == want.witness
-        if not got.feasible:
+        want = solve(fractions)
+        edges = matrix_edges(lattice)
+        closed = closed_matrix(k, edges)
+        assert (closed is not None) == want.feasible
+        if closed is not None:
+            den, xs = matrix_witness(closed, k, d, math.gcd(d, *(c for _, _, c, _ in edges)))
+            assert tuple(Fraction(x, den) for x in xs) == want.witness
+        else:
+            got = solve(lattice)
             assert [c._replace(bound=Fraction(c.bound, d)) for c in got.cycle] == list(want.cycle)
 
 
 def test_solve_matches_bellman_ford():
     # the matrix solver and the Bellman-Ford oracle on the 600 seeded
-    # systems, in their Fraction spelling and as int bounds over a unit:
+    # systems, in their Fraction spelling and scaled to int bounds:
     # the same verdict and witness, and on an infeasible system a cycle of
     # the system's own edges that chains head to tail, closes and certifies
     rng = random.Random(4242)
@@ -175,15 +176,9 @@ def test_solve_matches_bellman_ford():
         own = {origin for *_, origin in sys_.all_edges()}
         assert set(got.cycle) <= own
         assert all(c.left == nxt.right for c, nxt in zip(got.cycle, got.cycle[1:] + got.cycle[:1]))
-        total = sum((Fraction(c.bound, sys_.unit) for c in got.cycle), Fraction(0))
+        total = sum((c.bound for c in got.cycle), Fraction(0))
         assert total < 0 or (total == 0 and any(c.strict for c in got.cycle))
     assert infeasible > 200
-
-
-@pytest.mark.parametrize("unit", [0, -6, True, Fraction(6)])
-def test_unit_must_be_a_positive_integer(unit):
-    with pytest.raises(ValueError, match="unit must be a positive integer"):
-        solve(DifferenceSystem(2, (Constraint(1, 2, 1),), unit=unit))
 
 
 def test_boundedness_matches_recession_oracle():
@@ -195,7 +190,7 @@ def test_boundedness_matches_recession_oracle():
     checked = 0
     for _ in range(600):
         sys_ = random_system(rng)
-        if not solve(sys_, want_witness=False).feasible:
+        if not solve(sys_).feasible:
             continue
         checked += 1
         far = 1 + sum(abs(c.bound) for c in sys_.constraints) + sum(
@@ -203,7 +198,7 @@ def test_boundedness_matches_recession_oracle():
         k = sys_.num_vars
         bounded = all(
             not solve(DifferenceSystem(k, sys_.constraints + (Constraint(j, i, -far),),
-                                       sys_.equalities), want_witness=False).feasible
+                                       sys_.equalities)).feasible
             for i in range(1, k + 1) for j in range(1, k + 1) if i != j
         )
         assert bounded == recession_01_bounded(sys_)
@@ -258,7 +253,7 @@ def decode(code, scale):
 
 
 def test_matrix_verdicts_match_solve_and_fourier_motzkin():
-    # random_system's bounds, scaled to ints over a unit, added in random
+    # random_system's bounds, scaled to ints, added in random
     # orders and chunks: the matrix refuses exactly the infeasible systems,
     # and on the others holds every lex-shortest path, coded as the module
     # docstring says (a code c * K - s with 0 <= s < K)
