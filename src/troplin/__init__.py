@@ -18,8 +18,6 @@ from .cells import (
     Cell,
     EnumerationLimit,
     FVector,
-    adjacency_dot,
-    adjacency_graph,
     bound_bounded,
     bound_total,
     check_facet_bound,
@@ -61,8 +59,6 @@ __all__ = [
     "PlueckerVector",
     "Tree",
     "ValuatedCircuit",
-    "adjacency_dot",
-    "adjacency_graph",
     "as_scalar",
     "bound_bounded",
     "bound_total",

@@ -118,8 +118,7 @@ class Cell(NamedTuple):
 
 
 def _selection_system(opts: Sequence[tuple[int, int]], chosen_idx: Sequence[int]):
-    """The matrix edges forcing argmin(slots) == chosen among the options,
-    and the gcd of their bounds (0 when there is no edge).
+    """The matrix edges forcing argmin(slots) == chosen among the options.
 
     ``opts`` lists (slot, delta) terms x_slot + delta, with 0-based slots and
     the deltas on the vector's lattice, so the bounds come out as ints in the
@@ -138,7 +137,7 @@ def _selection_system(opts: Sequence[tuple[int, int]], chosen_idx: Sequence[int]
         slot, delta = opts[t]
         edges += [(rep_slot, slot, rep_delta - delta, False),
                   (slot, rep_slot, delta - rep_delta, False)]
-    return edges, math.gcd(*(c for _, _, c, _ in edges))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +217,14 @@ def enumerate_local_cells(
     modulo the lineality space (the module docstring proves it).  The
     selections' edges and that list of pairs are built once per chart; the
     edges live on the vector's lattice: int bounds read in the unit D,
-    straight from the chart's scaled deltas.  ``max_nodes`` caps the number
-    of tie-pattern nodes (the product can explode); pass a `NodeBudget` to
-    share one cap between several charts.
+    straight from the chart's scaled deltas.  So is the witness step g, the
+    gcd of D and of a leaf system's bounds: every selection of a row has an
+    edge against each other option t of the row, of bound
+    +-(delta_t - delta_rep), so whichever options are chosen its bounds'
+    gcd is that of the row's differences delta_t - delta_0, and g is the
+    gcd of D and of those differences over every row.  ``max_nodes`` caps
+    the number of tie-pattern nodes (the product can explode); pass a
+    `NodeBudget` to share one cap between several charts.
 
     With ``owned_only`` only the cells whose lex-least face basis is
     ctx.basis are returned: the selection for element i is drawn from the
@@ -242,7 +246,9 @@ def enumerate_local_cells(
         for v, bv in enumerate(ctx.basis)
         if u != v and comp[bu] == comp[bv]
     ]
-    # per row, every selection as (its matrix edges, their bounds' gcd)
+    # the witness step of every leaf (see above)
+    g = math.gcd(unit, *(d - opts[0][1] for _, opts in ctx._deltas for _, d in opts))
+    # per row, the matrix edges of every selection
     rows = []
     for i, deltas in ctx._deltas:
         allowed = tuple(
@@ -258,7 +264,7 @@ def enumerate_local_cells(
         ])
     cells = []
 
-    def descend(depth, closed, g):
+    def descend(depth, closed):
         if depth == len(rows):
             den, xs = matrix_witness(closed, m, unit, g)
             s = math.lcm(unit, den)
@@ -268,16 +274,16 @@ def enumerate_local_cells(
             bounded = all(closed[t] is not None for t in linked)
             cells.append(Cell(face, bounded, point))
             return
-        for edges, sel_g in rows[depth]:
+        for edges in rows[depth]:
             budget.spend()
             child = closed.copy()
             if tighten(child, m, edges):
-                descend(depth + 1, child, math.gcd(g, sel_g))
+                descend(depth + 1, child)
 
     # the empty system: 0 on the diagonal, no path elsewhere
     empty = [None] * (m * m)
     empty[::m + 1] = [0] * m
-    descend(0, empty, unit)
+    descend(0, empty)
     return sorted(cells, key=lambda c: c.key)
 
 
@@ -416,67 +422,3 @@ def check_facet_bound(p: PlueckerVector, cells: list[Cell] | None = None) -> Fac
         cells = enumerate_cells(p)
     count = sum(1 for c in cells if c.dim == 1)
     return FacetBoundReport(count, _comb0(p.n - 2, p.m - 1))
-
-
-# ---------------------------------------------------------------------------
-# adjacency export (m = 2)
-
-
-def check_adjacency_input(p: PlueckerVector) -> None:
-    """Refuse, before any enumeration, a vector whose complex is not a tree.
-
-    A rank-2 space on a connected matroid is a tree (Speyer 2008): every
-    bounded 2-cell joins two minimal cells and every ray leaves one, which
-    is what `adjacency_graph` draws.
-    """
-    p._need_validated()
-    if p.m != 2:
-        raise ValueError(f"the complex is a tree for rank 2 only, not rank {p.m}")
-    components = p.underlying_matroid().components()
-    if len(components) > 1:
-        raise ValueError(
-            "the complex is a tree for a connected underlying matroid only; "
-            f"its components are {[list(c) for c in components]}"
-        )
-
-
-def adjacency_graph(cells: list[Cell]):
-    """Nodes = minimal (dim-1) cells, edges = bounded dim-2 cells.
-
-    For the cells of a vector that `check_adjacency_input` accepts.  Returns
-    (node_cells, edge_pairs, ray_attachments): edge_pairs/rays refer to node
-    indices; rays are the unbounded dim-2 cells with their unique incident
-    node.
-    """
-    if any(c.face_matroid.m != 2 for c in cells):
-        raise ValueError("the cell adjacency graph is for rank-2 complexes only")
-    nodes = [c for c in cells if c.dim == 1]
-    if not nodes:
-        raise ValueError("no minimal cell: the underlying matroid is disconnected")
-    nodes.sort(key=lambda c: c.key)
-    node_sets = [frozenset(c.face_matroid.bases) for c in nodes]
-    edges = []
-    rays = []
-    for c in cells:
-        if c.dim != 2:
-            continue
-        incident = [
-            idx for idx, s in enumerate(node_sets) if frozenset(c.face_matroid.bases) <= s
-        ]
-        if c.bounded:
-            edges.append((incident[0], incident[1], c))
-        else:
-            rays.append((incident[0], c))
-    return nodes, edges, rays
-
-
-def adjacency_dot(cells: list[Cell]) -> str:
-    nodes, edges, _ = adjacency_graph(cells)
-    lines = ["graph cells {"]
-    for idx, c in enumerate(nodes):
-        label = " ".join("".join(map(str, b)) for b in c.face_matroid.bases)
-        lines.append(f'  v{idx} [label="{label}"];')
-    for a, b, _ in sorted(edges, key=lambda e: (e[0], e[1])):
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -26,6 +26,7 @@ from .chart import LocalContext
 from .conical import (
     HeightMatrix,
     build_tree,
+    check_adjacency_input,
     is_caterpillar,
     is_conical,
     tau,
@@ -287,10 +288,10 @@ def cmd_local(args) -> int:
 def cmd_cells(args) -> int:
     p = _load_validated(args.file)
     if args.format == "dot":
-        cellmod.check_adjacency_input(p)
+        check_adjacency_input(p)
     cells = cellmod.enumerate_cells(p, max_nodes=args.max_patterns)
     if args.format == "dot":
-        print(cellmod.adjacency_dot(cells))
+        print(build_tree(p, cells).to_cells_dot())
         return 0
     payload = {"cells": [_cell_payload(c) for c in cells]}
     lines = [f"{len(cells)} cells"] + [_cell_line(c) for c in cells]
@@ -345,7 +346,7 @@ def cmd_conical(args) -> int:
 
 def cmd_tree(args) -> int:
     p = _load_validated(args.file)
-    cellmod.check_adjacency_input(p)
+    check_adjacency_input(p)
     tree = build_tree(p, cellmod.enumerate_cells(p, max_nodes=args.max_patterns))
     cat = is_caterpillar(tree)
     if args.format == "dot":

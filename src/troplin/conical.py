@@ -149,6 +149,17 @@ class Tree:
     def internal_degree(self, idx: int) -> int:
         return sum(1 for a, b in self.edges if idx in (a, b))
 
+    def to_cells_dot(self) -> str:
+        """The drawing of `troplin cells --format dot`: the minimal cells,
+        labelled by their bases, and the bounded 2-cells between them."""
+        lines = ["graph cells {"]
+        for i, bases in enumerate(self.node_bases):
+            label = " ".join("".join(map(str, b)) for b in bases)
+            lines.append(f'  v{i} [label="{label}"];')
+        lines += [f"  v{a} -- v{b};" for a, b in sorted(self.edges)]
+        lines.append("}")
+        return "\n".join(lines)
+
     def to_dot(self) -> str:
         lines = ["graph tree {"]
         for i in range(len(self.node_bases)):
@@ -176,26 +187,52 @@ class Tree:
         return "\n".join(lines)
 
 
+def check_adjacency_input(p: PlueckerVector) -> None:
+    """Refuse, before any enumeration, a vector whose complex is not a tree.
+
+    A rank-2 space on a connected matroid is a tree (Speyer 2008): every
+    bounded 2-cell joins two minimal cells and every ray leaves one, which
+    is what `build_tree` draws.
+    """
+    p._need_validated()
+    if p.m != 2:
+        raise ValueError(f"the complex is a tree for rank 2 only, not rank {p.m}")
+    components = p.underlying_matroid().components()
+    if len(components) > 1:
+        raise ValueError(
+            "the complex is a tree for a connected underlying matroid only; "
+            f"its components are {[list(c) for c in components]}"
+        )
+
+
 def build_tree(p: PlueckerVector, cell_list=None) -> Tree:
     """Tree of a rank-2 space: minimal cells are nodes, bounded 2-cells are
     internal edges, rays are leaf edges labelled by their direction.
 
-    A ray recedes along exactly one union of its face components, a parallel
-    class of the underlying matroid (one element for uniform support); each
-    element of the class hangs as its own leaf at the ray's node.
+    The nodes are in key order, and a 2-cell meets the nodes whose bases
+    contain its own.  A ray recedes along exactly one union of its face
+    components, a parallel class of the underlying matroid (one element for
+    uniform support); each element of the class hangs as its own leaf at
+    the ray's node.
     """
-    cellmod.check_adjacency_input(p)
+    check_adjacency_input(p)
     if cell_list is None:
         cell_list = cellmod.enumerate_cells(p)
-    nodes, edge_triples, ray_pairs = cellmod.adjacency_graph(cell_list)
+    nodes = sorted(c.key for c in cell_list if c.dim == 1)
+    node_sets = [frozenset(bases) for bases in nodes]
     underlying = p.underlying_matroid()
-    leaves = []
-    for at, cell in ray_pairs:
-        (direction,) = cellmod.unbounded_directions(cell.face_matroid, underlying)
-        leaves += [(e, at) for e in direction]
-    return Tree(
-        [c.face_matroid.bases for c in nodes], [(a, b) for a, b, _ in edge_triples], leaves
-    )
+    edges, leaves = [], []
+    for cell in cell_list:
+        if cell.dim != 2:
+            continue
+        bases = frozenset(cell.key)
+        incident = [idx for idx, s in enumerate(node_sets) if bases <= s]
+        if cell.bounded:
+            edges.append((incident[0], incident[1]))
+        else:
+            (direction,) = cellmod.unbounded_directions(cell.face_matroid, underlying)
+            leaves += [(e, incident[0]) for e in direction]
+    return Tree(nodes, edges, leaves)
 
 
 def is_caterpillar(tree: Tree) -> bool:

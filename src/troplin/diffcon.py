@@ -51,8 +51,8 @@ the codes along a walk of tight steps from v to u sum to d[v * k + u].  So
 `solve` walks breadth first from v along tight steps over the edges added
 before, with a visited set since equalities make zero cycles, and returns
 that path with the refused edge in front: a cycle of negative weight.  A
-self-loop is its own cycle, or else holds and is set aside; q, and g
-below, are taken over the other edges.
+self-loop is its own cycle, or else holds and is set aside; q is taken
+over the other edges.
 
 A feasible system's witness comes off its closed matrix (`matrix_witness`).
 Its int bounds c are read as c / u for a positive integer unit u: u = q
@@ -227,8 +227,8 @@ def solve(system: DifferenceSystem) -> SolveResult:
             return SolveResult(False, cycle=(origin, *_tight_path(d, k, added, v, u)))
         added.append((edge, origin))
 
-    g = math.gcd(q, *(c for (_, _, c, _), _ in added))
-    den, xs = matrix_witness(d, k, q, g)
+    # g = 1 for the bounds scaled by q (module docstring)
+    den, xs = matrix_witness(d, k, q, 1)
     return SolveResult(True, witness=tuple(Fraction(x, den) for x in xs))
 
 

@@ -27,11 +27,8 @@ from troplin.cells import (
     EnumerationLimit,
     NodeBudget,
     _may_own,
-    adjacency_dot,
-    adjacency_graph,
     bound_bounded,
     bound_total,
-    check_adjacency_input,
     check_facet_bound,
     enumerate_cells,
     enumerate_local_cells,
@@ -43,6 +40,7 @@ from troplin.chart import LocalContext
 from troplin.conical import (
     HeightMatrix,
     build_tree,
+    check_adjacency_input,
     is_caterpillar,
     is_conical,
     random_height_matrix,
@@ -487,7 +485,7 @@ def test_caps_assume_a_connected_underlying_matroid():
 
 
 # ---------------------------------------------------------------------------
-# facet bound and adjacency export
+# facet bound and the minimal-cell adjacency tree (m = 2)
 
 
 def test_facet_bound_on_uniform_fixtures():
@@ -509,12 +507,12 @@ def test_facet_bound_refuses_partial_support():
 
 
 def test_adjacency_graph_example1():
-    cells = enumerate_cells(two_pyramids())
-    nodes, edges, rays = adjacency_graph(cells)
-    assert len(nodes) == 2
-    assert len(edges) == 1
-    assert len(rays) == 4
-    dot = adjacency_dot(cells)
+    p = two_pyramids()
+    tree = build_tree(p, enumerate_cells(p))
+    assert len(tree.node_bases) == 2
+    assert len(tree.edges) == 1
+    assert len(tree.leaves) == 4
+    dot = tree.to_cells_dot()
     assert dot.startswith("graph cells {")
     assert dot.count("--") == 1
 
@@ -543,10 +541,10 @@ def test_adjacency_incidences_on_connected_rank2():
     for p in [tiny_gap()] + _connected_rank2_knockouts(12):
         check_adjacency_input(p)
         cells = enumerate_cells(p)
-        assert tree_failures(p, cells) == []
-        nodes, edges, rays = adjacency_graph(cells)
-        assert len(edges) + len(rays) == sum(c.dim == 2 for c in cells)
-        assert len(edges) == len(nodes) - 1
+        tree = build_tree(p, cells)
+        assert tree_failures(p, cells, tree) == []
+        assert len(tree.edges) == sum(c.dim == 2 and c.bounded for c in cells)
+        assert len(tree.edges) == len(tree.node_bases) - 1
 
 
 def test_tree_leaves_are_parallel_classes():
@@ -570,14 +568,16 @@ def test_adjacency_input_refuses_disconnected(n, support):
     assert p.validate().ok
     with pytest.raises(ValueError, match="connected"):
         check_adjacency_input(p)
-    with pytest.raises(ValueError):  # the loopless ones enumerate, with no minimal cell
-        adjacency_graph(enumerate_cells(p))
+    with pytest.raises(ValueError, match="connected"):
+        build_tree(p)
 
 
 def test_adjacency_graph_rejects_rank3():
-    with pytest.raises(ValueError):
-        v = uniform_zero(4, 3)
-        adjacency_graph(enumerate_cells(v))
+    v = uniform_zero(4, 3)
+    with pytest.raises(ValueError, match="rank 2 only"):
+        check_adjacency_input(v)
+    with pytest.raises(ValueError, match="rank 2 only"):
+        build_tree(v, enumerate_cells(v))
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,29 @@ def test_local_and_cells_and_fvector(capsys, example1):
     assert payload["facets"] == {"count": 2, "bound": 2}
 
 
-def test_cells_dot(capsys, example1):
-    code, out, _ = run(capsys, "cells", example1, "--format", "dot")
-    assert code == 0
-    assert out.startswith("graph cells {")
+def test_cells_dot(capsys, example1, snowflake_file):
+    code, out, err = run(capsys, "cells", example1, "--format", "dot")
+    assert (code, err) == (0, "")
+    assert out == (
+        "graph cells {\n"
+        '  v0 [label="12 13 14 23 24"];\n'
+        '  v1 [label="13 14 23 24 34"];\n'
+        "  v0 -- v1;\n"
+        "}\n"
+    )
+    code, out, err = run(capsys, "cells", snowflake_file, "--format", "dot")
+    assert (code, err) == (0, "")
+    assert out == (
+        "graph cells {\n"
+        '  v0 [label="12 13 14 15 16 23 24 25 26"];\n'
+        '  v1 [label="13 14 15 16 23 24 25 26 35 36 45 46"];\n'
+        '  v2 [label="13 14 23 24 34 35 36 45 46"];\n'
+        '  v3 [label="15 16 25 26 35 36 45 46 56"];\n'
+        "  v0 -- v1;\n"
+        "  v1 -- v2;\n"
+        "  v1 -- v3;\n"
+        "}\n"
+    )
 
 
 def test_bounds(capsys):

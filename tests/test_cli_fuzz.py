@@ -34,8 +34,11 @@ PLUCKER_COMMANDS = [
     ["chart", "--basis", "1,3", "--x", "0,1"],
     ["local", "--basis", "1,3"],
     ["cells", "--format", "json"],
+    ["cells", "--format", "dot"],
     ["fvector"],
     ["conical"],
+    ["tree"],
+    ["tree", "--format", "json"],
     ["tree", "--format", "dot"],
 ]
 HEIGHTS_COMMANDS = [["tau"], ["tau", "--format", "json"]]
