@@ -36,17 +36,14 @@ from .conical import (
     random_height_matrix,
     tau,
 )
-from .diffcon import Constraint, DifferenceSystem, solve
 from .matroid import ExchangeError, Matroid
 from .plucker import NotValidatedError, PlueckerVector, ValuatedCircuit
-from .semiring import INF, as_scalar, format_scalar, is_finite, parse_scalar, tdet
+from .semiring import INF, as_scalar, format_scalar, parse_scalar, tdet
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Cell",
-    "Constraint",
-    "DifferenceSystem",
     "EnumerationLimit",
     "ExchangeError",
     "FVector",
@@ -70,12 +67,10 @@ __all__ = [
     "format_scalar",
     "is_caterpillar",
     "is_conical",
-    "is_finite",
     "local_complex_is_fine",
     "parse_scalar",
     "project_any",
     "random_height_matrix",
-    "solve",
     "tau",
     "tdet",
     "__version__",

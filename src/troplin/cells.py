@@ -63,7 +63,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .chart import LocalContext
+from .chart import LocalContext, _refuse_loops
 from .diffcon import solve  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
 from .diffcon import matrix_witness, tighten
 from .matroid import Matroid, mask_from_subset, subset_from_mask
@@ -300,11 +300,8 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
         raise ValueError(
             f"ground set {p.n} exceeds the enumeration cap {MAX_ENUMERATION_GROUND}"
         )
+    _refuse_loops(p)
     matroid = p.underlying_matroid()
-    if matroid.loops():
-        raise ValueError(
-            f"underlying matroid has loops {matroid.loops()}; the finite part is empty"
-        )
     budget = NodeBudget(max_nodes)
     found = []
     for basis, bmask in zip(matroid.bases, matroid.basis_masks):
@@ -336,17 +333,6 @@ class FVector(NamedTuple):
     def m(self) -> int:
         return len(self.total)
 
-    @classmethod
-    def from_cells(cls, cells: Iterable[Cell], m: int) -> "FVector":
-        tot = [0] * m
-        bnd = [0] * m
-        for c in cells:
-            i = c.dim - 1
-            tot[i] += 1
-            if c.bounded:
-                bnd[i] += 1
-        return cls(tuple(tot), tuple(bnd))
-
     def to_json(self) -> dict:
         return {
             "fvector": {
@@ -363,7 +349,14 @@ def f_vector(cells: Iterable[Cell], m: int | None = None) -> FVector:
         if not cells:
             raise ValueError("cannot infer the rank from an empty cell list")
         m = len(cells[0].face_matroid.bases[0])
-    return FVector.from_cells(cells, m)
+    tot = [0] * m
+    bnd = [0] * m
+    for c in cells:
+        i = c.dim - 1
+        tot[i] += 1
+        if c.bounded:
+            bnd[i] += 1
+    return FVector(tuple(tot), tuple(bnd))
 
 
 def _comb0(a: int, b: int) -> int:

@@ -26,7 +26,7 @@ from . import cells as cellmod
 from .chart import LocalContext
 from .matroid import json_int, mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector, check_shape
-from .semiring import INF, Scalar, as_scalar, format_scalar, tdet
+from .semiring import INF, as_scalar, format_scalar, tdet
 
 
 class HeightMatrix:
@@ -61,9 +61,6 @@ class HeightMatrix:
     @property
     def m(self) -> int:
         return len(self.basis)
-
-    def value(self, i: int, j: int) -> Scalar:
-        return self.rows[self.basis.index(i)][self.others.index(j)]
 
     def family(self, j: int) -> tuple[int, ...]:
         """I_j: the basis elements whose row is finite in column j."""

@@ -4,14 +4,14 @@ A subset of [n] is externally a sorted tuple of 1-based ints and internally
 an n-bit mask (bit k <-> element k+1).  Loops (elements in no basis) are
 allowed.
 
-There are two constructors.  `Matroid(n, bases)` (and `Matroid.from_json`)
-takes bases from a caller, refuses a repeated basis with a `ValueError`,
-and verifies the basis-exchange axiom, raising `ExchangeError` with the
-first failing triple.  `Matroid.from_masks` takes bases the library
-derived itself and skips the scan: a family that is a matroid by theorem
--- the maximal-weight bases of a valuated matroid (Dress & Wenzel), a
-principal transversal family (Edmonds & Fulkerson) -- which the test suite
-and `troplin selftest` check against the exchange axiom instead, or a
+There are two constructors.  `Matroid(n, bases)` takes bases from a
+caller, refuses a repeated basis with a `ValueError`, and verifies the
+basis-exchange axiom, raising `ExchangeError` with the first failing
+triple.  `Matroid.from_masks` takes bases the library derived itself and
+skips the scan: a family that is a matroid by theorem -- the
+maximal-weight bases of a valuated matroid (Dress & Wenzel), a principal
+transversal family (Edmonds & Fulkerson) -- which the test suite and
+`troplin selftest` check against the exchange axiom instead, or a
 vector's support that `PlueckerVector.validate` has just scanned.
 """
 
@@ -176,25 +176,13 @@ class Matroid:
             self._components = tuple(sorted(subset_from_mask(g) for g in groups))
         return self._components
 
-    def fundamental_circuit_support(self, e: int, basis: Iterable[int]) -> tuple[int, ...]:
-        """Support of the fundamental circuit of e over the basis B.
-
-        Requires e outside B.  Equals {e} plus the b in B whose exchange
-        B - b + e is again a basis; for a loop e this is just {e}.
-        """
-        bmask = mask_from_subset(basis, self.n)
-        if bmask not in self._mask_set:
-            raise ValueError(f"{tuple(basis)} is not a basis")
-        if not 1 <= e <= self.n:
-            raise ValueError(f"element {e} outside ground set")
-        ebit = 1 << (e - 1)
-        if bmask & ebit:
-            raise ValueError(f"element {e} lies in the basis; no fundamental circuit")
-        return subset_from_mask(self.fundamental_circuit_mask(bmask, ebit))
-
     def fundamental_circuit_mask(self, bmask: int, ebit: int) -> int:
-        """`fundamental_circuit_support` on masks, unchecked: ``bmask`` is a
-        basis and ``ebit`` one element bit outside it."""
+        """Mask of the support of the fundamental circuit of e over the basis B.
+
+        Unchecked: ``bmask`` is a basis and ``ebit`` one element bit outside
+        it.  The support is {e} plus the b in B whose exchange B - b + e is
+        again a basis; for a loop e this is just {e}.
+        """
         circuit = ebit
         rest = bmask
         while rest:
@@ -216,13 +204,6 @@ class Matroid:
         shown = ",".join("".join(map(str, s)) for s in self._subsets[:6])
         more = "..." if len(self._subsets) > 6 else ""
         return f"Matroid(n={self.n}, bases=[{shown}{more}])"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "bases": [list(b) for b in self._subsets]}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Matroid":
-        return cls(json_int(obj["n"], "n"), obj["bases"])
 
 
 def transversal(n: int, basis: Iterable[int], families: Mapping[int, Iterable[int]]) -> Matroid:

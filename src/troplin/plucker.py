@@ -314,28 +314,7 @@ class PlueckerVector:
             )
         return self._circuits
 
-    def fundamental_circuit(self, e: int, basis: Iterable[int]) -> ValuatedCircuit:
-        """Circuit of B + e for a basis B of the underlying matroid, e outside B."""
-        self._need_validated()
-        bmask = mask_from_subset(basis, self.n)
-        bset = subset_from_mask(bmask)
-        if bmask not in self._entries:
-            raise ValueError(f"{bset} is not in the support")
-        if not 1 <= e <= self.n or (bmask >> (e - 1)) & 1:
-            raise ValueError(f"element {e} must lie outside the basis")
-        return self.circuit(bset + (e,))  # never None: p_B is finite
-
     # -- weights and local matroids -----------------------------------------
-
-    def weight(self, point, basis: Iterable[int]) -> Fraction:
-        """w(v, B) = -p_B + sum_{i in B} v_i, for B in the support."""
-        self._need_validated()
-        bmask = mask_from_subset(basis, self.n)
-        val = self._entries.get(bmask)
-        if val is None:
-            raise ValueError(f"{subset_from_mask(bmask)} is not in the support")
-        pt = self._as_point(point)
-        return sum((pt[e - 1] for e in subset_from_mask(bmask)), -val)
 
     def _as_point(self, point, length: int | None = None) -> tuple[Fraction, ...]:
         """Finite coordinates as `Fraction`s; ``length`` defaults to n."""

@@ -211,15 +211,6 @@ def check_elimination() -> CheckResult:
     return CheckResult("circuit-elimination", runs, failures)
 
 
-ALL_CHECKS = (
-    "tau-height-matrices",
-    "membership-routes",
-    "chart-roundtrip",
-    "projection",
-    "circuit-elimination",
-)
-
-
 def run_selftest(seed: int = DEFAULT_SEED, scale: int = 1) -> list[CheckResult]:
     """Run every randomized check; ``scale`` divides the run counts (for
     quick smoke tests scale=10 is handy)."""

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Sequence, Union
 
 _SCALAR_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
 
 
+@total_ordering
 class _TropicalInfinity:
     """The absorbing element.  A unique singleton, larger than every rational."""
 
@@ -48,30 +50,8 @@ class _TropicalInfinity:
             return False
         return NotImplemented
 
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is self or isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
     def __eq__(self, other):
         return other is self
-
-    def __ne__(self, other):
-        return other is not self
 
     def __hash__(self):
         return 0x7F800000  # arbitrary fixed value
@@ -83,11 +63,6 @@ class _TropicalInfinity:
 INF = _TropicalInfinity()
 
 Scalar = Union[Fraction, int, _TropicalInfinity]
-Vector = Sequence[Scalar]
-
-
-def is_finite(x: Scalar) -> bool:
-    return x is not INF
 
 
 def as_scalar(value) -> Scalar:
@@ -129,7 +104,7 @@ def format_scalar(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-def is_orthogonal(x: Vector, y: Vector) -> bool:
+def is_orthogonal(x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
     """Tropical orthogonality: min_i (x_i + y_i) is INF or achieved twice."""
     if len(x) != len(y):
         raise ValueError("orthogonality needs vectors of equal length")
@@ -138,21 +113,15 @@ def is_orthogonal(x: Vector, y: Vector) -> bool:
     return best is INF or terms.count(best) > 1
 
 
-def check_square(rows) -> int:
-    k = len(rows)
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("matrix is not square")
-    return k
-
-
 def tdet(rows) -> Scalar:
     """Tropical determinant: min over permutations s of sum_i rows[i][s(i)].
 
     Brute-force enumeration over permutations, pruning any branch as soon as
     it hits an INF entry.  Fine for the sizes this library targets (k <= 8).
     """
-    k = check_square(rows)
+    k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise ValueError("matrix is not square")
     if k == 0:
         raise ValueError("empty matrix")
     best = INF

@@ -28,7 +28,7 @@ from troplin.chart import LocalContext
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.diffcon import Constraint, DifferenceSystem, SolveResult, tighten
 from troplin.plucker import PlueckerVector
-from troplin.semiring import INF, as_point, is_finite, is_orthogonal
+from troplin.semiring import INF, as_point, is_orthogonal
 
 
 def brute_tdet(rows):
@@ -40,7 +40,7 @@ def brute_tdet(rows):
         ok = True
         for r in range(k):
             v = rows[r][perm[r]]
-            if not is_finite(v):
+            if v is INF:
                 ok = False
                 break
             acc += v
@@ -73,7 +73,7 @@ def padded_minors(v):
     minors = {}
     for cols in combinations(range(1, v.n + 1), v.m):
         val = brute_tdet([[row[e - 1] for e in cols] for row in full])
-        if is_finite(val):
+        if val is not INF:
             minors[cols] = val
     return minors
 
@@ -86,7 +86,7 @@ def brute_member(p, point):
         for i in t:
             rest = tuple(x for x in t if x != i)
             terms.append(point[i - 1] + p.entry(rest))
-        finite = [x for x in terms if is_finite(x)]
+        finite = [x for x in terms if x is not INF]
         if finite and sum(1 for x in finite if x == min(finite)) < 2:
             return False
     return True
@@ -99,7 +99,7 @@ def brute_max_weight_bases(p, point):
     weights = {}
     for a_set in combinations(range(1, p.n + 1), p.m):
         val = p.entry(a_set)
-        if is_finite(val):
+        if val is not INF:
             weights[a_set] = sum(point[i - 1] for i in a_set) - val
     best = max(weights.values())
     return tuple(a_set for a_set, w in weights.items() if w == best)
@@ -120,7 +120,7 @@ def brute_relation_failures(p):
                     continue
                 terms.append(p.entry(tuple(sorted(s_set + (i,))))
                              + p.entry(tuple(x for x in t_set if x != i)))
-            finite = [x for x in terms if is_finite(x)]
+            finite = [x for x in terms if x is not INF]
             if finite and finite.count(min(finite)) < 2:
                 bad.append((s_set, t_set))
     return tuple(bad)
@@ -225,7 +225,7 @@ def tie_options(p, basis):
         opts = {}
         for b in basis:
             val = p.entry(tuple(x for x in basis if x != b) + (i,))
-            if is_finite(val):
+            if val is not INF:
                 opts[b] = val - p_b
         out.append((i, opts))
     return out

@@ -82,8 +82,9 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     # C(16,7) * C(16,9) ~ 1.3e8 relation checks: refused before validate runs
     ("validate", {"n": 16, "m": 8, "entries": [{"subset": list(range(1, 9)), "value": "0"}]}),
     ("tau", {"n": 16, "B": list(range(1, 9)), "V": [["0"] * 8] * 8}),
+    ("validate", {"n": "4", "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]}),
 ], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap",
-        "work_cap", "heights_work_cap"])
+        "work_cap", "heights_work_cap", "string_n"])
 def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
@@ -551,6 +552,32 @@ def test_tau_names_each_loop_on_stderr(capsys, tmp_path):
     hm.write_text(json.dumps({"n": 4, "B": [1, 2], "V": [["1", "inf"], ["inf", "4"]]}))
     code, _, err = run(capsys, "tau", str(hm))
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells",), ("fvector",), ("conical",), ("local", "--basis", "1,2"),
+    ("project", "--basis", "1,2", "--point", "0,0,0,0,0,0"),
+], ids=lambda argv: argv[0])
+def test_loops_are_refused_with_one_message(capsys, tmp_path, argv):
+    # 4 and 6 are loops of tau(V): every command that needs the finite part
+    # of the space refuses the vector with the same line
+    hm = tmp_path / "v.json"
+    hm.write_text(json.dumps({
+        "n": 6, "B": [1, 2],
+        "V": [["4", "inf", "5", "inf"], ["5", "inf", "5", "inf"]],
+    }))
+    _, vector, _ = run(capsys, "tau", str(hm), "--format", "json")
+    path = tmp_path / "loops.json"
+    path.write_text(vector)
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(path), *rest)
+    assert (code, out) == (1, "")
+    assert err == ("invalid input: underlying matroid has loops (4, 6); "
+                   "the space has no finite points and no charts\n")
+
+
+def test_package_root_binds_every_name_it_exports():
+    assert [name for name in troplin.__all__ if not hasattr(troplin, name)] == []
 
 
 def test_output_is_deterministic(capsys, example1):

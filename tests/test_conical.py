@@ -42,7 +42,7 @@ def test_height_matrix_row_i_holds_the_heights_of_basis_i():
     v = HeightMatrix(4, (2, 1), [[1, 2], [3, 4]])
     w = HeightMatrix(4, (1, 2), [[3, 4], [1, 2]])
     assert v.basis == (1, 2) and v.rows == w.rows
-    assert v.value(2, 3) == 1
+    assert v.rows[1][0] == 1
     assert tau(v).to_json() == tau(w).to_json()
     assert tau(v).entry((1, 3)) == 1  # the height of 2 in column 3
 
@@ -51,7 +51,7 @@ def test_height_matrix_accessors():
     v = small_heights()
     assert v.m == 2
     assert v.others == (3, 4)
-    assert v.value(2, 3) == 3
+    assert v.rows[1][0] == 3
     assert v.family(3) == (1, 2)
     v2 = HeightMatrix(4, (1, 2), [[1, INF], [INF, INF]])
     assert v2.families() == {3: (1,), 4: ()}

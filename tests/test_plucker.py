@@ -164,13 +164,10 @@ def test_circuits_dedup_to_single_support():
 
 
 def test_circuits_refuse_a_repeated_element():
-    # (1, 2, 2, 3) is not read as the generator {1, 2, 3}, nor (1, 3, 3) as
-    # the basis {1, 3}
+    # (1, 2, 2, 3) is not read as the generator {1, 2, 3}
     p = two_pyramids()
     with pytest.raises(ValueError, match="repeated element 2"):
         p.circuit((1, 2, 2, 3))
-    with pytest.raises(ValueError, match="repeated element 3"):
-        p.fundamental_circuit(4, (1, 3, 3))
     assert p.circuit((3, 1, 2)) == p.circuit((1, 2, 3))
 
 
@@ -178,14 +175,6 @@ def test_circuit_supports_match_minimal_dependents():
     for p in (two_pyramids(), snowflake(), uniform_zero(5, 2), rank3_pair()):
         got = {c.support for c in p.all_circuits()}
         assert got == brute_circuit_supports(p.underlying_matroid())
-
-
-def test_fundamental_circuit():
-    p = two_pyramids()
-    c = p.fundamental_circuit(3, (1, 2))
-    assert c.support == (1, 2, 3)
-    with pytest.raises(ValueError):
-        p.fundamental_circuit(1, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +521,6 @@ def test_matroid_at_shift_invariance():
         lam = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         shifted = tuple(x + lam for x in v)
         assert p.matroid_at(v) == p.matroid_at(shifted)
-
-
-def test_weight():
-    p = two_pyramids()
-    assert p.weight((0, 0, 0, 0), (1, 2)) == -1
-    assert p.weight((0, 0, 0, 0), (1, 3)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from troplin.semiring import (
     INF,
     as_point,
     as_scalar,
-    check_square,
     format_point,
     format_scalar,
     is_orthogonal,
@@ -23,6 +22,12 @@ def test_inf_is_absorbing_and_maximal():
     assert not INF < INF
     assert INF == INF
     assert Fraction(-1, 2) < INF
+    # the order total_ordering derives from __lt__ and __eq__
+    assert INF >= INF and INF <= INF and not INF > INF
+    assert Fraction(1) <= INF and not INF <= 5
+    assert INF != 5
+    with pytest.raises(TypeError):
+        INF < "x"
 
 
 def test_as_scalar_accepts_exact_types_only():
@@ -103,7 +108,7 @@ def test_tdet_two_by_two():
 
 def test_tdet_rejects_ragged():
     with pytest.raises(ValueError):
-        check_square([[1, 2], [3]])
+        tdet([[1, 2], [3]])
     with pytest.raises(ValueError):
         tdet([[1, 2]])
 
