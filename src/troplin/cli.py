@@ -86,6 +86,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
+    except OSError as exc:  # a directory, a file it may not read, ...
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:  # a ValueError, so before the next clause
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
     # a decode error, a repeated key, nesting past the recursion limit or an
@@ -111,28 +113,24 @@ def _load_validated(path: str) -> PlueckerVector:
     return p
 
 
-def _get_point(args, name: str, n: int):
-    flag = getattr(args, name.replace("-", "_"), None)
-    file_flag = getattr(args, name.replace("-", "_") + "_file", None)
-    if flag:
+def _get_point(text, path, n: int, flag: str):
+    """The point given as ``--flag TEXT`` or in ``--flag-file PATH``;
+    the parser admits exactly one of them."""
+    if text is not None:
         try:
-            return parse_point(flag, n)
+            return parse_point(text, n)
         except ValueError as exc:
-            raise UsageError(f"--{name}: {exc}") from None
-    if file_flag:
-        obj = _load_json(file_flag)
-        if not isinstance(obj, list):
-            raise UsageError(f"{file_flag} must hold a JSON list of rationals")
-        try:
-            return as_point(obj, n)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"{file_flag}: {exc}") from None
-    raise UsageError(f"--{name} (or --{name}-file) is required")
+            raise UsageError(f"--{flag}: {exc}") from None
+    obj = _load_json(path)
+    if not isinstance(obj, list):
+        raise UsageError(f"{path} must hold a JSON list of rationals")
+    try:
+        return as_point(obj, n)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _get_basis(args, p: PlueckerVector):
-    if not args.basis:
-        raise UsageError("--basis is required")
     try:
         basis = tuple(_strict_int(x) for x in args.basis.split(","))
     except ValueError:
@@ -193,7 +191,7 @@ def cmd_circuits(args) -> int:
 
 def cmd_member(args) -> int:
     p = _load_validated(args.file)
-    point = _get_point(args, "point", p.n)
+    point = _get_point(args.point, args.point_file, p.n, "point")
     ok = p.contains(point)
     payload = {"point": [format_scalar(x) for x in point], "member": ok}
     lines = [f"member: {ok}"]
@@ -214,7 +212,7 @@ def cmd_member(args) -> int:
 def cmd_project(args) -> int:
     p = _load_validated(args.file)
     ctx = _get_basis(args, p)
-    point = _get_point(args, "point", p.n)
+    point = _get_point(args.point, args.point_file, p.n, "point")
     proj = ctx.project(point)
     _emit(args, {
         "basis": list(ctx.basis),
@@ -227,7 +225,7 @@ def cmd_project(args) -> int:
 def cmd_chart(args) -> int:
     p = _load_validated(args.file)
     ctx = _get_basis(args, p)
-    x = _get_point(args, "x", p.m)
+    x = _get_point(args.x, args.x_file, p.m, "x")
     v = ctx.chart(x)
     _emit(args, {
         "basis": list(ctx.basis),
@@ -408,83 +406,61 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"troplin {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_file=True, dot=False, max_patterns=False):
-        if needs_file:
-            sp.add_argument("file", help="input JSON file")
-        formats = ("text", "json", "dot") if dot else ("text", "json")
-        sp.add_argument("--format", choices=formats, default="text")
-        if max_patterns:
-            sp.add_argument(
-                "--max-patterns", type=_int_at_least(0),
-                default=cellmod.MAX_SOLVER_NODES_DEFAULT,
-                help="cap on tie-pattern nodes (tie sets tried on a feasible prefix) "
-                     "across the whole enumeration",
-            )
+    # each shared flag rule is declared once, in a parent parser; a
+    # subcommand gets a flag by listing its parent
+    def parent(*names, **kwargs):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*names, **kwargs)
+        return p
 
-    sp = sub.add_parser("validate", help="check the tropical Pluecker relations")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
+    def one_of(name):
+        p = argparse.ArgumentParser(add_help=False)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument(f"--{name}")
+        group.add_argument(f"--{name}-file")
+        return p
 
-    sp = sub.add_parser("circuits", help="all valuated circuits (one per support)")
-    common(sp)
-    sp.set_defaults(func=cmd_circuits)
+    file = parent("file", help="input JSON file")
+    formats = parent("--format", choices=("text", "json"), default="text")
+    formats_dot = parent("--format", choices=("text", "json", "dot"), default="text")
+    max_patterns = parent(
+        "--max-patterns", type=_int_at_least(0),
+        default=cellmod.MAX_SOLVER_NODES_DEFAULT,
+        help="cap on tie-pattern nodes (tie sets tried on a feasible prefix) "
+             "across the whole enumeration",
+    )
+    basis = parent("--basis", required=True)
+    point, x = one_of("point"), one_of("x")
 
-    sp = sub.add_parser("member", help="membership of a point in the space")
-    common(sp)
-    sp.add_argument("--point")
-    sp.add_argument("--point-file")
-    sp.set_defaults(func=cmd_member)
+    def command(name, func, summary, *parents):
+        sp = sub.add_parser(name, help=summary, parents=parents)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("project", help="project a chart-region point onto the space")
-    common(sp)
-    sp.add_argument("--basis")
-    sp.add_argument("--point")
-    sp.add_argument("--point-file")
-    sp.set_defaults(func=cmd_project)
-
-    sp = sub.add_parser("chart", help="map chart coordinates to a point of the space")
-    common(sp)
-    sp.add_argument("--basis")
-    sp.add_argument("--x")
-    sp.add_argument("--x-file")
-    sp.set_defaults(func=cmd_chart)
-
-    sp = sub.add_parser("local", help="local cell complex at one basis")
-    common(sp, max_patterns=True)
-    sp.add_argument("--basis")
-    sp.set_defaults(func=cmd_local)
-
-    sp = sub.add_parser("cells", help="global cell complex")
-    common(sp, dot=True, max_patterns=True)
-    sp.set_defaults(func=cmd_cells)
-
-    sp = sub.add_parser("fvector", help="f-vector of the global complex")
-    common(sp, max_patterns=True)
-    sp.set_defaults(func=cmd_fvector)
-
-    sp = sub.add_parser("bounds", help="per-dimension cell caps for (n, m)")
-    common(sp, needs_file=False)
+    command("validate", cmd_validate, "check the tropical Pluecker relations", file, formats)
+    command("circuits", cmd_circuits, "all valuated circuits (one per support)", file, formats)
+    command("member", cmd_member, "membership of a point in the space", file, formats, point)
+    command("project", cmd_project, "project a chart-region point onto the space",
+            file, formats, basis, point)
+    command("chart", cmd_chart, "map chart coordinates to a point of the space",
+            file, formats, basis, x)
+    command("local", cmd_local, "local cell complex at one basis",
+            file, formats, max_patterns, basis)
+    command("cells", cmd_cells, "global cell complex", file, formats_dot, max_patterns)
+    command("fvector", cmd_fvector, "f-vector of the global complex",
+            file, formats, max_patterns)
+    sp = command("bounds", cmd_bounds, "per-dimension cell caps for (n, m)", formats)
     sp.add_argument("--n", type=_strict_int, required=True)
     sp.add_argument("--m", type=_strict_int, required=True)
-    sp.set_defaults(func=cmd_bounds)
+    command("conical", cmd_conical, "is some basis contained in every bounded cell?",
+            file, formats, max_patterns)
+    command("tree", cmd_tree, "rank-2 tree (text or DOT)", file, formats_dot, max_patterns)
+    command("tau", cmd_tau, "Pluecker vector of a height matrix", file, formats)
 
-    sp = sub.add_parser("conical", help="is some basis contained in every bounded cell?")
-    common(sp, max_patterns=True)
-    sp.set_defaults(func=cmd_conical)
-
-    sp = sub.add_parser("tree", help="rank-2 tree (text or DOT)")
-    common(sp, dot=True, max_patterns=True)
-    sp.set_defaults(func=cmd_tree)
-
-    sp = sub.add_parser("tau", help="Pluecker vector of a height matrix")
-    common(sp)
-    sp.set_defaults(func=cmd_tau)
-
-    sp = sub.add_parser("selftest", help="run the seeded property suite")
+    sp = command("selftest", cmd_selftest, "run the seeded property suite")
     sp.add_argument("--seed", type=_strict_int, default=1729)  # selftest.DEFAULT_SEED
     sp.add_argument("--scale", type=_int_at_least(1), default=1,
                     help="divide run counts by this")
-    sp.set_defaults(func=cmd_selftest)
 
     return ap
 

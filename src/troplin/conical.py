@@ -43,12 +43,18 @@ class HeightMatrix:
         m = len(bset)
         check_shape(n, m)
         others = tuple(e for e in range(1, n + 1) if e not in bset)
+        # a string is iterable, but its characters are not heights
+        if isinstance(rows, str):
+            raise ValueError(f"expected a list of rows, got the string {rows!r}")
         grid = []
         rows = list(rows)
         if len(rows) != m:
             raise ValueError(f"expected {m} rows, got {len(rows)}")
         # the labels are distinct, so sorting the pairs never compares rows
-        for _, row in sorted(zip(labels, rows)):
+        for label, row in sorted(zip(labels, rows)):
+            if isinstance(row, str):
+                raise ValueError(f"expected a list of heights for row {label}, "
+                                 f"got the string {row!r}")
             vals = tuple(as_scalar(v) for v in row)
             if len(vals) != len(others):
                 raise ValueError(f"expected {len(others)} columns, got {len(vals)}")

@@ -83,8 +83,10 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     ("validate", {"n": 16, "m": 8, "entries": [{"subset": list(range(1, 9)), "value": "0"}]}),
     ("tau", {"n": 16, "B": list(range(1, 9)), "V": [["0"] * 8] * 8}),
     ("validate", {"n": "4", "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]}),
+    # each row a string: not read character by character
+    ("tau", {"n": 4, "B": [1, 2], "V": ["12", "34"]}),
 ], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap",
-        "work_cap", "heights_work_cap", "string_n"])
+        "work_cap", "heights_work_cap", "string_n", "string_heights_rows"])
 def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
@@ -101,10 +103,16 @@ def test_non_utf8_file_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1 and "not UTF-8" in err
 
 
-def test_missing_file(capsys):
+def test_missing_file(capsys, example1, tmp_path):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 2
     assert "no such file" in err
+    # a path that exists but cannot be read as a file
+    for argv in (("validate", str(tmp_path)),
+                 ("member", example1, "--point-file", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot read {tmp_path}")
 
 
 def test_member(capsys, example1):
@@ -165,8 +173,18 @@ def test_project_and_chart(capsys, example1):
     (("local", "--basis", "3,1,1"), 1, "invalid input: repeated element 1 in subset"),
     (("member", "--point", "0,,0,0,0"), 2, "error: --point: bad rational literal ''"),
     (("chart", "--basis", "1,3", "--x", ",0,5,"), 2, "error: --x: bad rational literal ''"),
+    # the parser admits exactly one of a flag and its file, and needs --basis
+    (("member", "--point", "0,0,0,0", "--point-file", "pt.json"), 2,
+     "troplin member: error: argument --point-file: not allowed with argument --point"),
+    (("chart", "--basis", "1,3", "--x", "0,5", "--x-file", "x.json"), 2,
+     "troplin chart: error: argument --x-file: not allowed with argument --x"),
+    (("member",), 2, "troplin member: error: one of the arguments --point --point-file "
+                     "is required"),
+    (("project", "--point", "5,0,9,0"), 2,
+     "troplin project: error: the following arguments are required: --basis"),
 ], ids=["repeated_basis_project", "repeated_basis_local", "empty_point_field",
-        "empty_x_field"])
+        "empty_x_field", "point_and_point_file", "x_and_x_file", "no_point",
+        "no_basis"])
 def test_flags_are_read_without_coercion(capsys, example1, argv, code, message):
     # each of these used to exit 0: the basis read as a set, the empty
     # fields dropped

@@ -35,6 +35,11 @@ def test_height_matrix_shape_checks():
     # B = [1, 2, 2] is not read as {1, 2}, although two rows would fit it
     with pytest.raises(ValueError, match="repeated element 2"):
         HeightMatrix(4, (1, 2, 2), [[1, 2], [3, 4]])
+    # a string is not a list of heights, though it has the right length
+    with pytest.raises(ValueError, match="got the string '12'"):
+        HeightMatrix(4, (1, 2), ["12", "34"])
+    with pytest.raises(ValueError, match="got the string '12'"):
+        HeightMatrix(3, (1, 2), "12")
 
 
 def test_height_matrix_row_i_holds_the_heights_of_basis_i():
