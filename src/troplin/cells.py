@@ -14,11 +14,12 @@ its witness off its closed matrix (`diffcon.matrix_witness`), as
 `diffcon.solve` does: the column minima are the potentials that
 Bellman-Ford reaches, so the witness is the one the test suite's
 Bellman-Ford oracle returns, and no leaf calls `solve`.  The witness is
-mapped back through the chart and identified by the matroid of
-maximum-weight bases there.  The systems live on the vector's integer
-lattice: their bounds are the chart's int deltas (p_{B-b+i} - p_B) * D,
-read in the unit D, and the witness, the chart point and the face scan
-stay on integers until the cell's `Fraction` witness is built.  `validate`
+mapped back through the chart (`PlueckerVector._chart`) and identified by
+the matroid of maximum-weight bases there (`PlueckerVector._face`).  The
+systems live on the vector's integer lattice: their bounds are the chart's
+int deltas (p_{B-b+i} - p_B) * D, read in the unit D, and the witness, the
+chart point and the face scan stay on integers, at the witness's step
+k = s / D, until the cell's `Fraction` witness is built.  `validate`
 stays on `Fraction`.
 
 A cell lies in the chart region of every basis of its face matroid, and its
@@ -66,7 +67,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .chart import LocalContext, _refuse_loops
 from .diffcon import solve  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
 from .diffcon import matrix_witness, tighten
-from .matroid import Matroid, mask_from_subset, subset_from_mask
+from .matroid import Matroid, subset_from_mask
 from .plucker import PlueckerVector
 
 MAX_ENUMERATION_GROUND = 10
@@ -237,7 +238,7 @@ def enumerate_local_cells(
     p = ctx.p
     m = p.m
     unit = p._weight_lattice()[0]
-    start = p._supp_list.index(mask_from_subset(ctx.basis, p.n)) if owned_only else 0
+    start = p._supp_list.index(ctx._bmask) if owned_only else 0
     # the matrix entries (u, v) of slots in one underlying component
     comp = {e: k for k, c in enumerate(p.underlying_matroid().components()) for e in c}
     linked = [
@@ -268,8 +269,13 @@ def enumerate_local_cells(
         if depth == len(rows):
             den, xs = matrix_witness(closed, m, unit, g)
             s = math.lcm(unit, den)
-            vs = ctx._chart_lattice(s, [x * (s // den) for x in xs])
-            face = p._face(s, vs, start)
+            # the witness on B, 0 elsewhere: the chart overwrites the rest
+            ys = [0] * p.n
+            for b, x in zip(ctx.basis, xs):
+                ys[b - 1] = x * (s // den)
+            k = s // unit
+            vs = p._chart(ctx._bmask, k, ys)[2]
+            face = p._face(k, vs, start)
             point = tuple(Fraction(v, s) for v in vs)
             bounded = all(closed[t] is not None for t in linked)
             cells.append(Cell(face, bounded, point))

@@ -24,14 +24,15 @@ with that one chart, and `project` returns the chart.
 
 The deltas p_{B - b + i} - p_B are kept on the vector's integer lattice, as
 (p_{B - b + i} - p_B) * D with D the lcm of the entry denominators.  With s
-the lcm of D and x's denominators, v_i * s is an integer minimum, and
-`chart` returns it as Fraction(v_i * s, s); `project`, `chart_inverse`,
-`in_local_space`, `project_any` and every cell witness read through it.
-The vector caches the deltas per basis (`PlueckerVector._chart_rows`), and
-a `LocalContext` reads them from there.  Cell enumeration builds its
-difference-bound matrix edges from these int deltas, in the unit D, and
-maps each leaf's witness through the chart without leaving the lattice;
-`options` rebuilds the `Fraction` deltas when it is read.
+the lcm of D and the point's denominators and k = s / D, v_i * s is an
+integer minimum, and `chart` returns it as Fraction(v_i * s, s).  The
+vector caches the deltas per basis (`PlueckerVector._chart_rows`) and
+evaluates them in one routine, `PlueckerVector._chart`: a `LocalContext`
+keeps its basis mask and reads every chart there, as `project_any` does at
+each basis of its walk.  Cell enumeration builds its difference-bound
+matrix edges from these int deltas, in the unit D, and maps each leaf's
+witness through `_chart` without leaving the lattice; `options` rebuilds
+the `Fraction` deltas when it is read.
 
 `project_any` projects through the lex-least basis of maximum weight at y
 without weighing the support.  The steepest ascent of `contains` ends at
@@ -55,8 +56,11 @@ from operator import le
 from typing import Iterable
 
 from .matroid import mask_from_subset, subset_from_mask
-from .plucker import PlueckerVector, chart_fill
+from .plucker import PlueckerVector
 from .semiring import INF
+
+
+_OUTSIDE = "point is outside the chart region of this basis"
 
 
 class LoopyMatroidError(ValueError):
@@ -75,12 +79,12 @@ def _refuse_loops(p: PlueckerVector) -> None:
 class LocalContext:
     """Cached data for chart / projection work at one basis."""
 
-    __slots__ = ("p", "basis", "_deltas")
+    __slots__ = ("p", "basis", "_bmask", "_deltas")
 
     def __init__(self, p: PlueckerVector, basis: Iterable[int]):
         p._need_validated()
         self.p = p
-        bmask = mask_from_subset(basis, p.n)
+        self._bmask = bmask = mask_from_subset(basis, p.n)
         bset = subset_from_mask(bmask)
         if len(bset) != p.m:
             raise ValueError(f"basis must have {p.m} elements")
@@ -102,9 +106,9 @@ class LocalContext:
 
     # -- membership of the chart region --------------------------------------
     #
-    # Each public read takes the point through `_as_point` once, puts it on
-    # the lattice once and compares it there with the chart of its
-    # B-coordinates (the exchange criterion of the module docstring).
+    # Each public read takes the point through `_read` once and compares it
+    # on the lattice with the chart of its B-coordinates (the exchange
+    # criterion of the module docstring).
 
     def in_sigma(self, point) -> bool:
         """Does B attain the maximum weight at the point?
@@ -114,7 +118,7 @@ class LocalContext:
         for every exchange, iff each v_i outside B is at most its chart
         minimum (Dress & Wenzel 1992; Murota 2003, ch. 5).
         """
-        _, ys, v = self._on_lattice(self.p._as_point(point))
+        _, _, ys, v = self._read(point)
         return all(map(le, ys, v))
 
     def in_local_space(self, point) -> bool:
@@ -127,23 +131,21 @@ class LocalContext:
         gives the point back.  Outside the region this raises ValueError.
         The test suite checks it against the definition.
         """
-        _, ys, v = self._region_point(self.p._as_point(point))
+        _, _, ys, v = self._read(point, _OUTSIDE)
         return ys == v
 
-    def _on_lattice(self, pt) -> tuple[int, list[int], list[int]]:
-        """(s, ys, v): the point on the lattice, ys[i] = pt_i * s, and the
-        chart of its B-coordinates there, v[i] = chart_i * s; v agrees with
-        ys on B."""
-        s, ys = self.p._to_lattice(pt)
-        return s, ys, self._chart_lattice(s, [ys[b - 1] for b in self.basis])
-
-    def _region_point(self, pt, message="point is outside the chart region of this basis"):
-        """`_on_lattice` of a point of the chart region; ValueError(message)
-        outside it."""
-        s, ys, v = self._on_lattice(pt)
-        if not all(map(le, ys, v)):
-            raise ValueError(message)
-        return s, ys, v
+    def _read(self, point, region: str | None = None) -> tuple:
+        """(pt, s, ys, v): the point read once, as `Fraction`s and on the
+        lattice, ys[i] = pt_i * s, and the chart of its B-coordinates there,
+        v[i] = chart_i * s (`PlueckerVector._chart`), which agrees with ys on
+        B.  With a ``region`` message, ValueError(region) when the point is
+        outside the chart region."""
+        pt = self.p._as_point(point)
+        s, k, ys = self.p._to_lattice(pt)
+        v = self.p._chart(self._bmask, k, ys)[2]
+        if region and not all(map(le, ys, v)):
+            raise ValueError(region)
+        return pt, s, ys, v
 
     # -- the chart and its relatives ------------------------------------------
 
@@ -151,28 +153,18 @@ class LocalContext:
         """Map x in R^m to the corresponding point of the space.
 
         The minima are taken on the lattice: with s the lcm of D and x's
-        denominators, v_i * s = min of x_j * s + delta_j * D * (s / D).
+        denominators and k = s / D, v_i * s = min of x_j * s + delta_j * D * k.
         """
-        xs = self.p._as_point(x, self.p.m)
-        s, scaled = self.p._to_lattice(xs)
-        v = self._chart_lattice(s, scaled)
-        # the basis coordinates are x itself: no Fraction to rebuild
-        for b, xb in zip(self.basis, xs):
-            v[b - 1] = xb
-        return _off_basis(self._deltas, v, s, v)
-
-    def _chart_lattice(self, s: int, xs: list[int]) -> list[int]:
-        """The chart on the lattice: for s a multiple of D and xs[j] = x_j * s,
-        the list of v_i * s."""
-        v = [0] * self.p.n
-        for b, xb in zip(self.basis, xs):
-            v[b - 1] = xb
-        return chart_fill(v, xs, self._deltas, s // self.p._weight_lattice()[0])
+        # x on B, 0 elsewhere: the chart overwrites every non-basis entry
+        pt = [0] * self.p.n
+        for b, xb in zip(self.basis, self.p._as_point(x, self.p.m)):
+            pt[b - 1] = xb
+        s, k, ys = self.p._to_lattice(pt)
+        return _off_basis(self._deltas, pt, s, self.p._chart(self._bmask, k, ys)[2])
 
     def chart_inverse(self, point) -> tuple[Fraction, ...]:
         """Restriction to the B-coordinates; inverse of `chart` on the region."""
-        pt = self.p._as_point(point)
-        _, ys, v = self._region_point(pt)
+        pt, _, ys, v = self._read(point, _OUTSIDE)
         if ys != v:
             raise ValueError("point is not in the local space at this basis")
         return tuple(pt[b - 1] for b in self.basis)
@@ -183,8 +175,7 @@ class LocalContext:
         Same min formula as the chart, evaluated on the point's own
         B-coordinates.  Requires in_sigma; idempotent; fixes the local space.
         """
-        pt = self.p._as_point(point)
-        s, _, v = self._region_point(pt, "projection is defined on the chart region only")
+        pt, s, _, v = self._read(point, "projection is defined on the chart region only")
         return _off_basis(self._deltas, list(pt), s, v)
 
 
@@ -232,9 +223,8 @@ def project_any(p: PlueckerVector, point):
     p._need_validated()
     pt = p._as_point(point)
     _refuse_loops(p)
-    s, ys = p._to_lattice(pt)
-    k = s // p._weight_lattice()[0]
-    bmask, v = p._maximal(s, ys)
+    s, k, ys = p._to_lattice(pt)
+    bmask, v = p._maximal(k, ys)
     basis, rows = p._chart_rows(bmask)
     i = 0
     while True:
@@ -242,4 +232,4 @@ def project_any(p: PlueckerVector, point):
         if not swap:
             return basis, _off_basis(rows, list(pt), s, v)
         bmask ^= swap
-        basis, rows, v = p._chart_at(bmask, k, ys)
+        basis, rows, v = p._chart(bmask, k, ys)

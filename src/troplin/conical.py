@@ -38,7 +38,8 @@ class HeightMatrix:
     __slots__ = ("n", "basis", "others", "rows")
 
     def __init__(self, n: int, basis: Iterable[int], rows: Iterable[Iterable]):
-        labels = tuple(basis)
+        # a string goes to mask_from_subset whole, to be refused as one
+        labels = basis if isinstance(basis, str) else tuple(basis)
         bset = subset_from_mask(mask_from_subset(labels, n))
         m = len(bset)
         check_shape(n, m)

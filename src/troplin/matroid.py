@@ -45,9 +45,14 @@ class ExchangeError(ValueError):
 
 
 def mask_from_subset(subset: Iterable[int], n: int) -> int:
+    # a string is iterable, but its characters are not elements
+    if isinstance(subset, str):
+        raise ValueError(f"expected a list of elements, got the string {subset!r}")
     mask = 0
     for e in subset:
-        if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"element {e!r} is not an integer")
+        if not 1 <= e <= n:
             raise ValueError(f"element {e!r} outside ground set [1..{n}]")
         bit = 1 << (e - 1)
         if mask & bit:
@@ -63,10 +68,6 @@ def subset_from_mask(mask: int) -> tuple[int, ...]:
         mask ^= bit
         out.append(bit.bit_length())
     return tuple(out)
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _lex_sorted(masks) -> tuple[tuple, tuple]:
@@ -92,11 +93,11 @@ class Matroid:
             masks.add(mask)
         if not masks:
             raise ValueError("a matroid needs at least one basis")
-        m = popcount(next(iter(masks)))
+        m = next(iter(masks)).bit_count()
         if m == 0:
             raise ValueError("rank-0 matroids are not supported")
         for mk in masks:
-            if popcount(mk) != m:
+            if mk.bit_count() != m:
                 raise ValueError("bases must all have the same size")
         self._fill(n, *_lex_sorted(masks))
         bad = kernels.exchange_violation(self._masks, n)
@@ -216,7 +217,7 @@ def transversal(n: int, basis: Iterable[int], families: Mapping[int, Iterable[in
     perfect matching.  B itself always qualifies.
     """
     bmask = mask_from_subset(basis, n)
-    m = popcount(bmask)
+    m = bmask.bit_count()
     others = [e for e in range(1, n + 1) if not (bmask >> (e - 1)) & 1]
     slot_masks = []
     for j in others:

@@ -13,15 +13,20 @@ normalized so its least finite entry is 0.
 
 Point reads run on an integer lattice.  D is the lcm of the entry
 denominators, and a point v is scaled by s, the lcm of D and its own
-denominators, to the integers v_i * s (`_to_lattice`).  Entries scale to
-p_A * D and circuit entries to c_i * D, and s / D is an integer, so the
-argmax of `matroid_at` and the circuit minima of `failing_circuit` compare
-integers and give the exact `Fraction` answers.  Parsing, formatting and
-`validate` stay on `Fraction`.
+denominators, to the integers v_i * s; `_to_lattice` returns s, the step
+k = s / D and those integers.  Entries scale to p_A * D and circuit entries
+to c_i * D, so an entry enters a lattice read as p_A * D * k, and the argmax
+of `matroid_at` and the circuit minima of `failing_circuit` compare integers
+and give the exact `Fraction` answers.  Parsing, formatting and `validate`
+stay on `Fraction`.
 
 The chart at a support basis B (`_chart_rows`, cached per basis mask) lists
 for each i outside B the exchanges B - b + i in the support with their
-deltas (p_{B-b+i} - p_B) * D; `chart.LocalContext` reads its rows from it.
+deltas (p_{B-b+i} - p_B) * D.  `_chart` is the one routine that evaluates
+it on the lattice: at (k, ys) it gives v_i * s, the minimum of
+ys_b + delta * k over i's options, the chart of ys's B-coordinates.
+`chart.LocalContext`, `chart.project_any` and each cell leaf of
+`cells.enumerate_local_cells` read their charts through it.
 `contains` never weighs the whole support.  It walks from the first support
 row by steepest ascent (`_maximal`): at B the gain of i is g_i = y_i - v_i,
 with v the chart of y's B-coordinates, and g_i is the largest weight gain of
@@ -79,17 +84,6 @@ def check_shape(n: int, m: int) -> None:
             f"shape n={n}, m={m} needs {pairs} relation checks, "
             f"over the cap {MAX_RELATION_PAIRS}"
         )
-
-
-def chart_fill(v: list[int], xs: list[int], rows: tuple, k: int) -> list[int]:
-    """The chart on the lattice, written into v: for each non-basis i of
-    ``rows`` (as `PlueckerVector._chart_rows` lists them) with options,
-    v_i * s = the minimum of xs[j] + delta * k, where xs[j] = x_j * s is the
-    j-th basis coordinate and k = s / D.  Other entries of v stay."""
-    for i, opts in rows:
-        if opts:
-            v[i - 1] = min([xs[j] + delta * k for j, delta in opts])
-    return v
 
 
 class NotValidatedError(RuntimeError):
@@ -344,13 +338,15 @@ class PlueckerVector:
             self._lattice = (d, scaled, tuple(rows))
         return self._lattice
 
-    def _to_lattice(self, coords) -> tuple[int, list[int]]:
-        """Coordinates (Fractions) on the lattice: (s, [x_i * s]) with s the
-        lcm of D and their denominators, so s / D is an integer."""
+    def _to_lattice(self, coords) -> tuple[int, int, list[int]]:
+        """Coordinates (Fractions) on the lattice: (s, k, [x_i * s]) with s
+        the lcm of D and their denominators and k = s / D, the step by which
+        the lattice entries p_A * D scale to s."""
         ratios = [x.as_integer_ratio() for x in coords]
+        d = self._weight_lattice()[0]
         # the small denominators first: one lcm with the large D, not one each
-        s = math.lcm(self._weight_lattice()[0], math.lcm(*[q for _, q in ratios]))
-        return s, [a * (s // q) for a, q in ratios]
+        s = math.lcm(d, math.lcm(*[q for _, q in ratios]))
+        return s, s // d, [a * (s // q) for a, q in ratios]
 
     def _chart_rows(self, bmask: int) -> tuple[tuple[int, ...], tuple]:
         """The chart at the support basis with mask ``bmask``, built on first
@@ -377,18 +373,24 @@ class PlueckerVector:
             chart = self._charts[bmask] = (basis, tuple(rows))
         return chart
 
-    def _chart_at(self, bmask: int, k: int, ys: list[int]) -> tuple[tuple, tuple, list[int]]:
-        """(B, rows, v) at the support basis ``bmask`` for the lattice point
-        ys, scaled by s = k * D: v is ys with each non-basis i that has
-        options replaced by its chart minimum v_i * s, the chart of ys's
-        B-coordinates (`chart_fill`)."""
+    def _chart(self, bmask: int, k: int, ys: list[int]) -> tuple[tuple, tuple, list[int]]:
+        """(B, rows, v): the chart at the support basis ``bmask`` (B and
+        rows as `_chart_rows` gives them) and its value at the B-coordinates
+        of the lattice point ys of step k.  v is ys with each non-basis i
+        that has options replaced by its chart minimum v_i * s, the minimum
+        of ys_b + delta * k; a loop has none and keeps its own coordinate."""
         basis, rows = self._chart_rows(bmask)
-        return basis, rows, chart_fill(list(ys), [ys[b - 1] for b in basis], rows, k)
+        xs = [ys[b - 1] for b in basis]
+        v = list(ys)
+        for i, opts in rows:
+            if opts:
+                v[i - 1] = min([xs[j] + delta * k for j, delta in opts])
+        return basis, rows, v
 
-    def _maximal(self, s: int, ys: list[int]) -> tuple[int, list[int]]:
-        """A basis of maximum weight at the lattice point (s, ys), by
+    def _maximal(self, k: int, ys: list[int]) -> tuple[int, list[int]]:
+        """A basis of maximum weight at the lattice point ys of step k, by
         steepest ascent from the first support row: (its mask, v), with v
-        as `_chart_at` gives it there.
+        as `_chart` gives it there.
 
         At B the gain g_i = ys_i - v_i of a non-basis i is the largest weight
         gain of an exchange B - b + i, attained at a b of i's chart minimum.
@@ -396,10 +398,9 @@ class PlueckerVector:
         first such b for the first i of the largest gain (see the module
         docstring for why it stops within min(m, n - m) exchanges).
         """
-        k = s // self._weight_lattice()[0]
         bmask = self._supp_list[0]
         while True:
-            basis, rows, v = self._chart_at(bmask, k, ys)
+            basis, rows, v = self._chart(bmask, k, ys)
             gains = list(map(sub, ys, v))
             best = max(gains)
             if best <= 0:
@@ -413,27 +414,26 @@ class PlueckerVector:
         """Matroid of maximum-weight support subsets at the point.
 
         The weights are compared on integers: with s the lcm of D and the
-        point's denominators, s * w(v, A) = sum_{i in A} v_i * s - p_A * D *
-        (s / D), exactly.  The maximal-weight bases of a valuated matroid
-        form a matroid (Dress & Wenzel), so the result is built without an
-        exchange scan.
+        point's denominators and k = s / D, s * w(v, A) = sum_{i in A}
+        v_i * s - p_A * D * k, exactly.  The maximal-weight bases of a
+        valuated matroid form a matroid (Dress & Wenzel), so the result is
+        built without an exchange scan.
         """
         self._need_validated()
-        return self._face(*self._to_lattice(self._as_point(point)))
+        return self._face(*self._to_lattice(self._as_point(point))[1:])
 
-    def _face(self, s: int, xs: list[int], start: int = 0) -> Matroid:
-        """`matroid_at` of the lattice point (s, xs) of `_to_lattice`: the
-        `_weight_lattice` rows of maximum weight there.
+    def _face(self, k: int, xs: list[int], start: int = 0) -> Matroid:
+        """`matroid_at` of the lattice point xs of step k (`_to_lattice`):
+        the `_weight_lattice` rows of maximum weight there.
 
         Only the support rows from index ``start`` of `_supp_list` on are
         scanned; a caller passes the index of a subset it knows to be the
         lex-least winner.  The winners come in lex order, so they fill the
         matroid as they are.
         """
-        d, _, rows = self._weight_lattice()
+        rows = self._weight_lattice()[2]
         if start:
             rows = rows[start:]
-        k = s // d
         weights = [sum(pick(xs)) - pd * k for pick, pd, _, _ in rows]
         best = max(weights)
         top = [row for row, w in zip(rows, weights) if w == best]
@@ -462,12 +462,10 @@ class PlueckerVector:
         c_i + v_i is attained only once: a certificate that the point is not
         in the space.  None when the point is orthogonal to every circuit.
 
-        Compared on the lattice: the minimum of v_i * s + c_i * D * (s / D).
+        Compared on the lattice: the minimum of v_i * s + c_i * D * k.
         """
         self._need_validated()
-        d = self._weight_lattice()[0]
-        s, xs = self._to_lattice(self._as_point(point))
-        k = s // d
+        _, k, xs = self._to_lattice(self._as_point(point))
         for circuit, row in zip(self.all_circuits(), self._circuit_lattice()):
             terms = [xs[i] + cd * k for i, cd in row]
             if terms.count(min(terms)) < 2:
@@ -494,10 +492,10 @@ class PlueckerVector:
         test suite and `troplin selftest` check that the two agree.
         """
         self._need_validated()
-        s, ys = self._to_lattice(self._as_point(point))
+        _, k, ys = self._to_lattice(self._as_point(point))
         if self._matroid.loops():
             return False
-        return self._maximal(s, ys)[1] == ys
+        return self._maximal(k, ys)[1] == ys
 
     # -- circuit elimination ---------------------------------------------------
 
@@ -558,7 +556,8 @@ class PlueckerVector:
         entries: dict[int, Scalar] = {}
         for item in raw:
             try:
-                subset = tuple(item["subset"])
+                subset = item["subset"]
+                iter(subset)  # a non-iterable subset is a bad record
                 value = item["value"]
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad entry record {item!r}: {exc}") from exc

@@ -398,7 +398,7 @@ def scan_contains(p, point):
     when the matroid at the point is loopless."""
     p._need_validated()
     covered = 0
-    for mask in p._face(*p._to_lattice(p._as_point(point))).basis_masks:
+    for mask in p._face(*p._to_lattice(p._as_point(point))[1:]).basis_masks:
         covered |= mask
     return covered == (1 << p.n) - 1
 

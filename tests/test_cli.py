@@ -73,26 +73,48 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     assert "'m'" in err
 
 
-@pytest.mark.parametrize("command, obj", [
-    ("validate", {"n": 4.7, "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]}),
-    ("validate", {"n": 4, "m": True, "entries": [{"subset": [1], "value": "0"}]}),
-    ("tau", {"n": 4.9, "B": [1, 2], "V": [["1", "2"], ["3", "4"]]}),
-    ("validate", {"n": 40, "m": 1, "entries": [{"subset": [1], "value": "0"}]}),
-    ("tau", {"n": 20, "B": [1], "V": [["0"] * 19]}),
+@pytest.mark.parametrize("command, obj, message", [
+    ("validate", {"n": 4.7, "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]},
+     "n must be a JSON integer, got 4.7"),
+    ("validate", {"n": 4, "m": True, "entries": [{"subset": [1], "value": "0"}]},
+     "m must be a JSON integer, got True"),
+    ("tau", {"n": 4.9, "B": [1, 2], "V": [["1", "2"], ["3", "4"]]},
+     "n must be a JSON integer, got 4.9"),
+    ("validate", {"n": 40, "m": 1, "entries": [{"subset": [1], "value": "0"}]},
+     "ground set size 40 exceeds the cap 16"),
+    ("tau", {"n": 20, "B": [1], "V": [["0"] * 19]}, "ground set size 20 exceeds the cap 16"),
     # C(16,7) * C(16,9) ~ 1.3e8 relation checks: refused before validate runs
-    ("validate", {"n": 16, "m": 8, "entries": [{"subset": list(range(1, 9)), "value": "0"}]}),
-    ("tau", {"n": 16, "B": list(range(1, 9)), "V": [["0"] * 8] * 8}),
-    ("validate", {"n": "4", "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]}),
+    ("validate", {"n": 16, "m": 8, "entries": [{"subset": list(range(1, 9)), "value": "0"}]},
+     "over the cap 100000"),
+    ("tau", {"n": 16, "B": list(range(1, 9)), "V": [["0"] * 8] * 8}, "over the cap 100000"),
+    ("validate", {"n": "4", "m": 2, "entries": [{"subset": [1, 2], "value": "0"}]},
+     "n must be a JSON integer, got '4'"),
     # each row a string: not read character by character
-    ("tau", {"n": 4, "B": [1, 2], "V": ["12", "34"]}),
+    ("tau", {"n": 4, "B": [1, 2], "V": ["12", "34"]},
+     "expected a list of heights for row 1, got the string '12'"),
+    # a subset given as a string, or with a string element, is not read as
+    # elements out of range
+    ("tau", {"n": 4, "B": "12", "V": [["1", "2"], ["3", "4"]]},
+     "expected a list of elements, got the string '12'"),
+    ("validate", {"n": 4, "m": 2, "entries": [{"subset": "12", "value": "0"}]},
+     "expected a list of elements, got the string '12'"),
+    ("validate", {"n": 4, "m": 2, "entries": [{"subset": [1, "2"], "value": "0"}]},
+     "element '2' is not an integer"),
+    ("tau", {"n": 4, "B": [1, True], "V": [["1", "2"], ["3", "4"]]},
+     "element True is not an integer"),
+    # an int outside the ground set keeps its message
+    ("validate", {"n": 4, "m": 2, "entries": [{"subset": [1, 5], "value": "0"}]},
+     "element 5 outside ground set [1..4]"),
 ], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap",
-        "work_cap", "heights_work_cap", "string_n", "string_heights_rows"])
-def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj):
+        "work_cap", "heights_work_cap", "string_n", "string_heights_rows",
+        "string_basis", "string_subset", "string_element", "bool_basis_element",
+        "element_out_of_range"])
+def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def test_non_utf8_file_is_usage_error(capsys, tmp_path):

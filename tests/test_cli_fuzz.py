@@ -6,7 +6,9 @@ inserted or replaced), writes it to a file and runs one file subcommand on
 it under an alarm.  Whatever the input, the command must exit 0, 1 or 2,
 and an error exit must print exactly one line on stderr and nothing on
 stdout.  The one exception is `validate`'s verdict: it exits 1 with the
-report on stdout and nothing on stderr.
+report on stdout and nothing on stderr.  Every subset list of a fixture is
+also written as a string and with a string element, which must be usage
+errors that name the string.
 """
 
 import copy
@@ -146,6 +148,48 @@ def test_mutated_fixtures_keep_the_exit_contract(capsys, tmp_path, name, command
         assert_contract(code, out, err, command, mutant)
         codes.add(code)
     assert codes == exits
+
+
+def _subsets(obj):
+    """(container, key) of every subset list: a height matrix's "B", or each
+    entry's "subset"."""
+    if "B" in obj:
+        yield obj, "B"
+    for entry in obj.get("entries", ()):
+        yield entry, "subset"
+
+
+def string_subsets(obj):
+    """(file text, message) per copy of ``obj`` with one subset list written
+    as a string ("12"), or with its last element a string ([1, "2"])."""
+    for at in range(len(list(_subsets(obj)))):
+        for whole in (True, False):
+            mutant = copy.deepcopy(obj)
+            parent, key = list(_subsets(mutant))[at]
+            subset = parent[key]
+            if whole:
+                parent[key] = "".join(map(str, subset))
+                message = f"got the string {parent[key]!r}"
+            else:
+                subset[-1] = str(subset[-1])
+                message = f"element {subset[-1]!r} is not an integer"
+            yield json.dumps(mutant), message
+
+
+@needs_alarm
+@pytest.mark.parametrize("name, commands", [
+    ("example1.json", PLUCKER_COMMANDS),
+    ("heights_3_6.json", HEIGHTS_COMMANDS),
+])
+def test_string_subsets_are_usage_errors(capsys, tmp_path, name, commands):
+    obj = json.loads((FIXTURES / name).read_text())
+    path = tmp_path / name
+    for text, message in string_subsets(obj):
+        path.write_text(text)
+        for command in commands:
+            code, out, err = run_file(capsys, command, path)
+            assert_contract(code, out, err, command, text.encode())
+            assert code == 2 and message in err, (command, text, err)
 
 
 def _repeated_key():

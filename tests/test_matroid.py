@@ -31,6 +31,12 @@ def test_mask_round_trip():
         mask_from_subset((1, 1), 4)
     with pytest.raises(ValueError):
         mask_from_subset((5,), 4)
+    # a string is refused whole, a non-int element as not an integer
+    with pytest.raises(ValueError, match="got the string '12'"):
+        mask_from_subset("12", 4)
+    for bad in ((1, "2"), (1, True), (1, 2.0)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            mask_from_subset(bad, 4)
 
 
 def test_uniform_matroid_passes_exchange():

@@ -402,7 +402,7 @@ def test_steepest_ascent_within_the_step_bound(make, monkeypatch):
 
     monkeypatch.setattr(PlueckerVector, "_chart_rows", spy)
     for y in points:
-        bmask, _ = walked(p._maximal, *p._to_lattice(as_point(y, p.n)))
+        bmask, _ = walked(p._maximal, *p._to_lattice(as_point(y, p.n))[1:])
         assert reads[0] == p.support_masks()[0]
         assert len(reads) - 1 <= bound, (y, reads)
         assert p.matroid_at(y).is_basis(subset_from_mask(bmask)), y
