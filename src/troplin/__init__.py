@@ -9,7 +9,8 @@ The point reads run on an internal integer lattice, scaled by D, the lcm of
 the entry denominators, and by the point's own denominators: the argmax of
 ``PlueckerVector.matroid_at``, circuit membership
 (``contains_via_circuits``, ``failing_circuit``) and the chart minima of
-``LocalContext`` compare integers and give the same exact answers.
+``LocalContext`` compare integers and give the same exact answers;
+``tau`` and ``PlueckerVector.all_circuits`` build their entries there too.
 Ground-set elements are 1-based everywhere, in the library and in every
 file format.
 """

@@ -8,7 +8,9 @@ valuated matroid whose support is the transversal matroid of its finite
 pattern (Fink & Rincon, "Stiefel tropical linear spaces", JCTA 135, 2015):
 here the principal transversal matroid of B with families
 I_j = { i in B : V[i][j] finite }.  Every bounded cell of the space lies in
-the chart region of B -- the complex is "conical" over B.
+the chart region of B -- the complex is "conical" over B.  `tau` computes
+those minors on the integer lattice of V's heights times the lcm of their
+denominators, by Laplace expansion, and returns them as `Fraction`s.
 
 For rank 2 on a connected underlying matroid the complex is a metric tree
 whose leaves are the parallel classes; this module also builds that tree
@@ -17,16 +19,17 @@ and recognizes caterpillars (conical <=> caterpillar in rank 2).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import cells as cellmod
 from .chart import LocalContext
 from .matroid import json_int, mask_from_subset, subset_from_mask
 from .plucker import PlueckerVector, check_shape
-from .semiring import INF, as_scalar, format_scalar, tdet
+from .semiring import INF, as_scalar, format_scalar
+from .semiring import tdet  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
 
 
 class HeightMatrix:
@@ -98,24 +101,50 @@ class HeightMatrix:
 def tau(v: HeightMatrix) -> PlueckerVector:
     """Pluecker vector of maximal tropical minors of [I | V], read off V.
 
-    p_B = 0, and p_A is the tropical determinant of V on the rows B - A and
-    the columns A - B: the identity pins each element of A & B to its own
-    row at cost 0.  By the theorem above the vector is built trusted, with
-    no relation or exchange scan; the test suite checks it against the
-    padded-matrix minors of `tests/oracles.py`, the Pluecker relations and
-    `matroid.transversal`, and `troplin selftest` validates it.
+    p_B = 0, and p_A is the tropical determinant of V on the rows R = B - A
+    and the columns S = A - B: the identity pins each element of A & B to
+    its own row at cost 0.  The minors are computed on the integer lattice:
+    with L the lcm of the heights' denominators, g(R, S) = p_A * L is built
+    size by size by Laplace expansion along the last row r of R,
+    g(R, S) = min over c in S of g(R - r, S - c) + V[r][c] * L, so a k x k
+    minor costs k integer additions and each entry is one `Fraction(g, L)`.
+    By the theorem above the vector is built trusted, with no relation or
+    exchange scan; the test suite checks it against the padded-matrix minors
+    of `tests/oracles.py`, the Pluecker relations and `matroid.transversal`,
+    and `troplin selftest` validates it.
     """
     n, m = v.n, v.m
     bmask = mask_from_subset(v.basis, n)
-    entries = {bmask: Fraction(0)}
-    for k in range(1, min(m, n - m) + 1):
-        for rows in combinations(range(m), k):
-            kept = bmask & ~mask_from_subset([v.basis[r] for r in rows], n)
-            for cols in combinations(range(n - m), k):
-                val = tdet([[v.rows[r][c] for c in cols] for r in rows])
-                if val is not INF:
-                    entries[kept | mask_from_subset([v.others[c] for c in cols], n)] = val
-    return PlueckerVector.from_masks(n, m, entries)
+    scale = math.lcm(*(x.denominator for row in v.rows for x in row if x is not INF))
+    # per row, ascending in B: its element's bit and (column bit, V * L)
+    # over its finite heights
+    grid = [
+        (1 << (b - 1), tuple((1 << (j - 1), x.numerator * (scale // x.denominator))
+                             for j, x in zip(v.others, row) if x is not INF))
+        for b, row in zip(v.basis, v.rows)
+    ]
+    # g keyed by the mask of A: A's bits in B are B - R, the rest are S
+    level = {bmask: 0}
+    minors = dict(level)
+    for _ in range(min(m, n - m)):
+        grown: dict[int, int] = {}
+        for amask, g in level.items():
+            rest = bmask & ~amask  # R: expand only by a later row
+            for rbit, cols in grid:
+                if rbit <= rest:
+                    continue
+                kept = amask ^ rbit
+                for cbit, x in cols:
+                    if amask & cbit:
+                        continue
+                    key, val = kept | cbit, g + x
+                    old = grown.get(key)
+                    if old is None or val < old:
+                        grown[key] = val
+        minors.update(grown)
+        level = grown
+    return PlueckerVector.from_masks(
+        n, m, {amask: Fraction(g, scale) for amask, g in minors.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ i in S and INF outside.  Two circuits with equal support differ by a global
 additive shift, so `all_circuits` keeps one representative per support,
 normalized so its least finite entry is 0.
 
-Point reads run on an integer lattice.  D is the lcm of the entry
-denominators, and a point v is scaled by s, the lcm of D and its own
-denominators, to the integers v_i * s; `_to_lattice` returns s, the step
+Point reads and the circuits run on an integer lattice.  D is the lcm of
+the entry denominators, and a point v is scaled by s, the lcm of D and its
+own denominators, to the integers v_i * s; `_to_lattice` returns s, the step
 k = s / D and those integers.  Entries scale to p_A * D and circuit entries
 to c_i * D, so an entry enters a lattice read as p_A * D * k, and the argmax
 of `matroid_at` and the circuit minima of `failing_circuit` compare integers
-and give the exact `Fraction` answers.  Parsing, formatting and `validate`
-stay on `Fraction`.
+and give the exact `Fraction` answers.  `all_circuits` shifts each circuit
+by its least p_A * D and builds one `Fraction` per entry.  Parsing,
+formatting and `validate` stay on `Fraction`.
 
 The chart at a support basis B (`_chart_rows`, cached per basis mask) lists
 for each i outside B the exchanges B - b + i in the support with their
@@ -198,7 +199,9 @@ class PlueckerVector:
         self._lattice = None
         self._circuit_rows = None
         self._charts: dict[int, tuple] = {}
-        self._supp_list = sorted(table, key=subset_from_mask)
+        # a trusted build's matroid has lex-sorted the support already
+        self._supp_list = (list(matroid.basis_masks) if matroid is not None
+                           else sorted(table, key=subset_from_mask))
 
     @property
     def validated(self) -> bool:
@@ -290,22 +293,41 @@ class PlueckerVector:
         return ValuatedCircuit(tuple(entries), gen)
 
     def all_circuits(self) -> tuple[ValuatedCircuit, ...]:
-        """One representative per circuit support, least finite entry 0."""
+        """One representative per circuit support, least finite entry 0.
+
+        The representative of a support is the circuit of its lex-least
+        generator, and the circuits come in lex order of their supports.
+        They are read off the `_weight_lattice` ints p_A * D, shifted by
+        their minimum there; the same ints fill `_circuit_rows`, per circuit
+        ((0-based index, c_i * D), ...) over its support, which
+        `failing_circuit` reads.
+        """
         self._need_validated()
         if self._circuits is None:
-            seen: dict[int, ValuatedCircuit] = {}
+            d, scaled = self._weight_lattice()[:2]
+            seen: dict[int, tuple] = {}
             for gen in combinations(range(1, self.n + 1), self.m + 1):
-                c = self.circuit(gen)
-                if c is None:
+                gmask = sum(1 << (e - 1) for e in gen)
+                row = []
+                for e in gen:
+                    x = scaled.get(gmask ^ (1 << (e - 1)))
+                    if x is not None:
+                        row.append((e - 1, x))
+                if not row:
                     continue
-                key = c.support_mask
-                if key in seen:
-                    continue
-                low = min(x for x in c.entries if x is not INF)
-                seen[key] = c.shifted(-low)
-            self._circuits = tuple(
-                seen[k] for k in sorted(seen, key=subset_from_mask)
-            )
+                key = sum(1 << i for i, _ in row)
+                if key not in seen:
+                    low = min(x for _, x in row)
+                    seen[key] = (gen, tuple((i, x - low) for i, x in row))
+            order = [seen[key] for key in sorted(seen, key=subset_from_mask)]
+            circuits = []
+            for gen, row in order:
+                entries: list[Scalar] = [INF] * self.n
+                for i, x in row:
+                    entries[i] = Fraction(x, d)
+                circuits.append(ValuatedCircuit(tuple(entries), gen))
+            self._circuits = tuple(circuits)
+            self._circuit_rows = tuple(row for _, row in order)
         return self._circuits
 
     # -- weights and local matroids -----------------------------------------
@@ -443,20 +465,6 @@ class PlueckerVector:
 
     # -- membership -----------------------------------------------------------
 
-    def _circuit_lattice(self) -> tuple:
-        """Per circuit in `all_circuits` order: ((0-based index, c_i * D), ...)
-        over its support, built on first use."""
-        if self._circuit_rows is None:
-            d = self._weight_lattice()[0]
-            self._circuit_rows = tuple(
-                tuple(
-                    (i, x.numerator * (d // x.denominator))
-                    for i, x in enumerate(c.entries) if x is not INF
-                )
-                for c in self.all_circuits()
-            )
-        return self._circuit_rows
-
     def failing_circuit(self, point) -> ValuatedCircuit | None:
         """The first circuit, in `all_circuits` order, whose minimum over
         c_i + v_i is attained only once: a certificate that the point is not
@@ -466,7 +474,8 @@ class PlueckerVector:
         """
         self._need_validated()
         _, k, xs = self._to_lattice(self._as_point(point))
-        for circuit, row in zip(self.all_circuits(), self._circuit_lattice()):
+        circuits = self.all_circuits()
+        for circuit, row in zip(circuits, self._circuit_rows):
             terms = [xs[i] + cd * k for i, cd in row]
             if terms.count(min(terms)) < 2:
                 return circuit

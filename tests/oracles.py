@@ -4,12 +4,13 @@ Everything in here is deliberately naive: straight enumeration, no pruning,
 no shared code with the library internals beyond data types.  Slow is fine;
 wrong is not.  The exceptions are slow paths that library fast paths
 replaced, kept here to check the fast paths against: `all_bases_cells`; the
-`fraction_*` chart, circuit-membership and tie-pattern search paths that
-the integer lattice replaced; `bellman_ford_solve`, the solver that the
-closed difference-bound matrix replaced inside `diffcon.solve`;
+`fraction_*` chart, circuit, circuit-membership and tie-pattern search
+paths that the integer lattice replaced; `bellman_ford_solve`, the solver
+that the closed difference-bound matrix replaced inside `diffcon.solve`;
 `solve_leaf_cells`, the search with the `solve` leaf that the witness read
 off the matrix replaced; `padded_minors`, the maximal minors of the padded
-matrix `augment` that `conical.tau` replaced by minors of V alone; the
+matrix `augment` by permutation expansion, where `conical.tau` expands
+minors of V alone on the integer lattice; the
 `scan_*` chart-region reads, which test B against every support row where
 `LocalContext` reads B's own exchanges; and `scan_contains`, the cover test
 over every support row that the steepest ascent of `PlueckerVector.contains`
@@ -27,6 +28,7 @@ from troplin.cells import Cell, enumerate_local_cells, is_bounded
 from troplin.chart import LocalContext
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.diffcon import Constraint, DifferenceSystem, SolveResult, tighten
+from troplin.matroid import subset_from_mask
 from troplin.plucker import PlueckerVector
 from troplin.semiring import INF, as_point, is_orthogonal
 
@@ -417,6 +419,23 @@ def fraction_failing_circuit(p, point):
     circuit loop that the lattice membership test replaced."""
     pt = tuple(Fraction(x) for x in point)
     return next((c for c in p.all_circuits() if not is_orthogonal(c.entries, pt)), None)
+
+
+def fraction_all_circuits(p):
+    """`p.all_circuits()` on `Fraction`s, as the library built it before the
+    lattice: per support the circuit of its lex-least generator, shifted so
+    its least entry is 0, in lex order of the supports."""
+    seen = {}
+    for gen in combinations(range(1, p.n + 1), p.m + 1):
+        c = p.circuit(gen)
+        if c is None:
+            continue
+        key = c.support_mask
+        if key in seen:
+            continue
+        low = min(x for x in c.entries if x is not INF)
+        seen[key] = c.shifted(-low)
+    return tuple(seen[k] for k in sorted(seen, key=subset_from_mask))
 
 
 def tie_pattern(p, basis, x):

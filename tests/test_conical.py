@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import augment, brute_relation_failures, padded_minors, tree_failures
-from troplin import conical, kernels
+from troplin import kernels
 from troplin.cells import enumerate_cells, f_vector
 from troplin.conical import (
     HeightMatrix,
@@ -108,13 +108,16 @@ def test_tau_underlying_is_transversal_with_inf_entries():
 
 
 def cross_check_matrices():
-    """42 seeded height matrices: generic, tie-heavy and knockout at (4,2)
-    to (8,4), each on the root basis {1..m} and on a random other one.  The
-    knockout matrices on the other basis have an all-INF first column, so
-    that column's element is a loop."""
+    """84 seeded height matrices: generic, tie-heavy and knockout at (3,1)
+    to (10,5), each on the root basis {1..m} and on a random other one.  The
+    shapes include rank 1, m = n - 1 and n = m, where V has no columns.
+    The knockout matrices on the other basis have an all-INF first column,
+    so that column's element is a loop.  Per shape one more matrix has
+    negative heights with distinct denominators."""
     rng = random.Random("tau-minors")
     out = []
-    for n, m in ((4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3), (8, 4)):
+    for n, m in ((3, 1), (4, 1), (3, 3), (4, 2), (5, 2), (5, 3), (5, 4), (6, 3),
+                 (7, 3), (8, 3), (8, 4), (10, 5)):
         for basis in (range(1, m + 1), sorted(rng.sample(range(1, n + 1), m))):
             loop = tuple(basis) != tuple(range(1, m + 1))
             out.append(random_height_matrix(n, m, basis=basis, rng=rng))
@@ -123,6 +126,11 @@ def cross_check_matrices():
             knocked = [[INF if (loop and j == 0) or rng.random() < 0.3 else rng.randrange(10)
                         for j in range(n - m)] for _ in range(m)]
             out.append(HeightMatrix(n, basis, knocked))
+        primes = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                       67, 71, 73, 79, 83, 89, 97))
+        negative = [[Fraction(-rng.randrange(1, 50), next(primes)) for _ in range(n - m)]
+                    for _ in range(m)]
+        out.append(HeightMatrix(n, range(1, m + 1), negative))
     return out
 
 
@@ -130,14 +138,16 @@ def test_tau_matches_the_padded_matrix_minors():
     # tau reads its minors off V and trusts that they form a valuated matroid
     # with a matroid support; here the minors are checked against the padded
     # matrix [I | V] and the vector against the Pluecker relations and the
-    # scanning constructor
+    # scanning constructor; the relations, 44,100 pairs a matrix at (10,5),
+    # are brute-forced up to n = 8 only
     matrices = cross_check_matrices()
     assert any(v.basis != tuple(range(1, v.m + 1)) for v in matrices)
     loops = 0
     for v in matrices:
         p = tau(v)
         assert {s: p.entry(s) for s in p.support()} == padded_minors(v), v
-        assert brute_relation_failures(p) == (), v
+        if v.n <= 8:
+            assert brute_relation_failures(p) == (), v
         assert p.underlying_matroid() == Matroid(v.n, p.support()), v
         loops += bool(p.underlying_matroid().loops())
     assert loops >= 7
@@ -156,10 +166,9 @@ def test_tau_runs_no_validation_scan(monkeypatch):
                         counting("validate", PlueckerVector.validate))
     monkeypatch.setattr(kernels, "exchange_violation",
                         counting("exchange_violation", kernels.exchange_violation))
-    monkeypatch.setattr(conical, "tdet", counting("tdet", conical.tdet))
     p = tau(random_height_matrix(8, 4, seed=3))
     assert p.validated
-    assert set(calls) == {"tdet"}  # tdet through conical's module global
+    assert calls == []
     assert p.validate().ok  # the wrappers do see the scans when they run
     assert {"validate", "exchange_violation"} <= set(calls)
 

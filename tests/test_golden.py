@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of the point reads and the cell commands.
+"""Byte-for-byte stdout of the point reads, the circuits and the cell commands.
 
 Each case runs one CLI command in process and compares its stdout with a
 file under ``golden/``, witnesses and all.  The inputs are the two fixtures
@@ -59,6 +59,7 @@ def commands():
             (f"{name}.project.txt", ["project", f] + project),
             (f"{name}.member.txt", ["member", f] + member),
             (f"{name}.local.json", ["local", f, "--format", "json", chart[0], chart[1]]),
+            (f"{name}.circuits.json", ["circuits", f, "--format", "json"]),
             (f"{name}.cells.json", ["cells", f, "--format", "json"]),
             (f"{name}.fvector.txt", ["fvector", f]),
         ]

@@ -14,11 +14,13 @@ from oracles import (
     brute_member,
     brute_relation_failures,
     direct_sum,
+    fraction_all_circuits,
     fraction_chart,
     fraction_failing_circuit,
     fraction_options,
     scan_contains,
     scan_project_any,
+    tau_instance,
 )
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
@@ -161,6 +163,36 @@ def test_circuits_dedup_to_single_support():
     assert [c.support for c in circs] == [(3, 4)]
     # normalized so the least finite entry is zero
     assert min(x for x in circs[0].entries if x is not INF) == 0
+
+
+CIRCUIT_CASES = [
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3), (8, 4))
+] + [
+    pytest.param(lambda: fixture_vector("example1.json"), id="example1"),
+    pytest.param(lambda: fixture_vector("snowflake.json"), id="snowflake"),
+    pytest.param(lambda: direct_sum(two_pyramids(), tau_instance("tie", 4, 2)),
+                 id="two_pyramids+tau_tie_4_2"),
+    pytest.param(lambda: _checked(3, 1, {(1,): 0, (2,): 2}), id="rank1_with_a_loop"),
+    pytest.param(lambda: tau(HeightMatrix(5, (1, 2), [[INF, Fraction(1, 3), 2],
+                                                      [INF, 3, Fraction(-5, 7)]])),
+                 id="tau_with_a_loop"),
+]
+
+
+@pytest.mark.parametrize("make", CIRCUIT_CASES)
+def test_lattice_circuits_match_the_fraction_oracle(make):
+    # all_circuits reads the circuits off the lattice ints p_A * D; the same
+    # entries, generators and order as the Fraction construction, and the
+    # lattice rows that failing_circuit reads are the entries times D
+    p = make()
+    circuits = p.all_circuits()
+    assert circuits == fraction_all_circuits(p)
+    d = p._weight_lattice()[0]
+    assert p._circuit_rows == tuple(
+        tuple((i, x * d) for i, x in enumerate(c.entries) if x is not INF) for c in circuits
+    )
 
 
 def test_circuits_refuse_a_repeated_element():
