@@ -138,11 +138,14 @@ def _get_basis(args, p: PlueckerVector):
     return LocalContext(p, basis)
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload, text_lines):
+    """Print the output in the format asked for.  ``payload`` and
+    ``text_lines`` are zero-argument builders of the JSON object and of the
+    text lines; only the one for that format runs."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -163,7 +166,7 @@ def cmd_validate(args) -> int:
     if not report.support_ok:
         a, b, e = report.exchange_witness
         payload["exchange_witness"] = {"A": list(a), "B": list(b), "a": e}
-    _emit(args, payload, [f"valid: {report.ok}"] + (
+    _emit(args, lambda: payload, lambda: [f"valid: {report.ok}"] + (
         [] if report.ok else [report.summary()]
     ))
     return 0 if report.ok else 1
@@ -172,7 +175,7 @@ def cmd_validate(args) -> int:
 def cmd_circuits(args) -> int:
     p = _load_validated(args.file)
     circuits = p.all_circuits()
-    payload = {
+    _emit(args, lambda: {
         "circuits": [
             {
                 "support": list(c.support),
@@ -181,11 +184,9 @@ def cmd_circuits(args) -> int:
             }
             for c in circuits
         ]
-    }
-    lines = [f"{len(circuits)} circuits"]
-    for c in circuits:
-        lines.append(f"  supp={list(c.support)} vector=[{format_point(c.entries)}]")
-    _emit(args, payload, lines)
+    }, lambda: [f"{len(circuits)} circuits"] + [
+        f"  supp={list(c.support)} vector=[{format_point(c.entries)}]" for c in circuits
+    ])
     return 0
 
 
@@ -205,7 +206,7 @@ def cmd_member(args) -> int:
         lines.append(
             f"circuit: supp={list(circuit.support)} vector=[{format_point(circuit.entries)}]"
         )
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -214,11 +215,11 @@ def cmd_project(args) -> int:
     ctx = _get_basis(args, p)
     point = _get_point(args.point, args.point_file, p.n, "point")
     proj = ctx.project(point)
-    _emit(args, {
+    _emit(args, lambda: {
         "basis": list(ctx.basis),
         "point": [format_scalar(x) for x in point],
         "projection": [format_scalar(x) for x in proj],
-    }, [f"projection: {format_point(proj)}"])
+    }, lambda: [f"projection: {format_point(proj)}"])
     return 0
 
 
@@ -227,11 +228,11 @@ def cmd_chart(args) -> int:
     ctx = _get_basis(args, p)
     x = _get_point(args.x, args.x_file, p.m, "x")
     v = ctx.chart(x)
-    _emit(args, {
+    _emit(args, lambda: {
         "basis": list(ctx.basis),
         "x": [format_scalar(c) for c in x],
         "point": [format_scalar(c) for c in v],
-    }, [f"point: {format_point(v)}"])
+    }, lambda: [f"point: {format_point(v)}"])
     return 0
 
 
@@ -271,15 +272,15 @@ def cmd_local(args) -> int:
     ctx = _get_basis(args, p)
     local = cellmod.enumerate_local_cells(ctx, max_nodes=args.max_patterns)
     fv = cellmod.f_vector(local, p.m)
-    payload = {
+    _emit(args, lambda: {
         "basis": list(ctx.basis),
         "cells": [_cell_payload(c) for c in local],
-    }
-    payload.update(fv.to_json())
-    lines = [f"{len(local)} cells in the local complex at {list(ctx.basis)}"]
-    lines += [_cell_line(c) for c in local]
-    lines += _fvector_lines(p, fv, with_total_cap=True)
-    _emit(args, payload, lines)
+        **fv.to_json(),
+    }, lambda: [
+        f"{len(local)} cells in the local complex at {list(ctx.basis)}",
+        *(_cell_line(c) for c in local),
+        *_fvector_lines(p, fv, with_total_cap=True),
+    ])
     return 0
 
 
@@ -291,9 +292,8 @@ def cmd_cells(args) -> int:
     if args.format == "dot":
         print(build_tree(p, cells).to_cells_dot())
         return 0
-    payload = {"cells": [_cell_payload(c) for c in cells]}
-    lines = [f"{len(cells)} cells"] + [_cell_line(c) for c in cells]
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"cells": [_cell_payload(c) for c in cells]},
+          lambda: [f"{len(cells)} cells"] + [_cell_line(c) for c in cells])
     return 0
 
 
@@ -309,7 +309,7 @@ def cmd_fvector(args) -> int:
         lines.append(
             f"minimal cells (dual facets): {report.facet_cells} <= {report.bound}: {report.ok}"
         )
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -330,15 +330,15 @@ def cmd_bounds(args) -> int:
     lines = ["dim  cap_total  cap_bounded"]
     for row in rows:
         lines.append(f"{row['dim']:>3}  {row['cap_total']:>9}  {row['cap_bounded']:>11}")
-    _emit(args, {"n": n, "m": m, "rows": rows}, lines)
+    _emit(args, lambda: {"n": n, "m": m, "rows": rows}, lambda: lines)
     return 0
 
 
 def cmd_conical(args) -> int:
     p = _load_validated(args.file)
     flag, witness = is_conical(p, cellmod.enumerate_cells(p, max_nodes=args.max_patterns))
-    payload = {"conical": flag, "witness": list(witness) if witness else None}
-    _emit(args, payload, [f"conical: {flag}" + (f" witness {list(witness)}" if witness else "")])
+    _emit(args, lambda: {"conical": flag, "witness": list(witness) if witness else None},
+          lambda: [f"conical: {flag}" + (f" witness {list(witness)}" if witness else "")])
     return 0
 
 
@@ -351,13 +351,12 @@ def cmd_tree(args) -> int:
         print(tree.to_dot())
         print(f"// caterpillar: {cat}", file=sys.stderr)
         return 0
-    payload = {
+    _emit(args, lambda: {
         "nodes": [[list(b) for b in bases] for bases in tree.node_bases],
         "edges": [list(e) for e in tree.edges],
         "leaves": [{"label": label, "node": at} for label, at in sorted(tree.leaves)],
         "caterpillar": cat,
-    }
-    _emit(args, payload, tree.to_text().split("\n") + [f"caterpillar: {cat}"])
+    }, lambda: tree.to_text().split("\n") + [f"caterpillar: {cat}"])
     return 0
 
 
@@ -366,11 +365,10 @@ def cmd_tau(args) -> int:
     # a column of V with no finite entry is in no basis of tau(V)
     for j in p.underlying_matroid().loops():
         print(f"column {j} has no finite entries; {j} will be a loop", file=sys.stderr)
-    payload = p.to_json()
-    lines = [f"rank {p.m} on [{p.n}], support size {len(p.support_masks())}"]
-    for item in payload["entries"]:
-        lines.append(f"  p{item['subset']} = {item['value']}")
-    _emit(args, payload, lines)
+    _emit(args, p.to_json, lambda: [
+        f"rank {p.m} on [{p.n}], support size {len(p.support_masks())}",
+        *(f"  p{list(a)} = {format_scalar(p.entry(a))}" for a in p.support()),
+    ])
     return 0
 
 

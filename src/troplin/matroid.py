@@ -12,7 +12,8 @@ skips the scan: a family that is a matroid by theorem -- the
 maximal-weight bases of a valuated matroid (Dress & Wenzel), a principal
 transversal family (Edmonds & Fulkerson) -- which the test suite and
 `troplin selftest` check against the exchange axiom instead, or a
-vector's support that `PlueckerVector.validate` has just scanned.
+vector's support whose Pluecker relations `PlueckerVector.validate` has
+just checked, which makes it a matroid.
 """
 
 from __future__ import annotations

@@ -153,8 +153,8 @@ class PlueckerVector:
     """Rank-m tropical Pluecker candidate on [n]; validate() certifies it."""
 
     __slots__ = (
-        "n", "m", "_entries", "_matroid", "_circuits", "_supp_list", "_lattice", "_circuit_rows",
-        "_charts",
+        "n", "m", "_entries", "_matroid", "_circuits", "_supp_list", "_lattice", "_face_rows",
+        "_circuit_rows", "_charts",
     )
 
     def __init__(self, n: int, m: int, entries: Mapping):
@@ -197,6 +197,7 @@ class PlueckerVector:
         self._matroid = matroid
         self._circuits = None
         self._lattice = None
+        self._face_rows = None
         self._circuit_rows = None
         self._charts: dict[int, tuple] = {}
         # a trusted build's matroid has lex-sorted the support already
@@ -231,14 +232,31 @@ class PlueckerVector:
     def validate(self) -> ValidationReport:
         """Check all tropical Pluecker relations and the support exchange axiom.
 
-        On success the scanned underlying matroid is cached, which flags the
-        vector as validated; on failure it is cleared.  The report lists
-        every failing (S, T) pair.
+        On success the underlying matroid is cached, which flags the vector
+        as validated; on failure it is cleared.  The report lists every
+        failing (S, T) pair, and when the support is no matroid the first
+        failing exchange triple of `kernels.exchange_violation`.
+
+        That scan runs only when some relation has exactly one finite term
+        (and so fails), because otherwise it cannot fail.  Let A, B be in
+        the support and a in A - B with A - a + b outside it for every b in
+        B - A.  B - A has two or more elements, as B - A = {b} would make
+        A - a + b = B; so S = A - a is not inside T = B + a.  T - S is
+        (B - A) + a, and of the terms p_{S+i} + p_{T-i} over it, the one at
+        a is p_A + p_B and every one at b is INF: the relation (S, T) has
+        one finite term.  Conversely a lone finite term at i makes the
+        support no matroid: for the bases S + i and T - i, Brualdi's
+        symmetric exchange at i gives j in (T - i) - (S + i) with S + j and
+        T - j bases, a second finite term.  So the support of a vector whose
+        relations all hold is a matroid, and `Matroid.from_masks` takes it
+        unscanned (Dress & Wenzel, "Valuated matroids", Adv. Math. 93, 1992;
+        Speyer, "Tropical linear spaces", 2008).
         """
         n, m, entries = self.n, self.m, self._entries
         elems = range(1, n + 1)
         tops = [(t, sum(1 << (e - 1) for e in t)) for t in combinations(elems, m + 1)]
         failures = []
+        lone = False  # has some relation exactly one finite term?
         for s_combo in combinations(elems, m - 1):
             smask = sum(1 << (e - 1) for e in s_combo)
             for t_combo, tmask in tops:
@@ -258,8 +276,10 @@ class PlueckerVector:
                             terms.append(a + b)
                 if terms and terms.count(min(terms)) == 1:
                     failures.append((s_combo, t_combo))
-        # the support masks are distinct m-sets in lex order already
-        bad = kernels.exchange_violation(self._supp_list, n)
+                    lone = lone or len(terms) == 1
+        # the support masks are distinct m-sets in lex order already; with no
+        # lone finite term the support is a matroid (see above), unscanned
+        bad = kernels.exchange_violation(self._supp_list, n) if lone else None
         witness = None
         if bad is not None:
             amask, bmask, elem = bad
@@ -304,7 +324,7 @@ class PlueckerVector:
         """
         self._need_validated()
         if self._circuits is None:
-            d, scaled = self._weight_lattice()[:2]
+            d, scaled = self._weight_lattice()
             seen: dict[int, tuple] = {}
             for gen in combinations(range(1, self.n + 1), self.m + 1):
                 gmask = sum(1 << (e - 1) for e in gen)
@@ -336,28 +356,16 @@ class PlueckerVector:
         """Finite coordinates as `Fraction`s; ``length`` defaults to n."""
         return as_point(point, self.n if length is None else length)
 
-    def _weight_lattice(self) -> tuple[int, dict, tuple]:
-        """The entries on an integer lattice, built on first use.
-
-        Returns D, the lcm of the entry denominators; {mask: p_A * D}; and
-        per support mask in `_supp_list` order a row: a getter of its
-        coordinates from a point's list (a slice when m = 1, as a one-index
-        `itemgetter` returns the item itself), p_A * D, the subset and the
-        mask.
-        """
+    def _weight_lattice(self) -> tuple[int, dict]:
+        """The entries on an integer lattice, built on first use: D, the lcm
+        of the entry denominators, and {mask: p_A * D}."""
         if self._lattice is None:
             d = math.lcm(*(val.denominator for val in self._entries.values()))
             scaled = {
                 mask: val.numerator * (d // val.denominator)
                 for mask, val in self._entries.items()
             }
-            rows = []
-            for mask in self._supp_list:
-                subset = subset_from_mask(mask)
-                pick = (itemgetter(*(e - 1 for e in subset)) if len(subset) > 1
-                        else itemgetter(slice(subset[0] - 1, subset[0])))
-                rows.append((pick, scaled[mask], subset, mask))
-            self._lattice = (d, scaled, tuple(rows))
+            self._lattice = (d, scaled)
         return self._lattice
 
     def _to_lattice(self, coords) -> tuple[int, int, list[int]]:
@@ -446,14 +454,26 @@ class PlueckerVector:
 
     def _face(self, k: int, xs: list[int], start: int = 0) -> Matroid:
         """`matroid_at` of the lattice point xs of step k (`_to_lattice`):
-        the `_weight_lattice` rows of maximum weight there.
+        the support rows of maximum weight there.
 
-        Only the support rows from index ``start`` of `_supp_list` on are
-        scanned; a caller passes the index of a subset it knows to be the
-        lex-least winner.  The winners come in lex order, so they fill the
-        matroid as they are.
+        A row, per support mask in `_supp_list` order and built on first
+        use, holds a getter of the subset's coordinates from a point's list
+        (a slice when m = 1, as a one-index `itemgetter` returns the item
+        itself), p_A * D, the subset and the mask.  Only the rows from
+        index ``start`` on are scanned; a caller passes the index of a
+        subset it knows to be the lex-least winner.  The winners come in lex
+        order, so they fill the matroid as they are.
         """
-        rows = self._weight_lattice()[2]
+        rows = self._face_rows
+        if rows is None:
+            scaled = self._weight_lattice()[1]
+            rows = []
+            for mask in self._supp_list:
+                subset = subset_from_mask(mask)
+                pick = (itemgetter(*(e - 1 for e in subset)) if len(subset) > 1
+                        else itemgetter(slice(subset[0] - 1, subset[0])))
+                rows.append((pick, scaled[mask], subset, mask))
+            rows = self._face_rows = tuple(rows)
         if start:
             rows = rows[start:]
         weights = [sum(pick(xs)) - pd * k for pick, pd, _, _ in rows]

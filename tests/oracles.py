@@ -128,6 +128,26 @@ def brute_relation_failures(p):
     return tuple(bad)
 
 
+def lone_finite_term_relations(p):
+    """The (S, T) pairs, as in `brute_relation_failures`, whose relation has
+    exactly one finite term p_{S+i} + p_{T-i} over i in T - S.  Such a
+    relation fails whatever the values; the pairs depend on the support
+    alone."""
+    elems = range(1, p.n + 1)
+    lone = []
+    for s_set in combinations(elems, p.m - 1):
+        for t_set in combinations(elems, p.m + 1):
+            finite = [
+                i for i in t_set
+                if i not in s_set
+                and p.entry(tuple(sorted(s_set + (i,)))) is not INF
+                and p.entry(tuple(x for x in t_set if x != i)) is not INF
+            ]
+            if len(finite) == 1:
+                lone.append((s_set, t_set))
+    return tuple(lone)
+
+
 def brute_circuit_supports(matroid):
     """All minimal dependent subsets, by raw enumeration."""
     n, m = matroid.n, matroid.m

@@ -18,10 +18,12 @@ from oracles import (
     fraction_chart,
     fraction_failing_circuit,
     fraction_options,
+    lone_finite_term_relations,
     scan_contains,
     scan_project_any,
     tau_instance,
 )
+from troplin import kernels
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
@@ -80,6 +82,14 @@ def test_relation_failures_match_definition():
     assert failing >= 20
 
 
+def random_support(rng, n, m):
+    """A seeded family of m-subsets of [n]: each kept with one drawn rate,
+    the first subset when none is; most such families are no matroid."""
+    subsets = list(combinations(range(1, n + 1), m))
+    keep = rng.random()
+    return [a for a in subsets if rng.random() < keep] or subsets[:1]
+
+
 def test_relations_imply_the_support_exchange_axiom():
     # with S = A - a and T = B + a the term at a is p_A + p_B, finite, so a
     # second finite term gives b in B - A with A - a + b in the support: a
@@ -90,9 +100,7 @@ def test_relations_imply_the_support_exchange_axiom():
     for _ in range(2000):
         n = rng.randint(4, 6)
         m = rng.randint(2, n - 2)
-        subsets = list(combinations(range(1, n + 1), m))
-        keep = rng.random()
-        support = [a for a in subsets if rng.random() < keep] or subsets[:1]
+        support = random_support(rng, n, m)
         p = PlueckerVector(n, m, {a: rng.randint(0, 2) for a in support})
         failures = p.validate().relation_failures
         try:
@@ -102,6 +110,29 @@ def test_relations_imply_the_support_exchange_axiom():
             assert failures, support
         passing += not failures
     assert non_matroids > 500 and passing > 300
+
+
+def test_a_lone_finite_term_decides_the_exchange_scan():
+    # the lemma that lets `validate` skip the scan, both ways, on seeded
+    # families with 1 <= m <= n - 1: with no relation of exactly one finite
+    # term the scan finds no failing triple, and with one it finds a triple
+    # (Brualdi's symmetric exchange), one that the definition confirms
+    rng = random.Random(1992)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, n - 1)
+        support = random_support(rng, n, m)
+        p = PlueckerVector(n, m, dict.fromkeys(support, 0))
+        lone = bool(lone_finite_term_relations(p))
+        bad = kernels.exchange_violation(p.support_masks(), n)
+        assert (bad is not None) == lone, support
+        if bad is not None:
+            amask, bmask, a = bad
+            triple = (frozenset(subset_from_mask(amask)), frozenset(subset_from_mask(bmask)), a)
+            assert triple in brute_exchange_violation(support), support
+        seen[lone] += 1
+    assert min(seen.values()) > 150, seen
 
 
 def test_validate_support_failure():
@@ -358,33 +389,47 @@ def _perturbed(base, rng, moves):
     return PlueckerVector(base.n, base.m, entries)
 
 
-def test_validate_matches_the_scanned_path():
-    # the fixtures and seeded tau up to (7,4), each perturbed, and random
-    # supports on [4..6], most of them no matroid
+def test_validate_matches_the_scanned_path(monkeypatch):
+    # the fixtures, two direct sums (disconnected underlying matroids) and
+    # seeded tau up to (7,4), each perturbed, and random supports on [4..6]
+    # with 1 <= m <= n - 1, most of them no matroid.  A spy on the exchange
+    # scan sees it run exactly when the support fails
     rng = random.Random(1992)
     bases = [two_pyramids(), uniform_zero(5, 2), snowflake(), rank3_pair(),
-             fixture_vector("example1.json"), fixture_vector("snowflake.json")]
+             fixture_vector("example1.json"), fixture_vector("snowflake.json"),
+             direct_sum(two_pyramids(), rank3_pair()),
+             direct_sum(uniform_zero(3, 1), uniform_zero(4, 2))]
     bases += [seeded_tau(kind, n, m) for kind in ("generic", "tie", "knockout")
               for n, m in ((6, 3), (7, 4))]
     vectors = [_perturbed(base, rng, moves) for base in bases for moves in range(8)]
     for _ in range(150):
         n = rng.randint(4, 6)
-        m = rng.randint(2, n - 2)
-        subsets = list(combinations(range(1, n + 1), m))
-        keep = rng.random()
-        support = [a for a in subsets if rng.random() < keep] or subsets[:1]
+        m = rng.randint(1, n - 1)
+        support = random_support(rng, n, m)
         vectors.append(PlueckerVector(n, m, {a: rng.randint(0, 2) for a in support}))
-    counts = {"passing": 0, "relations": 0, "non_matroid": 0}
+    scan, scans = kernels.exchange_violation, []
+
+    def spy(masks, n):
+        scans.append(n)
+        return scan(masks, n)
+
+    monkeypatch.setattr(kernels, "exchange_violation", spy)
+    counts = {"passing": 0, "relations": 0, "non_matroid": 0, "m=1": 0, "m=n-1": 0}
     for p in vectors:
         report, matroid = scanned_report(p)
+        scans.clear()
         assert p.validate() == report
+        assert len(scans) == (not report.support_ok)
         assert p.validated == report.ok
         if report.ok:
             assert p.underlying_matroid() == matroid
         counts["passing"] += report.ok
         counts["relations"] += bool(report.relation_failures)
         counts["non_matroid"] += not report.support_ok
-    assert min(counts.values()) >= 40, counts
+        counts["m=1"] += p.m == 1
+        counts["m=n-1"] += p.m == p.n - 1
+    assert min(counts.values()) >= 20, counts
+    assert min(counts["passing"], counts["relations"], counts["non_matroid"]) >= 40, counts
 
 
 ASCENT_CASES = COVER_CASES + [
