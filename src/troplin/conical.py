@@ -282,7 +282,6 @@ def random_height_matrix(
     m: int,
     basis: Iterable[int] | None = None,
     rng: random.Random | None = None,
-    seed: int | None = None,
     generic: bool = True,
     inf_probability: float = 0.0,
 ) -> HeightMatrix:
@@ -296,7 +295,7 @@ def random_height_matrix(
     tests; it defeats genericity of course).
     """
     if rng is None:
-        rng = random.Random(seed if seed is not None else 0)
+        rng = random.Random(0)
     if basis is None:
         basis = range(1, m + 1)
     bset = tuple(sorted(basis))

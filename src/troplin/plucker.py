@@ -87,6 +87,31 @@ def check_shape(n: int, m: int) -> None:
         )
 
 
+def _load_entries(n: int, m: int, pairs: Iterable) -> dict[int, Fraction]:
+    """The finite entries of (subset, value) pairs from outside, by mask.
+
+    Each subset is an m-subset of [n], listed at most once in any order; an
+    INF value is the same as an absent subset.  Each pair is checked once.
+    """
+    check_shape(n, m)
+    table: dict[int, Fraction] = {}
+    seen: set[int] = set()
+    for subset, raw in pairs:
+        mask = mask_from_subset(subset, n)
+        # before the value is read, so that a repeated INF entry is caught too
+        if mask in seen:
+            raise ValueError(f"duplicate entry for subset {list(subset_from_mask(mask))}")
+        seen.add(mask)
+        if mask.bit_count() != m:
+            raise ValueError(f"subset {list(subset_from_mask(mask))} is not an m-set")
+        val = as_scalar(raw)
+        if val is not INF:
+            table[mask] = val
+    if not table:
+        raise ValueError("empty support: at least one finite entry required")
+    return table
+
+
 class NotValidatedError(RuntimeError):
     """Raised when an operation needs a vector that passed validation."""
 
@@ -158,23 +183,8 @@ class PlueckerVector:
     )
 
     def __init__(self, n: int, m: int, entries: Mapping):
-        check_shape(n, m)
-        table: dict[int, Fraction] = {}
-        for key, raw in entries.items():
-            mask = key if isinstance(key, int) else mask_from_subset(key, n)
-            if not 0 < mask < (1 << n):
-                raise ValueError(f"subset mask {mask} out of range")
-            if len(subset_from_mask(mask)) != m:
-                raise ValueError(f"subset {subset_from_mask(mask)} is not an m-set")
-            if mask in table:
-                raise ValueError(f"duplicate entry for subset {subset_from_mask(mask)}")
-            val = as_scalar(raw)
-            if val is INF:
-                continue  # absent and explicit INF are the same thing
-            table[mask] = Fraction(val)
-        if not table:
-            raise ValueError("empty support: at least one finite entry required")
-        self._fill(n, m, table, None)
+        """``entries`` maps m-subsets of [n], as iterables of elements, to scalars."""
+        self._fill(n, m, _load_entries(n, m, entries.items()), None)
 
     @classmethod
     def from_masks(cls, n: int, m: int, entries: Mapping[int, Fraction]) -> "PlueckerVector":
@@ -293,24 +303,6 @@ class PlueckerVector:
         return self._matroid
 
     # -- circuits -------------------------------------------------------------
-
-    def circuit(self, gen: Iterable[int]) -> ValuatedCircuit | None:
-        """Valuated circuit of an (m+1)-subset; None when all entries are INF."""
-        self._need_validated()
-        gmask = mask_from_subset(gen, self.n)
-        gen = subset_from_mask(gmask)
-        if len(gen) != self.m + 1:
-            raise ValueError(f"generator must have size m+1={self.m + 1}")
-        entries: list[Scalar] = [INF] * self.n
-        finite = False
-        for e in gen:
-            val = self._entries.get(gmask & ~(1 << (e - 1)))
-            if val is not None:
-                entries[e - 1] = val
-                finite = True
-        if not finite:
-            return None
-        return ValuatedCircuit(tuple(entries), gen)
 
     def all_circuits(self) -> tuple[ValuatedCircuit, ...]:
         """One representative per circuit support, least finite entry 0.
@@ -582,19 +574,20 @@ class PlueckerVector:
             raw = obj["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad Pluecker JSON: {exc}") from exc
-        entries: dict[int, Scalar] = {}
-        for item in raw:
-            try:
-                subset = item["subset"]
-                iter(subset)  # a non-iterable subset is a bad record
-                value = item["value"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"bad entry record {item!r}: {exc}") from exc
-            mask = mask_from_subset(subset, n)
-            if mask in entries:
-                raise ValueError(f"duplicate entry for subset {sorted(subset)}")
-            entries[mask] = as_scalar(value)
-        return cls(n, m, entries)
+
+        def pairs():  # read lazily, so the reader checks the shape first
+            for item in raw:
+                try:
+                    subset = item["subset"]
+                    iter(subset)  # a non-iterable subset is a bad record
+                    value = item["value"]
+                except (KeyError, TypeError) as exc:
+                    raise ValueError(f"bad entry record {item!r}: {exc}") from exc
+                yield subset, value
+
+        obj = cls.__new__(cls)
+        obj._fill(n, m, _load_entries(n, m, pairs()), None)
+        return obj
 
     def __repr__(self):
         return f"PlueckerVector(n={self.n}, m={self.m}, |supp|={len(self._entries)})"

@@ -29,7 +29,7 @@ from troplin.chart import LocalContext
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.diffcon import Constraint, DifferenceSystem, SolveResult, tighten
 from troplin.matroid import subset_from_mask
-from troplin.plucker import PlueckerVector
+from troplin.plucker import PlueckerVector, ValuatedCircuit
 from troplin.semiring import INF, as_point, is_orthogonal
 
 
@@ -443,18 +443,21 @@ def fraction_failing_circuit(p, point):
 
 def fraction_all_circuits(p):
     """`p.all_circuits()` on `Fraction`s, as the library built it before the
-    lattice: per support the circuit of its lex-least generator, shifted so
-    its least entry is 0, in lex order of the supports."""
+    lattice: per support the circuit (c_S)_i = p_{S-i} of its lex-least
+    generator S, read entry by entry with `entry_mask` and shifted so its
+    least entry is 0, in lex order of the supports."""
     seen = {}
     for gen in combinations(range(1, p.n + 1), p.m + 1):
-        c = p.circuit(gen)
-        if c is None:
+        gmask = sum(1 << (e - 1) for e in gen)
+        entries = [INF] * p.n
+        for e in gen:
+            entries[e - 1] = p.entry_mask(gmask ^ (1 << (e - 1)))
+        finite = [x for x in entries if x is not INF]
+        key = sum(1 << i for i, x in enumerate(entries) if x is not INF)
+        if not finite or key in seen:
             continue
-        key = c.support_mask
-        if key in seen:
-            continue
-        low = min(x for x in c.entries if x is not INF)
-        seen[key] = c.shifted(-low)
+        low = min(finite)
+        seen[key] = ValuatedCircuit(tuple(x if x is INF else x - low for x in entries), gen)
     return tuple(seen[k] for k in sorted(seen, key=subset_from_mask))
 
 

@@ -413,6 +413,13 @@ def test_bound_spot_values():
     assert bound_bounded(6, 3, 3) == 1
 
 
+@pytest.mark.parametrize("bound", [bound_total, bound_bounded])
+@pytest.mark.parametrize("i", [0, 3])
+def test_bounds_refuse_a_dimension_outside_1_to_m(bound, i):
+    with pytest.raises(ValueError, match=r"^need 1 <= i <= m <= n$"):
+        bound(4, 2, i)
+
+
 def test_bound_tables_match_direct_binomials():
     for n, m in ((4, 2), (6, 3), (8, 4)):
         for i in range(1, m + 1):

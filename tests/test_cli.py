@@ -105,10 +105,22 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     # an int outside the ground set keeps its message
     ("validate", {"n": 4, "m": 2, "entries": [{"subset": [1, 5], "value": "0"}]},
      "element 5 outside ground set [1..4]"),
+    ("validate", {"n": 4, "m": 0, "entries": [{"subset": [], "value": "0"}]},
+     "need 1 <= m <= n"),
+    ("validate", {"n": 4, "m": 5, "entries": [{"subset": [1, 2, 3, 4], "value": "0"}]},
+     "need 1 <= m <= n"),
+    # an empty subset is a subset of the wrong size, not a mask out of range
+    ("validate", {"n": 4, "m": 2, "entries": [{"subset": [], "value": "1"}]},
+     "subset [] is not an m-set"),
+    # a subset listed twice is refused in any order, an INF value included
+    ("validate", {"n": 4, "m": 2, "entries": [{"subset": [1, 2], "value": "inf"},
+                                              {"subset": [2, 1], "value": "0"}]},
+     "duplicate entry for subset [1, 2]"),
 ], ids=["float_n", "bool_m", "float_heights_n", "ground_cap", "heights_ground_cap",
         "work_cap", "heights_work_cap", "string_n", "string_heights_rows",
         "string_basis", "string_subset", "string_element", "bool_basis_element",
-        "element_out_of_range"])
+        "element_out_of_range", "zero_m", "m_over_n", "empty_subset",
+        "duplicate_inf_subset"])
 def test_bad_sizes_are_usage_errors(capsys, tmp_path, command, obj, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
@@ -221,7 +233,8 @@ def test_point_file_values_are_read_as_they_are(capsys, example1, tmp_path):
                            ([0.5, 0, 0, 0], "floats are not allowed"),
                            ([True, 0, 0, 0], "booleans are not"),
                            ([None, 0, 0, 0], "cannot interpret None"),
-                           (["0", "0", "0"], "expected 4 coordinates, got 3")):
+                           (["0", "0", "0"], "expected 4 coordinates, got 3"),
+                           ({"a": 1}, "must hold a JSON list of rationals")):
         pf.write_text(json.dumps(values))
         code, out, err = run(capsys, "member", example1, "--point-file", str(pf))
         assert code == 2 and out == ""
@@ -614,6 +627,24 @@ def test_loops_are_refused_with_one_message(capsys, tmp_path, argv):
     assert (code, out) == (1, "")
     assert err == ("invalid input: underlying matroid has loops (4, 6); "
                    "the space has no finite points and no charts\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("local",), ("chart", "--x", "0,0"), ("project", "--point", "0,0,0,0,0,0"),
+], ids=lambda argv: argv[0])
+def test_a_basis_outside_the_support_is_invalid_input(capsys, tmp_path, argv):
+    # 2 and 6 are parallel in tau of these heights, so {2, 6} is no basis
+    hm = tmp_path / "v.json"
+    hm.write_text(json.dumps({
+        "n": 6, "B": [1, 2],
+        "V": [["4", "2", "5", "inf"], ["5", "5", "5", "4"]],
+    }))
+    _, vector, _ = run(capsys, "tau", str(hm), "--format", "json")
+    path = tmp_path / "knockout.json"
+    path.write_text(vector)
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(path), "--basis", "2,6", *rest)
+    assert (code, out, err) == (1, "", "invalid input: (2, 6) is not in the support\n")
 
 
 def test_package_root_binds_every_name_it_exports():

@@ -166,7 +166,7 @@ def test_tau_runs_no_validation_scan(monkeypatch):
                         counting("validate", PlueckerVector.validate))
     monkeypatch.setattr(kernels, "exchange_violation",
                         counting("exchange_violation", kernels.exchange_violation))
-    p = tau(random_height_matrix(8, 4, seed=3))
+    p = tau(random_height_matrix(8, 4, rng=random.Random(3)))
     assert p.validated
     assert calls == []
     # the wrappers do see the scans when they run: a valid vector's
@@ -224,6 +224,13 @@ def caterpillar_6():
     d = {(i, j): 2 + abs(pos[i] - pos[j])
          for i in range(1, 7) for j in range(i + 1, 7)}
     return tree_metric_plucker(6, d)
+
+
+def test_a_metric_failing_the_four_point_condition_is_refused():
+    # d12 + d34 = 2, d13 + d24 = 4, d14 + d23 = 6: the maximum is attained once
+    d = {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): 3, (2, 3): 3}
+    with pytest.raises(ValueError, match=r"^not a tree metric \(four-point condition fails\)"):
+        tree_metric_plucker(4, d)
 
 
 def test_tree_example1():
@@ -357,10 +364,10 @@ def test_tree_dot_output():
 
 
 def test_random_height_matrix_is_deterministic():
-    a = random_height_matrix(5, 2, seed=7)
-    b = random_height_matrix(5, 2, seed=7)
+    a = random_height_matrix(5, 2, rng=random.Random(7))
+    b = random_height_matrix(5, 2, rng=random.Random(7))
     assert a.rows == b.rows
-    c = random_height_matrix(5, 2, seed=8)
+    c = random_height_matrix(5, 2, rng=random.Random(8))
     assert c.rows != a.rows
 
 

@@ -60,6 +60,16 @@ def test_mixed_sizes_rejected():
         Matroid(4, [])
 
 
+@pytest.mark.parametrize("n, bases, message", [
+    (0, [()], r"^ground set size must be in \[1..16\]$"),
+    (17, [(1,)], r"^ground set size must be in \[1..16\]$"),
+    (3, [()], r"^rank-0 matroids are not supported$"),
+], ids=["empty_ground_set", "ground_over_cap", "rank_0"])
+def test_sizes_outside_the_caps_are_refused(n, bases, message):
+    with pytest.raises(ValueError, match=message):
+        Matroid(n, bases)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Matroid(3, [(1, 2), (1, 3), (2, 1)]),
 ], ids=["constructor"])

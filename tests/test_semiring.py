@@ -111,6 +111,8 @@ def test_tdet_rejects_ragged():
         tdet([[1, 2], [3]])
     with pytest.raises(ValueError):
         tdet([[1, 2]])
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        tdet([])
 
 
 def test_tdet_matches_permutation_expansion():
