@@ -15,12 +15,13 @@ its witness off its closed matrix (`diffcon.matrix_witness`), as
 Bellman-Ford reaches, so the witness is the one the test suite's
 Bellman-Ford oracle returns, and no leaf calls `solve`.  The witness is
 mapped back through the chart (`PlueckerVector._chart`) and identified by
-the matroid of maximum-weight bases there (`PlueckerVector._face`).  The
-systems live on the vector's integer lattice: their bounds are the chart's
-int deltas (p_{B-b+i} - p_B) * D, read in the unit D, and the witness, the
-chart point and the face scan stay on integers, at the witness's step
-k = s / D, until the cell's `Fraction` witness is built.  `validate`
-stays on `Fraction`.
+the matroid of maximum-weight bases there (`PlueckerVector._face`, which
+weighs each support row by two reads from tables of the chart point's
+subset sums over the two halves of [n]).  The systems live on the vector's
+integer lattice: their bounds are the chart's int deltas
+(p_{B-b+i} - p_B) * D, read in the unit D, and the witness, the chart point
+and the face scan stay on integers, at the witness's step k = s / D, until
+the cell's `Fraction` witness is built.  `validate` stays on `Fraction`.
 
 A cell lies in the chart region of every basis of its face matroid, and its
 tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
@@ -289,7 +290,10 @@ def enumerate_local_cells(
     # the empty system: 0 on the diagonal, no path elsewhere
     empty = [None] * (m * m)
     empty[::m + 1] = [0] * m
-    descend(0, empty)
+    try:
+        descend(0, empty)
+    finally:
+        del descend  # it calls itself through its closure: break that cycle
     return sorted(cells, key=lambda c: c.key)
 
 

@@ -17,7 +17,10 @@ own denominators, to the integers v_i * s; `_to_lattice` returns s, the step
 k = s / D and those integers.  Entries scale to p_A * D and circuit entries
 to c_i * D, so an entry enters a lattice read as p_A * D * k, and the argmax
 of `matroid_at` and the circuit minima of `failing_circuit` compare integers
-and give the exact `Fraction` answers.  `all_circuits` shifts each circuit
+and give the exact `Fraction` answers.  The argmax (`_face`) weighs every
+support row A as lo[A's low bits] + hi[A's high bits] - p_A * D * k, from
+two tables of the point's subset sums over the halves of [n], built per
+call by doubling.  `all_circuits` shifts each circuit
 by its least p_A * D and builds one `Fraction` per entry.  Parsing,
 formatting and `validate` stay on `Fraction`.
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterable, Mapping, NamedTuple
 
 from . import kernels
@@ -448,31 +451,43 @@ class PlueckerVector:
         """`matroid_at` of the lattice point xs of step k (`_to_lattice`):
         the support rows of maximum weight there.
 
-        A row, per support mask in `_supp_list` order and built on first
-        use, holds a getter of the subset's coordinates from a point's list
-        (a slice when m = 1, as a one-index `itemgetter` returns the item
-        itself), p_A * D, the subset and the mask.  Only the rows from
-        index ``start`` on are scanned; a caller passes the index of a
-        subset it knows to be the lex-least winner.  The winners come in lex
-        order, so they fill the matroid as they are.
+        [n] splits into a low half, the first h = n // 2 elements, and a
+        high half, as in Horowitz & Sahni's meet in the middle (J. ACM 21,
+        1974).  Each call first tabulates the subset sums of xs over each
+        half by doubling: lo[a] is the sum of xs over the low elements in
+        the bits of a, 2^h entries, and hi[b] the same over the high ones,
+        2^(n - h) entries.  Together that is 32 entries at n = 8, 64 at
+        n = 10 and 512 at n = 16, whatever the support size.  A row, per
+        support mask in `_supp_list` order and built on first use, holds
+        A's low bits, A >> h, p_A * D, the subset and the mask, so row A
+        weighs lo[A & low] + hi[A >> h] - p_A * D * k, the same ints that a
+        sum over A adds.  Only the rows from index ``start`` on are weighed
+        (the tables are whole); a caller passes the index of a subset it
+        knows to be the lex-least winner.  The winners come in lex order,
+        so they fill the matroid as they are.
         """
+        h = self.n // 2
         rows = self._face_rows
         if rows is None:
             scaled = self._weight_lattice()[1]
-            rows = []
-            for mask in self._supp_list:
-                subset = subset_from_mask(mask)
-                pick = (itemgetter(*(e - 1 for e in subset)) if len(subset) > 1
-                        else itemgetter(slice(subset[0] - 1, subset[0])))
-                rows.append((pick, scaled[mask], subset, mask))
-            rows = self._face_rows = tuple(rows)
+            low = (1 << h) - 1
+            rows = self._face_rows = tuple(
+                (mask & low, mask >> h, scaled[mask], subset_from_mask(mask), mask)
+                for mask in self._supp_list
+            )
         if start:
             rows = rows[start:]
-        weights = [sum(pick(xs)) - pd * k for pick, pd, _, _ in rows]
+        lo = [0]
+        for x in xs[:h]:
+            lo += [t + x for t in lo]
+        hi = [0]
+        for x in xs[h:]:
+            hi += [t + x for t in hi]
+        weights = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in rows]
         best = max(weights)
         top = [row for row, w in zip(rows, weights) if w == best]
         face = Matroid.__new__(Matroid)
-        face._fill(self.n, tuple(row[2] for row in top), tuple(row[3] for row in top))
+        face._fill(self.n, tuple(row[3] for row in top), tuple(row[4] for row in top))
         return face
 
     # -- membership -----------------------------------------------------------

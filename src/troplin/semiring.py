@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Sequence, Union
 
-_SCALAR_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 @total_ordering
@@ -142,7 +142,10 @@ def tdet(rows) -> Scalar:
                 continue
             descend(r + 1, used | bit, acc + v)
 
-    descend(0, 0, Fraction(0))
+    try:
+        descend(0, 0, Fraction(0))
+    finally:
+        del descend  # it calls itself through its closure: break that cycle
     return best
 
 

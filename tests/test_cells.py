@@ -1,7 +1,10 @@
+import gc
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +52,7 @@ from troplin.conical import (
 from troplin.matroid import Matroid
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import PlueckerVector
-from troplin.semiring import INF
+from troplin.semiring import INF, tdet
 
 
 def tiny_gap():
@@ -660,3 +663,28 @@ def test_direct_sum_is_the_product_complex(first, second):
     assert f_vector(cells, p.m).bounded == _convolve(fv1.bounded, fv2.bounded)
     assert is_conical(p, cells)[0] == (is_conical(p1, cells1)[0] and is_conical(p2, cells2)[0])
 
+
+
+def _left_for_the_collector(call):
+    """How many objects a second call of ``call`` leaves to the cyclic
+    garbage collector: unreachable at once, yet not freed when it returns.
+    The first call fills the vector's caches, which are not garbage."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive closure reaches itself through its own cell; unbroken, that
+    # cycle keeps every cell and selection edge list alive until a collection
+    golden = Path(__file__).parent / "golden" / "tau_3_6.json"
+    p = PlueckerVector.from_json(json.loads(golden.read_text()))
+    assert p.validate().ok
+    assert _left_for_the_collector(lambda: enumerate_cells(p)) == 0
+    rows = [[Fraction(1), Fraction(2), INF], [Fraction(3), INF, 5], [0, 1, Fraction(1, 2)]]
+    assert _left_for_the_collector(lambda: tdet(rows)) == 0

@@ -241,6 +241,20 @@ def test_point_file_values_are_read_as_they_are(capsys, example1, tmp_path):
         assert err.count("\n") == 1 and reason in err, values
 
 
+def test_rational_literals_take_ascii_digits_only(capsys, example1, tmp_path):
+    # Fraction reads any script's digits; a fullwidth one in a file and an
+    # Arabic-Indic one on the command line are usage errors
+    path = tmp_path / "v.json"
+    vector = {"n": 2, "m": 1, "entries": [{"subset": [1], "value": "１"},
+                                          {"subset": [2], "value": "0"}]}
+    path.write_text(json.dumps(vector, ensure_ascii=False), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad Pluecker file {path}: bad rational literal '１'\n"
+    code, out, err = run(capsys, "member", example1, "--point", "٣,0,0,0")
+    assert (code, out, err) == (2, "", "error: --point: bad rational literal '٣'\n")
+
+
 def test_heights_refuse_a_repeated_basis_element(capsys, tmp_path):
     path = tmp_path / "v.json"
     path.write_text(json.dumps({"n": 4, "B": [1, 2, 2], "V": [["1", "2"], ["3", "4"]]}))

@@ -267,7 +267,20 @@ def test_contains_routes_and_definition_agree():
     # the exchange axiom, since matroid_at builds it without a scan
     rng = random.Random(11)
     chart_rng = random.Random(13)
-    for p in (two_pyramids(), uniform_zero(5, 2), rank3_pair(), tie_heavy_tau_6_3()):
+    # the face scan's subset-sum tables split [n] into halves of n // 2 and
+    # n - n // 2 elements: odd n = 5, 7 and 9 (halves of unequal size), a
+    # knockout support, a direct sum, m = n - 1, 1 and n, and n = 12 and 16
+    # (tables of 64 and 256 entries)
+    edge_cases = (
+        tau_instance("generic", 5, 2),
+        tau_instance("knockout", 7, 3),
+        direct_sum(two_pyramids(), tau_instance("generic", 5, 1)),
+        tau_instance("tie", 12, 11),
+        tau_instance("generic", 16, 1),
+        _checked(3, 3, {(1, 2, 3): Fraction(-5, 2)}),
+    )
+    for p in (two_pyramids(), uniform_zero(5, 2), rank3_pair(), tie_heavy_tau_6_3(),
+              *edge_cases):
         bases = p.underlying_matroid().bases
         points = [
             tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p.n))

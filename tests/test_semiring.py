@@ -51,6 +51,12 @@ def test_scalar_parse_format_round_trip():
         parse_scalar("0.5")
     with pytest.raises(ValueError):
         parse_scalar("")
+    # ASCII digits only: str.isdigit and Fraction take other scripts' digits
+    for text in ("\uff11", "\u0663/4", "1/1\u0662", "1/\u0662", "-\u0967"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_scalar(text)
+    # surrounding whitespace is stripped, which parse_point relies on
+    assert parse_scalar(" -3/4 ") == Fraction(-3, 4)
 
 
 def test_point_parse_format():
@@ -62,9 +68,10 @@ def test_point_parse_format():
     with pytest.raises(ValueError):
         parse_point("0,inf", 2)  # points are finite
     # an empty field is a bad literal, not a dropped coordinate
-    for text in ("0,1,", ",0,1", "0,,1"):
+    for text in ("0,1,", ",0,1", "0,,1", "\u0663,0"):
         with pytest.raises(ValueError, match="bad rational literal"):
             parse_point(text, 2)
+    assert parse_point("0, 1/2", 2) == (Fraction(0), Fraction(1, 2))
 
 
 def test_as_point_reads_exact_finite_values():
