@@ -9,8 +9,9 @@ system is feasible.  The patterns are searched depth first, one element's
 tie set per level, and a node of the search is one tie set tried on a
 feasible prefix.  Each node adds its constraints to the prefix's closed
 difference-bound matrix (`diffcon.tighten`), which decides exactly whether
-the longer prefix is still feasible.  A full pattern that survives reads
-its witness off its closed matrix (`diffcon.matrix_witness`), as
+the longer prefix is still feasible.  The search (`_leaves`) yields the
+closed matrix of each full pattern that survives, and its caller builds
+the cell: it reads the witness off the matrix (`diffcon.matrix_witness`), as
 `diffcon.solve` does: the column minima are the potentials that
 Bellman-Ford reaches, so the witness is the one the test suite's
 Bellman-Ford oracle returns, and no leaf calls `solve`.  The witness is
@@ -200,6 +201,24 @@ def is_bounded(face: Matroid, underlying: Matroid) -> bool:
 # enumeration
 
 
+def _leaves(rows, m: int, budget: NodeBudget, depth: int, closed: list) -> Iterator[list]:
+    """The closed matrix of every feasible full tie pattern below a prefix.
+
+    ``closed`` is the closed difference-bound matrix of a feasible prefix
+    of ``depth`` selections, and ``rows[depth:]`` hold the matrix edges of
+    every selection of each later row.  Each selection tried spends one
+    node of ``budget``; it tightens a copy of the prefix's matrix, and an
+    infeasible copy prunes the branch.  Leaves come in depth-first order."""
+    if depth == len(rows):
+        yield closed
+        return
+    for edges in rows[depth]:
+        budget.spend()
+        child = closed.copy()
+        if tighten(child, m, edges):
+            yield from _leaves(rows, m, budget, depth + 1, child)
+
+
 def enumerate_local_cells(
     ctx: LocalContext,
     max_nodes: int | NodeBudget = MAX_SOLVER_NODES_DEFAULT,
@@ -208,11 +227,11 @@ def enumerate_local_cells(
 ) -> list[Cell]:
     """All cells of the local space at ctx.basis, one per feasible tie pattern.
 
-    Runs a depth-first product over the per-element selections.  Each node
-    is one selection added to a feasible prefix: its edges tighten the
-    prefix's closed difference-bound matrix (`diffcon.tighten`), and a node
-    whose prefix turns infeasible is pruned.  A leaf that survives reads
-    its witness off its matrix (`diffcon.matrix_witness`), and is bounded
+    `_leaves` runs the depth-first product over the per-element selections
+    and yields the closed matrix of each feasible full pattern; each node
+    is one selection added to a feasible prefix, and a node whose prefix
+    turns infeasible is pruned.  One cell is built per leaf: it reads its
+    witness off the matrix (`diffcon.matrix_witness`), and is bounded
     iff its matrix has a finite entry for every ordered pair of slots whose
     basis elements share a component of the underlying matroid: those
     entries bound the within-component differences, which fix the cell
@@ -264,36 +283,23 @@ def enumerate_local_cells(
             for size in range(1, len(allowed) + 1)
             for chosen_idx in combinations(allowed, size)
         ])
-    cells = []
-
-    def descend(depth, closed):
-        if depth == len(rows):
-            den, xs = matrix_witness(closed, m, unit, g)
-            s = math.lcm(unit, den)
-            # the witness on B, 0 elsewhere: the chart overwrites the rest
-            ys = [0] * p.n
-            for b, x in zip(ctx.basis, xs):
-                ys[b - 1] = x * (s // den)
-            k = s // unit
-            vs = p._chart(ctx._bmask, k, ys)[2]
-            face = p._face(k, vs, start)
-            point = tuple(Fraction(v, s) for v in vs)
-            bounded = all(closed[t] is not None for t in linked)
-            cells.append(Cell(face, bounded, point))
-            return
-        for edges in rows[depth]:
-            budget.spend()
-            child = closed.copy()
-            if tighten(child, m, edges):
-                descend(depth + 1, child)
-
     # the empty system: 0 on the diagonal, no path elsewhere
     empty = [None] * (m * m)
     empty[::m + 1] = [0] * m
-    try:
-        descend(0, empty)
-    finally:
-        del descend  # it calls itself through its closure: break that cycle
+    cells = []
+    for closed in _leaves(rows, m, budget, 0, empty):
+        den, xs = matrix_witness(closed, m, unit, g)
+        s = math.lcm(unit, den)
+        # the witness on B, 0 elsewhere: the chart overwrites the rest
+        ys = [0] * p.n
+        for b, x in zip(ctx.basis, xs):
+            ys[b - 1] = x * (s // den)
+        k = s // unit
+        vs = p._chart(ctx._bmask, k, ys)[2]
+        face = p._face(k, vs, start)
+        point = tuple(Fraction(v, s) for v in vs)
+        bounded = all(closed[t] is not None for t in linked)
+        cells.append(Cell(face, bounded, point))
     return sorted(cells, key=lambda c: c.key)
 
 

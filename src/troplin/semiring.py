@@ -16,8 +16,10 @@ External serialization of a scalar is the string "a/b", "a", or "inf".
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
+from itertools import permutations
 from typing import Iterable, Sequence, Union
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -99,9 +101,15 @@ def parse_scalar(text: str) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     if x is INF:
         return "inf"
-    if type(x) is Fraction:
-        return str(x)  # the same text as str(Fraction(x)), without the copy
-    return str(Fraction(x))
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        # an int past the interpreter's digit limit, which str() refuses;
+        # Decimal's conversion is as exact and has no such limit
+        num, den = Decimal(x.numerator), Decimal(x.denominator)
+        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def is_orthogonal(x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
@@ -116,37 +124,15 @@ def is_orthogonal(x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
 def tdet(rows) -> Scalar:
     """Tropical determinant: min over permutations s of sum_i rows[i][s(i)].
 
-    Brute-force enumeration over permutations, pruning any branch as soon as
-    it hits an INF entry.  Fine for the sizes this library targets (k <= 8).
-    """
+    Its definition, evaluated as written: each of the k! sums starts at 0
+    and turns INF at an INF entry, which INF's addition absorbs."""
     k = len(rows)
     if any(len(row) != k for row in rows):
         raise ValueError("matrix is not square")
     if k == 0:
         raise ValueError("empty matrix")
-    best = INF
-
-    def descend(r: int, used: int, acc):
-        nonlocal best
-        if r == k:
-            if acc < best:
-                best = acc
-            return
-        row = rows[r]
-        for c in range(k):
-            bit = 1 << c
-            if used & bit:
-                continue
-            v = row[c]
-            if v is INF:
-                continue
-            descend(r + 1, used | bit, acc + v)
-
-    try:
-        descend(0, 0, Fraction(0))
-    finally:
-        del descend  # it calls itself through its closure: break that cycle
-    return best
+    return min(sum((row[c] for row, c in zip(rows, perm)), Fraction(0))
+               for perm in permutations(range(k)))
 
 
 def as_point(values: Iterable, n: int) -> tuple:

@@ -679,12 +679,22 @@ def _left_for_the_collector(call):
         gc.enable()
 
 
+def _capped(p, cap):
+    """`enumerate_cells` stopped by its node cap, the limit caught here."""
+    try:
+        enumerate_cells(p, cap)
+    except EnumerationLimit:
+        return
+    raise AssertionError(f"{cap} nodes did not stop the search")
+
+
 def test_searches_leave_no_reference_cycles():
-    # a recursive closure reaches itself through its own cell; unbroken, that
-    # cycle keeps every cell and selection edge list alive until a collection
+    # a search left in a cycle, finished or stopped by its cap, would keep
+    # its cells, matrices and selection edge lists alive until a collection
     golden = Path(__file__).parent / "golden" / "tau_3_6.json"
     p = PlueckerVector.from_json(json.loads(golden.read_text()))
     assert p.validate().ok
     assert _left_for_the_collector(lambda: enumerate_cells(p)) == 0
+    assert _left_for_the_collector(lambda: _capped(p, 150)) == 0
     rows = [[Fraction(1), Fraction(2), INF], [Fraction(3), INF, 5], [0, 1, Fraction(1, 2)]]
     assert _left_for_the_collector(lambda: tdet(rows)) == 0

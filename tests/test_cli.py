@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -199,6 +200,45 @@ def test_project_and_chart(capsys, example1):
                        "--point", "0,5,0,9")
     assert code == 1
     assert "invalid input" in err
+
+
+def _exact(text):
+    # Fraction(text) and int(text) refuse more digits than the interpreter's
+    # limit; Decimal reads them exactly
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answers_past_the_digit_limit_are_printed(capsys, tmp_path, fmt):
+    # a valid rank-1 vector whose differences p_i - p_j have denominators of
+    # about 6,000 digits, past the 4,300 that str() of an int takes
+    values = ["1/" + "3" * 3000, "1/" + "7" * 3000, "1/" + "1" * 2999 + "3"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 3, "m": 1, "entries": [
+        {"subset": [i], "value": v} for i, v in enumerate(values, start=1)]}))
+    p = [_exact(v) for v in values]
+    code, out, err = run(capsys, "circuits", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        circuits = [(c["support"], c["vector"]) for c in json.loads(out)["circuits"]]
+    else:
+        circuits = [
+            (json.loads(supp), vec.split(","))
+            for supp, vec in re.findall(r"supp=(\[.*?\]) vector=\[(.*)\]", out)
+        ]
+    # the circuit on {i, j} is (p_j, p_i) on (i, j), shifted to minimum 0
+    assert [supp for supp, _ in circuits] == [[1, 2], [1, 3], [2, 3]]
+    for (i, j), vec in circuits:
+        low = min(p[i - 1], p[j - 1])
+        want = ["inf"] * 3
+        want[i - 1], want[j - 1] = p[j - 1] - low, p[i - 1] - low
+        assert [x if x == "inf" else _exact(x) for x in vec] == want
+    code, out, err = run(capsys, "chart", str(path), "--basis", "1", "--x", "0",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    point = json.loads(out)["point"] if fmt == "json" else out.strip().removeprefix("point: ").split(",")
+    assert [_exact(x) for x in point] == [0, p[1] - p[0], p[2] - p[0]]
 
 
 @pytest.mark.parametrize("argv, code, message", [
