@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chart import LocalContext, _refuse_loops
@@ -300,7 +301,7 @@ def enumerate_local_cells(
         point = tuple(Fraction(v, s) for v in vs)
         bounded = all(closed[t] is not None for t in linked)
         cells.append(Cell(face, bounded, point))
-    return sorted(cells, key=lambda c: c.key)
+    return sorted(cells, key=attrgetter("key"))
 
 
 def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT) -> list[Cell]:
@@ -323,7 +324,7 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
     for basis, bmask in zip(matroid.bases, matroid.basis_masks):
         if _may_own(matroid, bmask):
             found += enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
-    return sorted(found, key=lambda c: c.key)
+    return sorted(found, key=attrgetter("key"))
 
 
 def _may_own(matroid: Matroid, bmask: int) -> bool:

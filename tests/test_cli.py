@@ -237,7 +237,10 @@ def test_answers_past_the_digit_limit_are_printed(capsys, tmp_path, fmt):
     code, out, err = run(capsys, "chart", str(path), "--basis", "1", "--x", "0",
                          "--format", fmt)
     assert (code, err) == (0, "")
-    point = json.loads(out)["point"] if fmt == "json" else out.strip().removeprefix("point: ").split(",")
+    if fmt == "json":
+        point = json.loads(out)["point"]
+    else:
+        point = out.strip().removeprefix("point: ").split(",")
     assert [_exact(x) for x in point] == [0, p[1] - p[0], p[2] - p[0]]
 
 

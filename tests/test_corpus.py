@@ -18,7 +18,6 @@ declared output change lists the cases it moves.
 import hashlib
 import json
 import random
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
