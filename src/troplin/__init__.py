@@ -11,6 +11,9 @@ the entry denominators, and by the point's own denominators: the argmax of
 (``contains_via_circuits``, ``failing_circuit``) and the chart minima of
 ``LocalContext`` compare integers and give the same exact answers;
 ``tau`` and ``PlueckerVector.all_circuits`` build their entries there too.
+Circuit membership weighs each support row at most once per point, from the
+tables of subset sums that ``matroid_at`` uses, and takes no maximal-basis
+walk, so it stays an independent check on ``contains``.
 Ground-set elements are 1-based everywhere, in the library and in every
 file format.
 """

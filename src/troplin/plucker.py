@@ -20,9 +20,15 @@ of `matroid_at` and the circuit minima of `failing_circuit` compare integers
 and give the exact `Fraction` answers.  The argmax (`_face`) weighs every
 support row A as lo[A's low bits] + hi[A's high bits] - p_A * D * k, from
 two tables of the point's subset sums over the halves of [n], built per
-call by doubling.  `all_circuits` shifts each circuit
-by its least p_A * D and builds one `Fraction` per entry.  Parsing,
-formatting and `validate` stay on `Fraction`.
+call by doubling (`_half_sums`).  `all_circuits` shifts each circuit
+by its least p_A * D and builds one `Fraction` per entry.  Circuit
+membership (`failing_circuit`) weighs the same rows from the same tables,
+each at most once per point, in the order the circuits first read them and
+only as far as the next circuit needs: a circuit's terms are a constant
+less the weights of its rows, so its minimum is attained once exactly when
+the largest of those weights is.  It takes no maximal-basis walk, so it
+stays independent of `contains`.  Parsing, formatting and `validate` stay
+on `Fraction`.
 
 The chart at a support basis B (`_chart_rows`, cached per basis mask) lists
 for each i outside B the exchanges B - b + i in the support with their
@@ -50,7 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from . import kernels
@@ -74,6 +80,20 @@ from .semiring import (
 # validate() tries C(n, m-1) * C(n, m+1) (S, T) pairs; refuse larger shapes
 # up front rather than run for minutes
 MAX_RELATION_PAIRS = 100_000
+
+
+def _half_sums(xs: list[int], h: int) -> tuple[list[int], list[int]]:
+    """The subset sums of xs over the low half [0, h) and the high half of
+    its indices, tabulated by doubling: lo[a] is the sum of xs over the low
+    indices in the bits of a, 2^h entries, and hi[b] over the high indices
+    in the bits of b, 2^(len(xs) - h) entries."""
+    lo = [0]
+    for x in xs[:h]:
+        lo += [t + x for t in lo]
+    hi = [0]
+    for x in xs[h:]:
+        hi += [t + x for t in hi]
+    return lo, hi
 
 
 def check_shape(n: int, m: int) -> None:
@@ -311,11 +331,19 @@ class PlueckerVector:
         """One representative per circuit support, least finite entry 0.
 
         The representative of a support is the circuit of its lex-least
-        generator, and the circuits come in lex order of their supports.
-        They are read off the `_weight_lattice` ints p_A * D, shifted by
-        their minimum there; the same ints fill `_circuit_rows`, per circuit
-        ((0-based index, c_i * D), ...) over its support, which
-        `failing_circuit` reads.
+        generator S, and the circuits come in lex order of their supports.
+        They are read off the `_weight_lattice` ints p_A * D of the rows
+        A = S - i, shifted by their minimum there.  The same ints fill
+        `_circuit_rows`, which `failing_circuit` reads: the support rows in
+        the order the circuits first read them, each as (A's low bits,
+        A >> h, p_A * D) with h = n // 2, as `_face` splits [n]; and per
+        circuit an `itemgetter` over the positions of its rows S - i, in
+        the order of its support, and the number of rows it needs, one past
+        the largest of those positions.  A one-index `itemgetter` returns a
+        scalar, so a one-row circuit (a loop) reads the one-element slice
+        instead.  So circuit membership weighs each support row at most once
+        per point, from the subset-sum tables that `matroid_at` uses, and
+        with no maximal-basis walk it stays independent of `contains`.
         """
         self._need_validated()
         if self._circuits is None:
@@ -325,24 +353,38 @@ class PlueckerVector:
                 gmask = sum(1 << (e - 1) for e in gen)
                 row = []
                 for e in gen:
-                    x = scaled.get(gmask ^ (1 << (e - 1)))
+                    amask = gmask ^ (1 << (e - 1))
+                    x = scaled.get(amask)
                     if x is not None:
-                        row.append((e - 1, x))
+                        row.append((e - 1, amask, x))
                 if not row:
                     continue
-                key = sum(1 << i for i, _ in row)
+                key = sum(1 << i for i, _, _ in row)
                 if key not in seen:
-                    low = min(x for _, x in row)
-                    seen[key] = (gen, tuple((i, x - low) for i, x in row))
-            order = [seen[key] for key in sorted(seen, key=subset_from_mask)]
+                    seen[key] = (gen, row)
+            h = self.n // 2
+            low = (1 << h) - 1
+            position: dict[int, int] = {}
+            rows = []
             circuits = []
-            for gen, row in order:
+            reads = []
+            for key in sorted(seen, key=subset_from_mask):
+                gen, row = seen[key]
+                least = min(x for _, _, x in row)
                 entries: list[Scalar] = [INF] * self.n
-                for i, x in row:
-                    entries[i] = Fraction(x, d)
+                at = []
+                for i, amask, x in row:
+                    entries[i] = Fraction(x - least, d)
+                    if amask not in position:
+                        position[amask] = len(rows)
+                        rows.append((amask & low, amask >> h, x))
+                    at.append(position[amask])
+                get = (itemgetter(*at) if len(at) > 1
+                       else itemgetter(slice(at[0], at[0] + 1)))
+                reads.append((get, max(at) + 1))
                 circuits.append(ValuatedCircuit(tuple(entries), gen))
             self._circuits = tuple(circuits)
-            self._circuit_rows = tuple(row for _, row in order)
+            self._circuit_rows = (tuple(rows), tuple(reads))
         return self._circuits
 
     # -- weights and local matroids -----------------------------------------
@@ -454,10 +496,10 @@ class PlueckerVector:
         [n] splits into a low half, the first h = n // 2 elements, and a
         high half, as in Horowitz & Sahni's meet in the middle (J. ACM 21,
         1974).  Each call first tabulates the subset sums of xs over each
-        half by doubling: lo[a] is the sum of xs over the low elements in
-        the bits of a, 2^h entries, and hi[b] the same over the high ones,
-        2^(n - h) entries.  Together that is 32 entries at n = 8, 64 at
-        n = 10 and 512 at n = 16, whatever the support size.  A row, per
+        half by doubling (`_half_sums`): lo[a] is the sum of xs over the low
+        elements in the bits of a, 2^h entries, and hi[b] the same over the
+        high ones, 2^(n - h) entries.  Together that is 32 entries at n = 8,
+        64 at n = 10 and 512 at n = 16, whatever the support size.  A row, per
         support mask in `_supp_list` order and built on first use, holds
         A's low bits, A >> h, p_A * D, the subset and the mask, so row A
         weighs lo[A & low] + hi[A >> h] - p_A * D * k, the same ints that a
@@ -477,12 +519,7 @@ class PlueckerVector:
             )
         if start:
             rows = rows[start:]
-        lo = [0]
-        for x in xs[:h]:
-            lo += [t + x for t in lo]
-        hi = [0]
-        for x in xs[h:]:
-            hi += [t + x for t in hi]
+        lo, hi = _half_sums(xs, h)
         weights = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in rows]
         best = max(weights)
         top = [row for row, w in zip(rows, weights) if w == best]
@@ -497,14 +534,40 @@ class PlueckerVector:
         c_i + v_i is attained only once: a certificate that the point is not
         in the space.  None when the point is orthogonal to every circuit.
 
-        Compared on the lattice: the minimum of v_i * s + c_i * D * k.
+        Compared on the lattice, as the largest weight among each circuit's
+        support rows.  Let X(T) be the sum of v_j * s over T and w(A) =
+        X(A) - p_A * D * k the weight of a row A, which `_face` compares
+        too.  A circuit with generator S and least row value p_min * D has
+        c_i * D = p_{S-i} * D - p_min * D on its support, and v_i * s =
+        X(S) - X(S - i), so its term at i is
+
+            v_i * s + c_i * D * k = X(S) - w(S - i) - p_min * D * k,
+
+        a constant of the circuit minus the weight of the row S - i.  The
+        terms' minimum is therefore attained exactly as often as the rows'
+        largest weight, and the answer is the circuit the terms name.
+
+        The weights come from the two tables of the point's subset sums
+        that `_face` builds (`_half_sums`): row A weighs lo[A's low bits] +
+        hi[A >> h] - p_A * D * k.  The rows are weighed in the order the
+        circuits first read them, each at most once, and only as far as the
+        next circuit needs, the weighed prefix growing to at least twice its
+        length: a point that fails the first circuit weighs at most m + 1
+        rows.  No maximal-basis walk is taken, so this test stays
+        independent of `contains`.
         """
         self._need_validated()
         _, k, xs = self._to_lattice(self._as_point(point))
         circuits = self.all_circuits()
-        for circuit, row in zip(circuits, self._circuit_rows):
-            terms = [xs[i] + cd * k for i, cd in row]
-            if terms.count(min(terms)) < 2:
+        rows, reads = self._circuit_rows
+        lo, hi = _half_sums(xs, self.n // 2)
+        weights: list[int] = []
+        for circuit, (get, need) in zip(circuits, reads):
+            if need > len(weights):
+                grown = rows[len(weights):max(need, 2 * len(weights))]
+                weights += [lo[a] + hi[b] - pd * k for a, b, pd in grown]
+            ws = get(weights)
+            if ws.count(max(ws)) < 2:
                 return circuit
         return None
 

@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -226,15 +226,30 @@ CIRCUIT_CASES = [
 @pytest.mark.parametrize("make", CIRCUIT_CASES)
 def test_lattice_circuits_match_the_fraction_oracle(make):
     # all_circuits reads the circuits off the lattice ints p_A * D; the same
-    # entries, generators and order as the Fraction construction, and the
-    # lattice rows that failing_circuit reads are the entries times D
+    # entries, generators and order as the Fraction construction.  Each
+    # circuit reads exactly the support rows S - i of its finite entries,
+    # whose p_A * D less their least are its entries times D; the rows come
+    # in the order the circuits first read them, and each circuit needs the
+    # rows up to its last one
     p = make()
     circuits = p.all_circuits()
     assert circuits == fraction_all_circuits(p)
-    d = p._weight_lattice()[0]
-    assert p._circuit_rows == tuple(
-        tuple((i, x * d) for i, x in enumerate(c.entries) if x is not INF) for c in circuits
-    )
+    d, scaled = p._weight_lattice()
+    h = p.n // 2
+    rows, reads = p._circuit_rows
+    assert len(reads) == len(circuits)
+    first_reads = []
+    for c, (get, need) in zip(circuits, reads):
+        at = list(get(list(range(len(rows)))))
+        gmask = sum(1 << (e - 1) for e in c.generator)
+        finite = [i for i, x in enumerate(c.entries) if x is not INF]
+        assert [a | b << h for a, b, _ in (rows[j] for j in at)] == [gmask ^ 1 << i for i in finite]
+        values = [rows[j][2] for j in at]
+        assert values == [scaled[gmask ^ 1 << i] for i in finite]
+        assert [x - min(values) for x in values] == [c.entries[i] * d for i in finite]
+        assert need == max(at) + 1
+        first_reads += [j for j in at if j not in first_reads]
+    assert first_reads == list(range(len(rows)))
 
 
 def test_circuit_supports_match_minimal_dependents():
@@ -604,6 +619,26 @@ def test_lattice_reads_match_the_fraction_oracles(make, digits):
             assert p.contains_via_circuits(point) == (want is None)
             verdicts.add(want is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, m", [(8, 3), (8, 4), (7, 3)])
+def test_late_circuit_failures_match_the_fraction_oracle(n, m):
+    # every point of {0,1,2}^n on the trivially valued U(m, n): unlike seeded
+    # near-members, many first fail deep in the circuit list, so the weighed
+    # prefix grows past its first doublings before an answer
+    p = uniform_zero(n, m)
+    circuits = p.all_circuits()
+    index = {c: j for j, c in enumerate(circuits)}
+    deepest, members = -1, 0
+    for point in product(range(3), repeat=n):
+        want = fraction_failing_circuit(p, point)
+        assert p.failing_circuit(point) == want
+        if want is None:
+            members += 1
+        else:
+            deepest = max(deepest, index[want])
+    assert members > 0
+    assert 3 * deepest > len(circuits)
 
 
 def test_matroid_at_shift_invariance():
