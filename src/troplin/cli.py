@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -471,7 +472,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass that through
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``troplin cells FILE | head -1``): point stdout
+        # at devnull, so that the interpreter's last flush writes nowhere
+        # instead of failing again (the Python `signal` docs' advice on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,11 +22,14 @@ support row A as lo[A's low bits] + hi[A's high bits] - p_A * D * k, from
 two tables of the point's subset sums over the halves of [n], built per
 call by doubling (`_half_sums`).  `all_circuits` shifts each circuit
 by its least p_A * D and builds one `Fraction` per entry.  Circuit
-membership (`failing_circuit`) weighs the same rows from the same tables,
-each at most once per point, in the order the circuits first read them and
-only as far as the next circuit needs: a circuit's terms are a constant
-less the weights of its rows, so its minimum is attained once exactly when
-the largest of those weights is.  It takes no maximal-basis walk, so it
+membership (`failing_circuit`) weighs the same rows from the same tables:
+a circuit's terms are a constant less the weights of its rows, so its
+minimum is attained once exactly when the largest of those weights is.  It
+tests the first circuit on its own rows, where most points outside fail;
+past it, it weighs every row once and accepts the point when the rows of
+largest weight cover [n], so that `matroid_at` has no loops, which decides
+membership by the valuated exchange axiom.  A point with a loop scans the
+circuits for its first failing one.  It takes no maximal-basis walk, so it
 stays independent of `contains`.  Parsing, formatting and `validate` stay
 on `Fraction`.
 
@@ -202,7 +205,7 @@ class PlueckerVector:
 
     __slots__ = (
         "n", "m", "_entries", "_matroid", "_circuits", "_supp_list", "_lattice", "_face_rows",
-        "_circuit_rows", "_charts",
+        "_circuit_reads", "_charts",
     )
 
     def __init__(self, n: int, m: int, entries: Mapping):
@@ -231,7 +234,7 @@ class PlueckerVector:
         self._circuits = None
         self._lattice = None
         self._face_rows = None
-        self._circuit_rows = None
+        self._circuit_reads = None
         self._charts: dict[int, tuple] = {}
         # a trusted build's matroid has lex-sorted the support already
         self._supp_list = (list(matroid.basis_masks) if matroid is not None
@@ -333,17 +336,15 @@ class PlueckerVector:
         The representative of a support is the circuit of its lex-least
         generator S, and the circuits come in lex order of their supports.
         They are read off the `_weight_lattice` ints p_A * D of the rows
-        A = S - i, shifted by their minimum there.  The same ints fill
-        `_circuit_rows`, which `failing_circuit` reads: the support rows in
-        the order the circuits first read them, each as (A's low bits,
-        A >> h, p_A * D) with h = n // 2, as `_face` splits [n]; and per
-        circuit an `itemgetter` over the positions of its rows S - i, in
-        the order of its support, and the number of rows it needs, one past
-        the largest of those positions.  A one-index `itemgetter` returns a
-        scalar, so a one-row circuit (a loop) reads the one-element slice
-        instead.  So circuit membership weighs each support row at most once
-        per point, from the subset-sum tables that `matroid_at` uses, and
-        with no maximal-basis walk it stays independent of `contains`.
+        A = S - i, shifted by their minimum there.  `_circuit_reads` keeps
+        per circuit an `itemgetter` over the `_supp_list` positions of its
+        rows S - i, in the order of its support, so it reads the `_face`
+        row table and any list of weights in that order.  A one-index
+        `itemgetter` returns a scalar, so a one-row circuit (a loop) reads
+        the one-element slice instead.  `failing_circuit` reads the rows of
+        the first circuit through its getter, and the weights of each
+        circuit's rows through theirs when a point with a loop passes the
+        first.
         """
         self._need_validated()
         if self._circuits is None:
@@ -362,29 +363,21 @@ class PlueckerVector:
                 key = sum(1 << i for i, _, _ in row)
                 if key not in seen:
                     seen[key] = (gen, row)
-            h = self.n // 2
-            low = (1 << h) - 1
-            position: dict[int, int] = {}
-            rows = []
+            position = {mask: j for j, mask in enumerate(self._supp_list)}
             circuits = []
             reads = []
             for key in sorted(seen, key=subset_from_mask):
                 gen, row = seen[key]
                 least = min(x for _, _, x in row)
                 entries: list[Scalar] = [INF] * self.n
-                at = []
-                for i, amask, x in row:
+                for i, _, x in row:
                     entries[i] = Fraction(x - least, d)
-                    if amask not in position:
-                        position[amask] = len(rows)
-                        rows.append((amask & low, amask >> h, x))
-                    at.append(position[amask])
-                get = (itemgetter(*at) if len(at) > 1
-                       else itemgetter(slice(at[0], at[0] + 1)))
-                reads.append((get, max(at) + 1))
+                at = [position[amask] for _, amask, _ in row]
+                reads.append(itemgetter(*at) if len(at) > 1
+                             else itemgetter(slice(at[0], at[0] + 1)))
                 circuits.append(ValuatedCircuit(tuple(entries), gen))
             self._circuits = tuple(circuits)
-            self._circuit_rows = (tuple(rows), tuple(reads))
+            self._circuit_reads = tuple(reads)
         return self._circuits
 
     # -- weights and local matroids -----------------------------------------
@@ -489,6 +482,21 @@ class PlueckerVector:
         self._need_validated()
         return self._face(*self._to_lattice(self._as_point(point))[1:])
 
+    def _rows(self) -> tuple:
+        """The support rows in `_supp_list` order, built on first use: per
+        mask A, (A's low bits, A >> h, p_A * D, the subset, A) with h =
+        n // 2, so that A weighs lo[A & low] + hi[A >> h] - p_A * D * k
+        from the tables of `_half_sums`."""
+        if self._face_rows is None:
+            h = self.n // 2
+            low = (1 << h) - 1
+            scaled = self._weight_lattice()[1]
+            self._face_rows = tuple(
+                (mask & low, mask >> h, scaled[mask], subset_from_mask(mask), mask)
+                for mask in self._supp_list
+            )
+        return self._face_rows
+
     def _face(self, k: int, xs: list[int], start: int = 0) -> Matroid:
         """`matroid_at` of the lattice point xs of step k (`_to_lattice`):
         the support rows of maximum weight there.
@@ -499,27 +507,17 @@ class PlueckerVector:
         half by doubling (`_half_sums`): lo[a] is the sum of xs over the low
         elements in the bits of a, 2^h entries, and hi[b] the same over the
         high ones, 2^(n - h) entries.  Together that is 32 entries at n = 8,
-        64 at n = 10 and 512 at n = 16, whatever the support size.  A row, per
-        support mask in `_supp_list` order and built on first use, holds
-        A's low bits, A >> h, p_A * D, the subset and the mask, so row A
-        weighs lo[A & low] + hi[A >> h] - p_A * D * k, the same ints that a
-        sum over A adds.  Only the rows from index ``start`` on are weighed
-        (the tables are whole); a caller passes the index of a subset it
-        knows to be the lex-least winner.  The winners come in lex order,
-        so they fill the matroid as they are.
+        64 at n = 10 and 512 at n = 16, whatever the support size.  Each
+        row of `_rows` weighs lo[A & low] + hi[A >> h] - p_A * D * k, the
+        same ints that a sum over A adds.  Only the rows from index
+        ``start`` on are weighed (the tables are whole); a caller passes the
+        index of a subset it knows to be the lex-least winner.  The winners
+        come in lex order, so they fill the matroid as they are.
         """
-        h = self.n // 2
-        rows = self._face_rows
-        if rows is None:
-            scaled = self._weight_lattice()[1]
-            low = (1 << h) - 1
-            rows = self._face_rows = tuple(
-                (mask & low, mask >> h, scaled[mask], subset_from_mask(mask), mask)
-                for mask in self._supp_list
-            )
+        rows = self._rows()
         if start:
             rows = rows[start:]
-        lo, hi = _half_sums(xs, h)
+        lo, hi = _half_sums(xs, self.n // 2)
         weights = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in rows]
         best = max(weights)
         top = [row for row, w in zip(rows, weights) if w == best]
@@ -547,29 +545,63 @@ class PlueckerVector:
         terms' minimum is therefore attained exactly as often as the rows'
         largest weight, and the answer is the circuit the terms name.
 
-        The weights come from the two tables of the point's subset sums
-        that `_face` builds (`_half_sums`): row A weighs lo[A's low bits] +
-        hi[A >> h] - p_A * D * k.  The rows are weighed in the order the
-        circuits first read them, each at most once, and only as far as the
-        next circuit needs, the weighed prefix growing to at least twice its
-        length: a point that fails the first circuit weighs at most m + 1
-        rows.  No maximal-basis walk is taken, so this test stays
+        The first circuit is tested on its own rows, which is where most
+        points off the space fail.  Past it, every support row is weighed
+        once, and the point is in the space exactly when the rows of
+        largest weight cover [n], that is when `matroid_at` has no loops;
+        only a point with a loop scans the circuits, in order, over the
+        weights at hand.  With w(A) = sum_A y - p_A, scaled as above, the
+        valuated exchange axiom reads w(A) + w(B) <= w(A - a + b) +
+        w(B - b + a) for some b in B - A, given a in A - B (Dress & Wenzel,
+        "Valuated matroids", Adv. Math. 93, 1992), and the two directions
+        are:
+
+        - A loop fails a circuit.  Let e be a loop and B a basis of largest
+          weight, so e is not in B.  In S = B + e the row S - e = B has
+          the largest weight, and every other row B - b + e of S contains
+          e, so it is outside the support or weighs less.  B is the only
+          row of largest weight in S, so the circuit of S fails; so does
+          the representative of its support, a shift of it.
+        - With no loop every circuit passes.  Suppose A = S - i0 were the
+          only row of largest weight in S.  As i0 is no loop, some basis B
+          of largest weight contains it, and i0 is in B - A.  The axiom
+          with the roles of A and B swapped gives j in A - B with w(B) +
+          w(A) <= w(B - i0 + j) + w(A - j + i0), both sets in the support
+          as the left side is finite.  As w(B - i0 + j) <= w(B), the row
+          A - j + i0 = S - j of S, j != i0, weighs at least w(A), a
+          contradiction.
+
+        The rows and the tables of the point's subset sums are those of
+        `_face`.  No maximal-basis walk is taken, so this test stays
         independent of `contains`.
         """
         self._need_validated()
         _, k, xs = self._to_lattice(self._as_point(point))
         circuits = self.all_circuits()
-        rows, reads = self._circuit_rows
+        if not circuits:
+            return None  # m = n: no (m+1)-set, and the one row covers [n]
+        rows = self._rows()
+        reads = self._circuit_reads
         lo, hi = _half_sums(xs, self.n // 2)
-        weights: list[int] = []
-        for circuit, (get, need) in zip(circuits, reads):
-            if need > len(weights):
-                grown = rows[len(weights):max(need, 2 * len(weights))]
-                weights += [lo[a] + hi[b] - pd * k for a, b, pd in grown]
+        ws = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in reads[0](rows)]
+        if ws.count(max(ws)) < 2:
+            return circuits[0]
+        weights = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in rows]
+        best = max(weights)
+        cover = 0
+        for row, w in zip(rows, weights):
+            if w == best:
+                cover |= row[4]
+        if cover == (1 << self.n) - 1:
+            return None
+        for circuit, get in zip(circuits, reads):
             ws = get(weights)
             if ws.count(max(ws)) < 2:
                 return circuit
-        return None
+        raise RuntimeError(
+            "no circuit fails at a point with a loop; the vector would not "
+            "satisfy the valuated exchange axiom"
+        )
 
     def contains_via_circuits(self, point) -> bool:
         """Membership test: the point is orthogonal to every valuated circuit."""

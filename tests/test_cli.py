@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import troplin
 from troplin.cells import enumerate_cells
 from troplin.cli import build_parser, main
+from troplin.conical import random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids
 from troplin.selftest import DEFAULT_SEED
 
@@ -768,13 +770,18 @@ def test_selftest_scaled(capsys):
     assert out.count("PASS") >= 5
 
 
+def python_env():
+    """The environment of a fresh interpreter with this checkout's troplin
+    on its path."""
+    src = str(Path(troplin.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_python(*argv):
     """A fresh interpreter with this checkout's troplin on its path."""
-    src = str(Path(troplin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=python_env(), timeout=120)
 
 
 def test_selftest_passes_without_asserts():
@@ -790,6 +797,25 @@ def test_cli_import_leaves_logging_out():
     proc = run_python("-c", "import sys, troplin.cli; "
                       "sys.exit('logging' in sys.modules or 'troplin.selftest' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["cells"],  # 68 kB of text: the pipe breaks inside the print loop
+    ["cells", "--format", "json"],
+    ["circuits", "--format", "json"],
+], ids=["cells-text", "cells-json", "circuits-json"])
+def test_a_closed_pipe_ends_quietly(tmp_path, args):
+    # `troplin cells big.json | head -1`: the reader is gone before the
+    # command writes (here from the start, so the write fails whatever the
+    # timing); exit 1 with nothing on stderr, not a BrokenPipeError traceback
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(tau(random_height_matrix(8, 4, rng=random.Random(1))).to_json()))
+    proc = subprocess.Popen([sys.executable, "-m", "troplin.cli", args[0], str(path), *args[1:]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_selftest_seed_default_is_the_suites():

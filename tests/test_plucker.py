@@ -22,12 +22,13 @@ from oracles import (
     scan_contains,
     scan_project_any,
     tau_instance,
+    tie_options,
 )
 from troplin import kernels
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
-from troplin.matroid import ExchangeError, Matroid, subset_from_mask
+from troplin.matroid import ExchangeError, Matroid, mask_from_subset, subset_from_mask
 from troplin.plucker import NotValidatedError, PlueckerVector, ValidationReport
 from troplin.semiring import INF, as_point
 
@@ -228,28 +229,24 @@ def test_lattice_circuits_match_the_fraction_oracle(make):
     # all_circuits reads the circuits off the lattice ints p_A * D; the same
     # entries, generators and order as the Fraction construction.  Each
     # circuit reads exactly the support rows S - i of its finite entries,
-    # whose p_A * D less their least are its entries times D; the rows come
-    # in the order the circuits first read them, and each circuit needs the
-    # rows up to its last one
+    # by their positions in the face scan's row table, whose p_A * D less
+    # their least are its entries times D
     p = make()
     circuits = p.all_circuits()
     assert circuits == fraction_all_circuits(p)
     d, scaled = p._weight_lattice()
-    h = p.n // 2
-    rows, reads = p._circuit_rows
+    rows = p._rows()
+    assert [row[4] for row in rows] == p.support_masks()
+    reads = p._circuit_reads
     assert len(reads) == len(circuits)
-    first_reads = []
-    for c, (get, need) in zip(circuits, reads):
-        at = list(get(list(range(len(rows)))))
+    for c, get in zip(circuits, reads):
+        read = get(rows)
         gmask = sum(1 << (e - 1) for e in c.generator)
         finite = [i for i, x in enumerate(c.entries) if x is not INF]
-        assert [a | b << h for a, b, _ in (rows[j] for j in at)] == [gmask ^ 1 << i for i in finite]
-        values = [rows[j][2] for j in at]
+        assert [row[4] for row in read] == [gmask ^ 1 << i for i in finite]
+        values = [row[2] for row in read]
         assert values == [scaled[gmask ^ 1 << i] for i in finite]
         assert [x - min(values) for x in values] == [c.entries[i] * d for i in finite]
-        assert need == max(at) + 1
-        first_reads += [j for j in at if j not in first_reads]
-    assert first_reads == list(range(len(rows)))
 
 
 def test_circuit_supports_match_minimal_dependents():
@@ -639,6 +636,71 @@ def test_late_circuit_failures_match_the_fraction_oracle(n, m):
             deepest = max(deepest, index[want])
     assert members > 0
     assert 3 * deepest > len(circuits)
+
+
+def rows_no_circuit_reads(p):
+    """The support rows A that are S - i for no circuit of `all_circuits`,
+    its generator S and finite entry i."""
+    read = {
+        mask_from_subset(c.generator, p.n) ^ 1 << i
+        for c in p.all_circuits()
+        for i, x in enumerate(c.entries) if x is not INF
+    }
+    return [a for a in p.support() if mask_from_subset(a, p.n) not in read]
+
+
+def chart_images_and_moves(p, rng):
+    """At each support basis B, the image of a seeded small x under the
+    Fraction chart formula (a member unless p has a loop, whose coordinate
+    is drawn), then that point with one coordinate moved by 1/2 either way,
+    and with the elements of each row that no circuit reads raised by 1/3,
+    which makes the row the only one of largest weight if it was among
+    them, and so the point not a member."""
+    unread = rows_no_circuit_reads(p)
+    for basis in p.support():
+        x = [Fraction(rng.randint(-3, 3)) for _ in basis]
+        v = [Fraction(rng.randint(-3, 3))] * p.n
+        for b, xb in zip(basis, x):
+            v[b - 1] = xb
+        for i, opts in tie_options(p, basis):
+            if opts:
+                v[i - 1] = min(x[basis.index(b)] + delta for b, delta in opts.items())
+        yield tuple(v)
+        for i in range(p.n):
+            for step in (Fraction(1, 2), Fraction(-1, 2)):
+                yield tuple(vj + step * (j == i) for j, vj in enumerate(v))
+        for a in unread:
+            yield tuple(vj + Fraction(1, 3) * (j + 1 in a) for j, vj in enumerate(v))
+
+
+@pytest.mark.parametrize("make, unread", [
+    pytest.param(lambda: tau_instance("knockout", 6, 2), 3, id="tau_knockout_6_2"),
+    pytest.param(lambda: tau_instance("knockout", 7, 4), 2, id="tau_knockout_7_4"),
+    pytest.param(lambda: direct_sum(tau_instance("generic", 4, 2), tau_instance("knockout", 4, 2)),
+                 20, id="tau_generic_4_2+tau_knockout_4_2"),
+    pytest.param(lambda: tau(HeightMatrix(5, (1, 2), [[INF, Fraction(1, 3), 2],
+                                                      [INF, 3, Fraction(-5, 7)]])),
+                 None, id="tau_with_a_loop"),
+    pytest.param(lambda: tau_instance("generic", 6, 1), None, id="tau_generic_6_1"),
+    pytest.param(lambda: tau_instance("generic", 6, 5), None, id="tau_generic_6_5"),
+    pytest.param(lambda: _checked(3, 3, {(1, 2, 3): Fraction(-5, 2)}), None, id="m_equals_n"),
+])
+def test_the_cover_exit_matches_the_fraction_oracle(make, unread):
+    # failing_circuit accepts a point once the rows of largest weight cover
+    # [n], reading every support row; the first three supports have rows
+    # that no circuit reads, which the cover must read too
+    p = make()
+    if unread is not None:
+        assert len(rows_no_circuit_reads(p)) == unread
+    rng = random.Random(f"cover-exit/{p.n}/{p.m}/{len(p.support())}")
+    verdicts = set()
+    for point in chart_images_and_moves(p, rng):
+        want = fraction_failing_circuit(p, point)
+        assert p.failing_circuit(point) == want
+        verdicts.add(want is None)
+    # a loop leaves no member; with m = n every point is one
+    assert verdicts == ({False} if p.underlying_matroid().loops() else
+                        {True} if p.m == p.n else {True, False})
 
 
 def test_matroid_at_shift_invariance():
