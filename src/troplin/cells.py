@@ -28,11 +28,10 @@ A cell lies in the chart region of every basis of its face matroid, and its
 tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
 lex-least basis exactly when no such exchange has i < b, so restricting
 every S_i to elements below i finds each cell once, in the chart of its
-lex-least basis, with nothing to merge.  No support subset before B in
-lex order has maximum weight at such a cell, so its face is scanned from
-B's row of the support on.  A basis with some i outside it and no exchange
-B - b + i in the support with b < i owns no cell, and `enumerate_cells`
-skips it on the support masks alone, before it builds the chart.
+lex-least basis, with nothing to merge.  `enumerate_cells` runs that owned
+search at every basis of the support, in lex order, and concatenates the
+results.  A basis with some i outside it and no b < i in i's fundamental
+circuit owns no cell: its owned search returns [] before it spends a node.
 
 A cell is dual to the face P_M of the matroid subdivision, where M is its
 face matroid, and dim P_M = n - c(M) for c(M) connected components
@@ -252,24 +251,11 @@ def enumerate_local_cells(
     ctx.basis are returned: the selection for element i is drawn from the
     basis elements below i, while the unchosen terms above i stay strict
     constraints, so each leaf system is the one the full search reaches.
-    As ctx.basis is then the lex-least basis of each face, the face is
-    scanned from its row of the support on.
     """
     budget = max_nodes if isinstance(max_nodes, NodeBudget) else NodeBudget(max_nodes)
     p = ctx.p
     m = p.m
     unit = p._weight_lattice()[0]
-    start = p._supp_list.index(ctx._bmask) if owned_only else 0
-    # the matrix entries (u, v) of slots in one underlying component
-    comp = {e: k for k, c in enumerate(p.underlying_matroid().components()) for e in c}
-    linked = [
-        u * m + v
-        for u, bu in enumerate(ctx.basis)
-        for v, bv in enumerate(ctx.basis)
-        if u != v and comp[bu] == comp[bv]
-    ]
-    # the witness step of every leaf (see above)
-    g = math.gcd(unit, *(d - opts[0][1] for _, opts in ctx._deltas for _, d in opts))
     # per row, the matrix edges of every selection
     rows = []
     for i, deltas in ctx._deltas:
@@ -284,6 +270,16 @@ def enumerate_local_cells(
             for size in range(1, len(allowed) + 1)
             for chosen_idx in combinations(allowed, size)
         ])
+    # the matrix entries (u, v) of slots in one underlying component
+    comp = {e: k for k, c in enumerate(p.underlying_matroid().components()) for e in c}
+    linked = [
+        u * m + v
+        for u, bu in enumerate(ctx.basis)
+        for v, bv in enumerate(ctx.basis)
+        if u != v and comp[bu] == comp[bv]
+    ]
+    # the witness step of every leaf (see above)
+    g = math.gcd(unit, *(d - opts[0][1] for _, opts in ctx._deltas for _, d in opts))
     # the empty system: 0 on the diagonal, no path elsewhere
     empty = [None] * (m * m)
     empty[::m + 1] = [0] * m
@@ -297,7 +293,7 @@ def enumerate_local_cells(
             ys[b - 1] = x * (s // den)
         k = s // unit
         vs = p._chart(ctx._bmask, k, ys)[2]
-        face = p._face(k, vs, start)
+        face = p._face(k, vs)
         point = tuple(Fraction(v, s) for v in vs)
         bounded = all(closed[t] is not None for t in linked)
         cells.append(Cell(face, bounded, point))
@@ -305,12 +301,16 @@ def enumerate_local_cells(
 
 
 def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT) -> list[Cell]:
-    """The full cell complex of the finite part of the space.
+    """The full cell complex of the finite part of the space, sorted by key.
 
     Finds each cell once, in the chart of the lex-least basis of its face
-    matroid; a basis that `_may_own` rules out is skipped before its chart
-    is built.  ``max_nodes`` caps the tie-pattern nodes of the whole
-    enumeration; ground sets above `MAX_ENUMERATION_GROUND` are refused.
+    matroid: the owned search of `enumerate_local_cells` runs at every
+    basis, in lex order, and the lists are concatenated.  That is already
+    sorted by key.  A cell's key is its face's bases in lex order, so an
+    owned cell at B has B as its key's first entry; the bases come in lex
+    order, and each local list is sorted.  ``max_nodes`` caps the
+    tie-pattern nodes of the whole enumeration; ground sets above
+    `MAX_ENUMERATION_GROUND` are refused.
     """
     p._need_validated()
     if p.n > MAX_ENUMERATION_GROUND:
@@ -318,24 +318,12 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
             f"ground set {p.n} exceeds the enumeration cap {MAX_ENUMERATION_GROUND}"
         )
     _refuse_loops(p)
-    matroid = p.underlying_matroid()
     budget = NodeBudget(max_nodes)
-    found = []
-    for basis, bmask in zip(matroid.bases, matroid.basis_masks):
-        if _may_own(matroid, bmask):
-            found += enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
-    return sorted(found, key=attrgetter("key"))
-
-
-def _may_own(matroid: Matroid, bmask: int) -> bool:
-    """Can a cell have the basis with this mask as its lex-least face basis?
-
-    Not when some i outside B has no exchange B - b + i in the support with
-    b < i, i.e. no b < i in i's fundamental circuit: `enumerate_local_cells`
-    with ``owned_only`` then returns [] before it spends a node, so the
-    chart is not built at all."""
-    return all(matroid.fundamental_circuit_mask(bmask, 1 << i) & bmask & ((1 << i) - 1)
-               for i in range(matroid.n) if not bmask >> i & 1)
+    return [
+        cell
+        for basis in p.underlying_matroid().bases
+        for cell in enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +407,8 @@ class FacetBoundReport(NamedTuple):
 
 
 def check_facet_bound(p: PlueckerVector, cells: list[Cell] | None = None) -> FacetBoundReport:
-    """Count minimal cells against the binom(n-2, m-1) facet bound.
+    """Count minimal cells against the binom(n-2, m-1) facet bound, the
+    total cap `bound_total(n, m, 1)` on cells of dimension 1.
 
     Only meaningful for uniform support (a tropical realization of U_{m,n}),
     where the minimal cells correspond exactly to the full-dimensional pieces
@@ -431,4 +420,4 @@ def check_facet_bound(p: PlueckerVector, cells: list[Cell] | None = None) -> Fac
     if cells is None:
         cells = enumerate_cells(p)
     count = sum(1 for c in cells if c.dim == 1)
-    return FacetBoundReport(count, _comb0(p.n - 2, p.m - 1))
+    return FacetBoundReport(count, bound_total(p.n, p.m, 1))

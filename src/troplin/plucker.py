@@ -497,7 +497,7 @@ class PlueckerVector:
             )
         return self._face_rows
 
-    def _face(self, k: int, xs: list[int], start: int = 0) -> Matroid:
+    def _face(self, k: int, xs: list[int]) -> Matroid:
         """`matroid_at` of the lattice point xs of step k (`_to_lattice`):
         the support rows of maximum weight there.
 
@@ -509,14 +509,10 @@ class PlueckerVector:
         high ones, 2^(n - h) entries.  Together that is 32 entries at n = 8,
         64 at n = 10 and 512 at n = 16, whatever the support size.  Each
         row of `_rows` weighs lo[A & low] + hi[A >> h] - p_A * D * k, the
-        same ints that a sum over A adds.  Only the rows from index
-        ``start`` on are weighed (the tables are whole); a caller passes the
-        index of a subset it knows to be the lex-least winner.  The winners
-        come in lex order, so they fill the matroid as they are.
+        same ints that a sum over A adds.  The winners come in lex order,
+        so they fill the matroid as they are.
         """
         rows = self._rows()
-        if start:
-            rows = rows[start:]
         lo, hi = _half_sums(xs, self.n // 2)
         weights = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in rows]
         best = max(weights)

@@ -29,7 +29,6 @@ from oracles import (
 from troplin.cells import (
     EnumerationLimit,
     NodeBudget,
-    _may_own,
     bound_bounded,
     bound_total,
     check_facet_bound,
@@ -194,21 +193,37 @@ def test_each_cell_found_once_matches_all_bases(make):
 
 @pytest.mark.parametrize("make", OWNER_CASES)
 def test_skipped_charts_own_no_cell(make):
-    # enumerate_cells skips, on support masks alone, every basis with an
-    # element i outside it and no exchange B - b + i with b < i: its owned
-    # search finds no cell and spends no node, and its chart is never built
+    # a basis with an element i outside it and no b < i in i's fundamental
+    # circuit owns no cell: its owned search finds none and spends no node
     p = make()
     owners = {c.face_matroid.basis_masks[0] for c in enumerate_cells(p)}
-    built = set(p._charts)
     matroid = p.underlying_matroid()
+    skipped = 0
     for basis, bmask in zip(matroid.bases, matroid.basis_masks):
-        assert (bmask in built) == _may_own(matroid, bmask)
-        if bmask not in built:
-            budget = NodeBudget(10**6)
-            assert enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True) == []
-            assert budget.spent == 0
-            assert bmask not in owners
-    assert built < set(matroid.basis_masks)
+        if all(matroid.fundamental_circuit_mask(bmask, 1 << i) & bmask & ((1 << i) - 1)
+               for i in range(p.n) if not bmask >> i & 1):
+            continue
+        skipped += 1
+        budget = NodeBudget(10**6)
+        assert enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True) == []
+        assert budget.spent == 0
+        assert bmask not in owners
+    assert skipped
+
+
+@pytest.mark.parametrize("make", OWNER_CASES)
+def test_node_cap_is_the_sum_of_the_owned_searches(make):
+    # --max-patterns caps the nodes of every owned search together: their
+    # sum T is enough for the enumeration, and T - 1 is not
+    p = make()
+    spent = 0
+    for basis in p.underlying_matroid().bases:
+        budget = NodeBudget(10**6)
+        enumerate_local_cells(LocalContext(p, basis), budget, owned_only=True)
+        spent += budget.spent
+    assert enumerate_cells(p, max_nodes=spent) == enumerate_cells(p)
+    with pytest.raises(EnumerationLimit):
+        enumerate_cells(p, max_nodes=spent - 1)
 
 
 # ---------------------------------------------------------------------------
