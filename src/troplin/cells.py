@@ -66,7 +66,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .chart import LocalContext, _refuse_loops
+from .chart import LocalContext
 from .diffcon import solve  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
 from .diffcon import matrix_witness, tighten
 from .matroid import Matroid, subset_from_mask
@@ -317,7 +317,6 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
         raise ValueError(
             f"ground set {p.n} exceeds the enumeration cap {MAX_ENUMERATION_GROUND}"
         )
-    _refuse_loops(p)
     budget = NodeBudget(max_nodes)
     return [
         cell

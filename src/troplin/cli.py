@@ -194,12 +194,13 @@ def cmd_circuits(args) -> int:
 def cmd_member(args) -> int:
     p = _load_validated(args.file)
     point = _get_point(args.point, args.point_file, p.n, "point")
-    ok = p.contains(point)
+    # the verdict and its certificate: a valuated circuit whose minimum is
+    # attained once, or None for a member
+    circuit = p.failing_circuit(point)
+    ok = circuit is None
     payload = {"point": [format_scalar(x) for x in point], "member": ok}
     lines = [f"member: {ok}"]
     if not ok:
-        # the certificate: a valuated circuit whose minimum is attained once
-        circuit = p.failing_circuit(point)
         payload["circuit"] = {
             "support": list(circuit.support),
             "vector": [format_scalar(x) for x in circuit.entries],

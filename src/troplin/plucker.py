@@ -152,23 +152,6 @@ class ValuatedCircuit(NamedTuple):
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, x in enumerate(self.entries) if x is not INF)
 
-    @property
-    def support_mask(self) -> int:
-        mask = 0
-        for i, x in enumerate(self.entries):
-            if x is not INF:
-                mask |= 1 << i
-        return mask
-
-    def entry(self, element: int) -> Scalar:
-        return self.entries[element - 1]
-
-    def shifted(self, offset) -> "ValuatedCircuit":
-        off = as_scalar(offset)
-        return ValuatedCircuit(
-            tuple(x if x is INF else x + off for x in self.entries), self.generator
-        )
-
     def __repr__(self):
         body = ",".join(format_scalar(x) for x in self.entries)
         return f"ValuatedCircuit([{body}], from {self.generator})"
@@ -336,7 +319,7 @@ class PlueckerVector:
         The representative of a support is the circuit of its lex-least
         generator S, and the circuits come in lex order of their supports.
         They are read off the `_weight_lattice` ints p_A * D of the rows
-        A = S - i, shifted by their minimum there.  `_circuit_reads` keeps
+        A = S - i, less their minimum there.  `_circuit_reads` keeps
         per circuit an `itemgetter` over the `_supp_list` positions of its
         rows S - i, in the order of its support, so it reads the `_face`
         row table and any list of weights in that order.  A one-index
@@ -623,39 +606,6 @@ class PlueckerVector:
         if self._matroid.loops():
             return False
         return self._maximal(k, ys)[1] == ys
-
-    # -- circuit elimination ---------------------------------------------------
-
-    def eliminate(self, d: ValuatedCircuit, e: ValuatedCircuit, a: int, b: int) -> ValuatedCircuit:
-        """Valuated circuit elimination.
-
-        Given circuits d, e with d_a < e_a and d_b = e_b != INF, returns a
-        circuit f with f_b = INF, f_a = d_a and f >= min(d, e) coordinatewise.
-        The search walks the stored representatives and shifts them.
-        """
-        self._need_validated()
-        if not (1 <= a <= self.n and 1 <= b <= self.n):
-            raise ValueError("indices out of range")
-        da, ea = d.entry(a), e.entry(a)
-        db, eb = d.entry(b), e.entry(b)
-        if not da < ea:
-            raise ValueError(f"need d_a < e_a, got {da} vs {ea}")
-        if db is INF or db != eb:
-            raise ValueError(f"need d_b = e_b finite, got {db} vs {eb}")
-        lower = tuple(x if x <= y else y for x, y in zip(d.entries, e.entries))
-        abit = 1 << (a - 1)
-        bbit = 1 << (b - 1)
-        for rep in self.all_circuits():
-            smask = rep.support_mask
-            if smask & bbit or not smask & abit:
-                continue
-            f = rep.shifted(da - rep.entry(a))
-            if all(fx >= lx for fx, lx in zip(f.entries, lower)):
-                return f
-        raise RuntimeError(
-            "no eliminating circuit found; the vector would not satisfy the "
-            "valuated elimination property"
-        )
 
     # -- serialization ----------------------------------------------------------
 

@@ -178,39 +178,6 @@ def check_projection(rng: random.Random, per_fixture: int = 200) -> CheckResult:
     return CheckResult("projection", runs, failures)
 
 
-def check_elimination() -> CheckResult:
-    """Circuit elimination succeeds on every admissible (d, e, a, b)."""
-    failures = []
-    runs = 0
-    for name, p in (("two_pyramids", two_pyramids()), ("snowflake", snowflake())):
-        reps = p.all_circuits()
-        for d0 in reps:
-            for e0 in reps:
-                if d0.support_mask == e0.support_mask:
-                    continue
-                for b in set(d0.support) & set(e0.support):
-                    e1 = e0.shifted(d0.entry(b) - e0.entry(b))
-                    for a in d0.support:
-                        if not d0.entry(a) < e1.entry(a):
-                            continue
-                        runs += 1
-                        try:
-                            f = p.eliminate(d0, e1, a, b)
-                        except RuntimeError as exc:
-                            failures.append(f"{name} a={a} b={b}: {exc}")
-                            continue
-                        lower = [
-                            x if x <= y else y for x, y in zip(d0.entries, e1.entries)
-                        ]
-                        if b in f.support:
-                            failures.append(f"{name} a={a} b={b}: f_b finite")
-                        if f.entry(a) != d0.entry(a):
-                            failures.append(f"{name} a={a} b={b}: f_a != d_a")
-                        if not all(fx >= lx for fx, lx in zip(f.entries, lower)):
-                            failures.append(f"{name} a={a} b={b}: f below min(d,e)")
-    return CheckResult("circuit-elimination", runs, failures)
-
-
 def run_selftest(seed: int = DEFAULT_SEED, scale: int = 1) -> list[CheckResult]:
     """Run every randomized check; ``scale`` divides the run counts (for
     quick smoke tests scale=10 is handy)."""
@@ -220,6 +187,5 @@ def run_selftest(seed: int = DEFAULT_SEED, scale: int = 1) -> list[CheckResult]:
         check_membership_routes(rng, per_fixture=max(1, 1000 // scale)),
         check_chart_roundtrip(rng, per_fixture=max(1, 500 // scale)),
         check_projection(rng, per_fixture=max(1, 200 // scale)),
-        check_elimination(),
     ]
     return results

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import troplin
+from oracles import fraction_failing_circuit
 from troplin.cells import enumerate_cells
 from troplin.cli import build_parser, main
-from troplin.conical import random_height_matrix, tau
+from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids
 from troplin.selftest import DEFAULT_SEED
 
@@ -666,26 +667,53 @@ def test_tau_names_each_loop_on_stderr(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
+@pytest.fixture
+def loops_file(tmp_path):
+    # 4 and 6 are loops of tau(V): their columns have no finite height
+    path = tmp_path / "loops.json"
+    v = HeightMatrix.from_json({
+        "n": 6, "B": [1, 2],
+        "V": [["4", "inf", "5", "inf"], ["5", "inf", "5", "inf"]],
+    })
+    path.write_text(json.dumps(tau(v).to_json()))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ("cells",), ("fvector",), ("conical",), ("local", "--basis", "1,2"),
     ("project", "--basis", "1,2", "--point", "0,0,0,0,0,0"),
 ], ids=lambda argv: argv[0])
-def test_loops_are_refused_with_one_message(capsys, tmp_path, argv):
-    # 4 and 6 are loops of tau(V): every command that needs the finite part
-    # of the space refuses the vector with the same line
-    hm = tmp_path / "v.json"
-    hm.write_text(json.dumps({
-        "n": 6, "B": [1, 2],
-        "V": [["4", "inf", "5", "inf"], ["5", "inf", "5", "inf"]],
-    }))
-    _, vector, _ = run(capsys, "tau", str(hm), "--format", "json")
-    path = tmp_path / "loops.json"
-    path.write_text(vector)
+def test_loops_are_refused_with_one_message(capsys, loops_file, argv):
+    # every command that needs the finite part of the space refuses the
+    # vector with the same line
     command, *rest = argv
-    code, out, err = run(capsys, command, str(path), *rest)
+    code, out, err = run(capsys, command, loops_file, *rest)
     assert (code, out) == (1, "")
     assert err == ("invalid input: underlying matroid has loops (4, 6); "
                    "the space has no finite points and no charts\n")
+
+
+@pytest.mark.parametrize("point, support", [
+    ("0,0,0,0,0,0", [1, 2, 3]),  # fails circuit 0
+    ("-4,-5,0,0,0,0", [4]),  # passes circuit 0; the loop scan names loop 4
+], ids=["circuit-0", "loop-scan"])
+def test_member_names_a_circuit_on_a_vector_with_loops(capsys, loops_file, point, support):
+    # a vector with loops has no member
+    code, out, err = run(capsys, "member", loops_file, f"--point={point}", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["member"] is False
+    assert payload["circuit"]["support"] == support
+    with open(loops_file) as fh:
+        p = troplin.PlueckerVector.from_json(json.load(fh))
+    assert p.validate().ok
+    want = fraction_failing_circuit(p, point.split(","))
+    assert payload["circuit"] == {
+        "support": list(want.support),
+        "vector": [troplin.format_scalar(x) for x in want.entries],
+    }
+    code, out, _ = run(capsys, "member", loops_file, f"--point={point}")
+    assert out.splitlines()[0] == "member: False"
 
 
 @pytest.mark.parametrize("argv", [

@@ -714,37 +714,6 @@ def test_matroid_at_shift_invariance():
 
 
 # ---------------------------------------------------------------------------
-# elimination
-
-
-def test_eliminate_frozen_example():
-    p = two_pyramids()
-    circs = {c.support: c for c in p.all_circuits()}
-    d, e = circs[(1, 2, 3)], circs[(1, 2, 4)]
-    f = p.eliminate(d, e, 3, 1)
-    assert f.entries == (INF, Fraction(2), Fraction(1), Fraction(1))
-    # with b = 2 the roles mirror: the support drops 2 instead of 1
-    f2 = p.eliminate(d, e, 3, 2)
-    assert f2.entries == (Fraction(2), INF, Fraction(1), Fraction(1))
-    assert f2.entry(3) == d.entry(3)
-
-
-def test_eliminate_precondition_errors():
-    p = two_pyramids()
-    circs = {c.support: c for c in p.all_circuits()}
-    d, e = circs[(1, 2, 3)], circs[(1, 2, 4)]
-    with pytest.raises(ValueError):
-        p.eliminate(d, e, 4, 1)  # d_4 = inf, not < e_4
-    with pytest.raises(ValueError):
-        p.eliminate(d, e, 3, 4)  # d_4 = inf not a shared finite entry
-    with pytest.raises(ValueError):
-        p.eliminate(d, d, 3, 1)  # d_a < e_a fails against itself
-    for a, b in ((0, 1), (3, 5)):
-        with pytest.raises(ValueError, match="indices out of range"):
-            p.eliminate(d, e, a, b)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
