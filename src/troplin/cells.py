@@ -300,7 +300,9 @@ def enumerate_local_cells(
     return sorted(cells, key=attrgetter("key"))
 
 
-def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT) -> list[Cell]:
+def enumerate_cells(
+    p: PlueckerVector, max_nodes: int | NodeBudget = MAX_SOLVER_NODES_DEFAULT
+) -> list[Cell]:
     """The full cell complex of the finite part of the space, sorted by key.
 
     Finds each cell once, in the chart of the lex-least basis of its face
@@ -309,15 +311,16 @@ def enumerate_cells(p: PlueckerVector, max_nodes: int = MAX_SOLVER_NODES_DEFAULT
     sorted by key.  A cell's key is its face's bases in lex order, so an
     owned cell at B has B as its key's first entry; the bases come in lex
     order, and each local list is sorted.  ``max_nodes`` caps the
-    tie-pattern nodes of the whole enumeration; ground sets above
-    `MAX_ENUMERATION_GROUND` are refused.
+    tie-pattern nodes of the whole enumeration; a `NodeBudget` passed
+    instead is spent in place, so its ``spent`` reads the nodes afterwards.
+    Ground sets above `MAX_ENUMERATION_GROUND` are refused.
     """
     p._need_validated()
     if p.n > MAX_ENUMERATION_GROUND:
         raise ValueError(
             f"ground set {p.n} exceeds the enumeration cap {MAX_ENUMERATION_GROUND}"
         )
-    budget = NodeBudget(max_nodes)
+    budget = max_nodes if isinstance(max_nodes, NodeBudget) else NodeBudget(max_nodes)
     return [
         cell
         for basis in p.underlying_matroid().bases

@@ -80,7 +80,7 @@ def _lex_sorted(masks) -> tuple[tuple, tuple]:
 class Matroid:
     """A matroid given by its list of bases."""
 
-    __slots__ = ("n", "m", "_subsets", "_masks", "_mask_set", "_loops", "_components")
+    __slots__ = ("n", "m", "_subsets", "_masks", "_loops", "_components")
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
         """Bases from a caller: checked for repeats, size and the exchange axiom."""
@@ -125,7 +125,6 @@ class Matroid:
         self.m = len(subsets[0])
         self._subsets = subsets
         self._masks = masks
-        self._mask_set = frozenset(masks)
         self._loops = None
         self._components = None
 
@@ -139,7 +138,7 @@ class Matroid:
         return self._masks
 
     def is_basis(self, subset: Iterable[int]) -> bool:
-        return mask_from_subset(subset, self.n) in self._mask_set
+        return mask_from_subset(subset, self.n) in self._masks
 
     def loops(self) -> tuple[int, ...]:
         """Elements contained in no basis."""
@@ -190,7 +189,7 @@ class Matroid:
         while rest:
             bbit = rest & -rest
             rest ^= bbit
-            if ((bmask ^ bbit) | ebit) in self._mask_set:
+            if ((bmask ^ bbit) | ebit) in self._masks:
                 circuit |= bbit
         return circuit
 

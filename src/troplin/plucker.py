@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple
 
@@ -387,8 +387,8 @@ class PlueckerVector:
         the lattice entries p_A * D scale to s."""
         ratios = [x.as_integer_ratio() for x in coords]
         d = self._weight_lattice()[0]
-        # the small denominators first: one lcm with the large D, not one each
-        s = math.lcm(d, math.lcm(*[q for _, q in ratios]))
+        # each distinct denominator once: a point's coordinates share most
+        s = math.lcm(d, *{q for _, q in ratios})
         return s, s // d, [a * (s // q) for a, q in ratios]
 
     def _chart_rows(self, bmask: int) -> tuple[tuple[int, ...], tuple]:
@@ -499,9 +499,9 @@ class PlueckerVector:
         lo, hi = _half_sums(xs, self.n // 2)
         weights = [lo[a] + hi[b] - pd * k for a, b, pd, _, _ in rows]
         best = max(weights)
-        top = [row for row, w in zip(rows, weights) if w == best]
+        top = list(compress(rows, [w == best for w in weights]))
         face = Matroid.__new__(Matroid)
-        face._fill(self.n, tuple(row[3] for row in top), tuple(row[4] for row in top))
+        face._fill(self.n, tuple([row[3] for row in top]), tuple([row[4] for row in top]))
         return face
 
     # -- membership -----------------------------------------------------------

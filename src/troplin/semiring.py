@@ -136,10 +136,11 @@ def tdet(rows) -> Scalar:
 
 
 def as_point(values: Iterable, n: int) -> tuple:
-    """Exactly n finite scalars, each read by `as_scalar`."""
+    """Exactly n finite scalars, each read by `as_scalar` unless it is a
+    `Fraction` already."""
     pt = []
     for x in values:
-        v = as_scalar(x)
+        v = x if type(x) is Fraction else as_scalar(x)
         if v is INF:
             raise ValueError("points must have finite coordinates")
         pt.append(v)

@@ -152,6 +152,22 @@ def test_node_budget_covers_the_whole_enumeration():
     assert enumerate_cells(p, max_nodes=sum(spent))
 
 
+def test_enumeration_spends_a_passed_budget():
+    # a NodeBudget is spent in place: the snowflake's whole enumeration
+    # takes 76 nodes, so the int cap 76 is enough and 75 is not
+    p = snowflake()
+    budget = NodeBudget(10**6)
+    cells = enumerate_cells(p, budget)
+    assert budget.spent == 76
+    assert enumerate_cells(p, 76) == cells
+    with pytest.raises(EnumerationLimit, match="exceeded 75 tie-pattern nodes"):
+        enumerate_cells(p, 75)
+    tight = NodeBudget(75)
+    with pytest.raises(EnumerationLimit, match="exceeded 75 tie-pattern nodes"):
+        enumerate_cells(p, tight)
+    assert tight.spent == 76
+
+
 def test_ground_size_cap():
     p = uniform_zero(11, 2)
     with pytest.raises(ValueError):

@@ -176,9 +176,14 @@ def test_in_sigma_boundary():
     lambda ctx, pt: ctx.in_local_space(pt),
     lambda ctx, pt: ctx.chart_inverse(pt),
     lambda ctx, pt: project_any(ctx.p, pt),
-], ids=["in_sigma", "project", "in_local_space", "chart_inverse", "project_any"])
+    lambda ctx, pt: ctx.p.matroid_at(pt),
+    lambda ctx, pt: ctx.p.contains(pt),
+    lambda ctx, pt: ctx.p.failing_circuit(pt),
+], ids=["in_sigma", "project", "in_local_space", "chart_inverse", "project_any",
+        "matroid_at", "contains", "failing_circuit"])
 def test_each_point_is_read_once(monkeypatch, read):
-    # the region check and the chart take the tuple read at the entry
+    # the region check and the chart take the tuple read at the entry, and
+    # each of the vector's own reads converts its point once
     p = two_pyramids()
     ctx = LocalContext(p, (1, 3))
     calls = []

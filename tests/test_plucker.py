@@ -25,6 +25,7 @@ from oracles import (
     tie_options,
 )
 from troplin import kernels
+from troplin.cells import enumerate_cells
 from troplin.chart import LocalContext, LoopyMatroidError, project_any
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids, uniform_zero
@@ -247,6 +248,48 @@ def test_lattice_circuits_match_the_fraction_oracle(make):
         values = [row[2] for row in read]
         assert values == [scaled[gmask ^ 1 << i] for i in finite]
         assert [x - min(values) for x in values] == [c.entries[i] * d for i in finite]
+
+
+def _lattice_points(case):
+    """(vector, seeded Fraction points) whose denominators meet the
+    vector's D as the case names."""
+    rng = random.Random(f"to_lattice/{case}")
+    if case == "tau_witnesses":
+        p = tau_instance("generic", 8, 3)
+        return p, [cell.witness for cell in enumerate_cells(p)]
+    # the snowflake with each entry v turned into (v + 1) / 12: D = 12
+    s = snowflake()
+    p = PlueckerVector(s.n, s.m, {a: (s.entry(a) + 1) / 12 for a in s.support()})
+    assert p.validate().ok and p._weight_lattice()[0] == 12
+    if case == "integer":
+        dens = [[1] * p.n] * 20
+    elif case == "repeated":
+        dens = [[rng.choice((5, 7, 35)) for _ in range(p.n)] for _ in range(20)]
+    elif case == "divide_d":
+        dens = [[rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(p.n)] for _ in range(20)]
+    else:  # coprime: distinct primes, none of them dividing D
+        dens = [rng.sample((5, 7, 11, 13, 17, 19, 23, 29), p.n) for _ in range(20)]
+    # numerators prime to their denominator, so each stays as drawn
+    points = [tuple(Fraction(rng.choice((-1, 1)) * (q * rng.randint(0, 9) + 1), q) for q in row)
+              for row in dens]
+    for pt, row in zip(points, dens):
+        assert [x.denominator for x in pt] == row
+    return p, points
+
+
+@pytest.mark.parametrize("case", ["integer", "repeated", "divide_d", "coprime", "tau_witnesses"])
+def test_to_lattice_is_the_least_common_lattice(case):
+    # s is the lcm of D and every denominator, no multiple of it: a larger
+    # s gives the same answers and only slower reads
+    p, points = _lattice_points(case)
+    d = p._weight_lattice()[0]
+    for pt in points:
+        s = math.lcm(d, *(x.denominator for x in pt))
+        got = p._to_lattice(pt)
+        assert got == (s, s // d, [x * s for x in pt])
+        assert all(type(y) is int for y in got[2])
+        if case == "divide_d":
+            assert got[:2] == (12, 1)
 
 
 def test_circuit_supports_match_minimal_dependents():
