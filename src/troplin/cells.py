@@ -42,6 +42,18 @@ spanned by the indicator vectors of the underlying matroid's components
 "Bounded" means bounded modulo that space: P_M is an interior face, on no
 facet of the underlying matroid polytope that the lineality does not span.
 
+A leaf reads its dimension off its closed matrix.  Its non-strict edges
+are the equalities inside each tie set, in opposite pairs; every other
+edge is strict, coded c * (2m + 2) - 1.  The entries are simple paths, so
+d[u * m + v] + d[v * m + u] is a cycle of at most 2m - 2 strict edges,
+and at a feasible leaf it is 0 exactly when the cycle is all equalities,
+which force x_v - x_u.  The slot classes so joined are the components of
+the tie sets' equality graph, and their number is the dimension of the
+subspace A those equalities cut out.  The leaf region R is A cut by strict
+inequalities and nonempty, so it is open in A; the chart is affine and
+injective on R (below), so the cell's dimension is the number of classes:
+the slots u with no v < u in u's class.
+
 A leaf reads boundedness off its closed difference-bound matrix.  On the
 cell's tie-pattern region R the chart is affine and injective, and it is
 the identity on the coordinates of B.  Every exchange B - b + i lies in one
@@ -100,20 +112,17 @@ class NodeBudget:
 
 
 class Cell(NamedTuple):
-    """One cell, identified by the matroid attached to its relative interior."""
+    """One cell, identified by the matroid attached to its relative interior;
+    ``dim`` is its ambient dimension, which enumeration reads off the leaf."""
 
     face_matroid: Matroid
+    dim: int
     bounded: bool
     witness: tuple[Fraction, ...]
 
     @property
     def key(self):
         return self.face_matroid.bases
-
-    @property
-    def dim(self) -> int:
-        """Ambient dimension: the number of components of the face matroid."""
-        return len(self.face_matroid.components())
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +240,12 @@ def enumerate_local_cells(
     and yields the closed matrix of each feasible full pattern; each node
     is one selection added to a feasible prefix, and a node whose prefix
     turns infeasible is pruned.  One cell is built per leaf: it reads its
-    witness off the matrix (`diffcon.matrix_witness`), and is bounded
+    witness off the matrix (`diffcon.matrix_witness`), its dimension as
+    the number of slot classes the matrix fixes, and is bounded
     iff its matrix has a finite entry for every ordered pair of slots whose
     basis elements share a component of the underlying matroid: those
     entries bound the within-component differences, which fix the cell
-    modulo the lineality space (the module docstring proves it).  The
+    modulo the lineality space (the module docstring proves both).  The
     selections' edges and that list of pairs are built once per chart; the
     edges live on the vector's lattice: int bounds read in the unit D,
     straight from the chart's scaled deltas.  So is the witness step g, the
@@ -296,7 +306,10 @@ def enumerate_local_cells(
         face = p._face(k, vs)
         point = tuple(Fraction(v, s) for v in vs)
         bounded = all(closed[t] is not None for t in linked)
-        cells.append(Cell(face, bounded, point))
+        dim = sum(all(closed[u * m + v] is None or closed[v * m + u] is None
+                      or closed[u * m + v] + closed[v * m + u] for v in range(u))
+                  for u in range(m))
+        cells.append(Cell(face, dim, bounded, point))
     return sorted(cells, key=attrgetter("key"))
 
 

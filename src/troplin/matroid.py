@@ -160,12 +160,14 @@ class Matroid:
         """
         if self._components is None:
             bmask = self._masks[0]
-            groups = [1 << k for k in range(self.n) if bmask >> k & 1]
+            bases = set(self._masks)  # per call: not a stored function of _masks
+            groups = bbits = [1 << k for k in range(self.n) if bmask >> k & 1]
             rest = ((1 << self.n) - 1) & ~bmask
             while rest:
                 ebit = rest & -rest
                 rest ^= ebit
-                circuit = self.fundamental_circuit_mask(bmask, ebit)
+                # e's fundamental circuit over B: e and each b with B - b + e a basis
+                circuit = ebit | sum(b for b in bbits if ((bmask ^ b) | ebit) in bases)
                 # the groups are disjoint, so one pass merges all that meet it
                 kept = []
                 for g in groups:

@@ -290,7 +290,8 @@ def fraction_local_cells(ctx, owned_only=False):
             if res.feasible:
                 point = ctx.chart(res.witness)
                 face = p.matroid_at(point)
-                cells.append(Cell(face, is_bounded(face, underlying), point))
+                cells.append(Cell(face, len(face.components()),
+                                  is_bounded(face, underlying), point))
             return
         opts, allowed = rows[depth]
         for size in range(1, len(allowed) + 1):
@@ -353,7 +354,7 @@ def solve_leaf_cells(ctx, owned_only=False):
             )
             point = ctx.chart(bellman_ford_solve(system).witness)
             face = p.matroid_at(point)
-            cells.append(Cell(face, is_bounded(face, underlying), point))
+            cells.append(Cell(face, len(face.components()), is_bounded(face, underlying), point))
             return
         for selection in rows[depth]:
             nodes += 1

@@ -207,6 +207,29 @@ def test_each_cell_found_once_matches_all_bases(make):
         assert not cell.face_matroid.loops()
 
 
+DIM_CASES = [
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((5, 2), (6, 3), (7, 3), (7, 4), (8, 3), (8, 4))
+] + [
+    pytest.param(lambda: direct_sum(two_pyramids(), tau_instance("tie", 5, 2)),
+                 id="two_pyramids+tau_tie_5_2"),
+]
+
+
+@pytest.mark.parametrize("make", DIM_CASES)
+def test_leaf_dimension_is_the_face_component_count(make):
+    # enumeration counts the slot classes that each leaf's matrix fixes
+    # (module docstring); the definition counts the face matroid's
+    # components.  The first chart's full local complex adds the leaves
+    # that no owned search reaches
+    p = make()
+    first = p.underlying_matroid().bases[0]
+    cells = enumerate_cells(p) + enumerate_local_cells(LocalContext(p, first))
+    for cell in cells:
+        assert cell.dim == len(cell.face_matroid.components()), cell.key
+
+
 @pytest.mark.parametrize("make", OWNER_CASES)
 def test_skipped_charts_own_no_cell(make):
     # a basis with an element i outside it and no b < i in i's fundamental

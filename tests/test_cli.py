@@ -14,7 +14,7 @@ import pytest
 import troplin
 from oracles import fraction_failing_circuit
 from troplin.cells import enumerate_cells
-from troplin.cli import build_parser, main
+from troplin.cli import _dumps, build_parser, main
 from troplin.conical import HeightMatrix, random_height_matrix, tau
 from troplin.examples import snowflake, two_pyramids
 from troplin.selftest import DEFAULT_SEED
@@ -745,6 +745,35 @@ def test_output_is_deterministic(capsys, example1):
     _, a, _ = run(capsys, "cells", example1, "--format", "json")
     _, b, _ = run(capsys, "cells", example1, "--format", "json")
     assert a == b
+
+
+_PAIR = (3, 1, 2)
+_BITS = (1, 0)
+_FLAGS = (True, False)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, ()],
+    # one int tuple at two depths, and at one depth twice
+    {"t": _PAIR, "deeper": [_PAIR, [_PAIR, _PAIR]]},
+    # equal and alike-hashing, printed differently
+    {"ints": _BITS, "bools": _FLAGS, "both": [_BITS, _FLAGS, [_FLAGS, _BITS]]},
+    [1, True, 0, False], (True, 1), [False, [0, None]],
+    [-1, -20, 3], (-5,), {"n": -7, "rows": [(-1, 0), [-2, 1]]},
+    ["é", "\u2028", "\x00\x1f\x7f", "\t\n\r\b\f", '"\\', "\U0001f600", "\ud800"],
+    {"é": 1, "\x01": 2, "": None, "a b": "ü"},
+    "\x02ö", 0, -3, 10 ** 40, None, True, False,
+])
+def test_json_writer_matches_json_dumps_on_edge_values(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), [0, Fraction(1, 3)], {"x": 0.5}, (1, 2.0), {1: "a"}, {"a": object()},
+])
+def test_json_writer_refuses_other_values(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -8,6 +8,7 @@ a deliberate output change, run ``PYTHONPATH=src python tests/test_golden.py``
 from the root of the checkout and review the diff.
 """
 
+import json
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from troplin import cli
 from troplin.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +86,42 @@ def test_tau_prints_the_golden_input():
     code, out = stdout_of(["tau", str(FIXTURES / "heights_3_6.json"), "--format", "json"])
     assert code == 0
     assert out == INPUTS["tau_3_6"].read_text(encoding="utf-8")
+
+
+def json_commands():
+    """argv of every subcommand that prints JSON through `cli._emit`, on
+    each input; `tree` needs rank 2, and `tau` and `bounds` read no vector."""
+    out = [
+        pytest.param(["tau", str(FIXTURES / "heights_3_6.json")], id="tau"),
+        pytest.param(["bounds", "--n", "6", "--m", "3"], id="bounds"),
+    ]
+    for name, path in INPUTS.items():
+        chart, project, member = READS[name]
+        extra = {"member": member, "project": project, "chart": chart, "local": chart[:2]}
+        commands = ["validate", "circuits", "member", "project", "chart", "local",
+                    "cells", "fvector", "conical"] + (["tree"] if name != "tau_3_6" else [])
+        out += [
+            pytest.param([command, str(path), *extra.get(command, [])], id=f"{command}-{name}")
+            for command in commands
+        ]
+    return out
+
+
+@pytest.mark.parametrize("argv", json_commands())
+def test_json_writer_matches_json_dumps(monkeypatch, argv):
+    # every payload the subcommands print, written by `cli._dumps` and by
+    # the standard library's encoder with the same settings
+    payloads = []
+    dumps = cli._dumps
+
+    def spy(obj):
+        payloads.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    assert stdout_of(argv + ["--format", "json"])[0] == 0
+    (payload,) = payloads
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 if __name__ == "__main__":
