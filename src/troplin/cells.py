@@ -2,27 +2,38 @@
 
 Pulling the space back through the chart at a basis B turns each cell into a
 "tie pattern": for every non-basis element i, the set S_i of basis slots
-achieving the minimum in the chart formula.  A pattern determines a system of
-difference constraints on the chart coordinates (equalities inside each S_i,
-strict inequalities against the rest); the pattern is realized iff that
+achieving the minimum in the chart formula.  A pattern determines a system
+of difference constraints on the chart coordinates (equalities inside each
+S_i, strict inequalities against the rest); the pattern is realized iff that
 system is feasible.  The patterns are searched depth first, one element's
 tie set per level, and a node of the search is one tie set tried on a
 feasible prefix.  Each node adds its constraints to the prefix's closed
 difference-bound matrix (`diffcon.tighten`), which decides exactly whether
-the longer prefix is still feasible.  The search (`_leaves`) yields the
-closed matrix of each full pattern that survives, and its caller builds
-the cell: it reads the witness off the matrix (`diffcon.matrix_witness`), as
-`diffcon.solve` does: the column minima are the potentials that
-Bellman-Ford reaches, so the witness is the one the test suite's
-Bellman-Ford oracle returns, and no leaf calls `solve`.  The witness is
-mapped back through the chart (`PlueckerVector._chart`) and identified by
-the matroid of maximum-weight bases there (`PlueckerVector._face`, which
-weighs each support row by two reads from tables of the chart point's
-subset sums over the two halves of [n]).  The systems live on the vector's
-integer lattice: their bounds are the chart's int deltas
-(p_{B-b+i} - p_B) * D, read in the unit D, and the witness, the chart point
-and the face scan stay on integers, at the witness's step k = s / D, until
-the cell's `Fraction` witness is built.  `validate` stays on `Fraction`.
+the longer prefix is still feasible.  Before it copies the prefix's matrix
+d, a node tests each edge u -> v of its selection against d alone
+(`diffcon.cycle_tests`): if d[v * m + u] plus the edge's code is below 0,
+the edge and a path v ~> u of the prefix close a negative cycle.  That cycle
+is in every longer system, so the selection is dead in every extension; and
+`tighten` makes the same test edge by edge, against entries no higher than
+d's, since adding edges only lowers closed entries, so it would refuse the
+selection too.  The node skips the copy and `tighten` alike, and still
+spends its node.  The test is sound, not complete: edges that close a
+negative cycle only together pass it, and `tighten` refuses them.  So the
+nodes tried and the prefixes kept are the ones `tighten` alone gives.  The
+search (`_leaves`) yields the closed matrix of each full pattern that
+survives, and its caller builds the cell: it reads the witness off the
+matrix (`diffcon.matrix_witness`), as `diffcon.solve` does: the column
+minima are the potentials that Bellman-Ford reaches, so the witness is the
+one the test suite's Bellman-Ford oracle returns, and no leaf calls `solve`.
+The witness is mapped back through the chart (`PlueckerVector._chart`) and
+identified by the matroid of maximum-weight bases there
+(`PlueckerVector._face`, which weighs each support row by two reads from
+tables of the chart point's subset sums over the two halves of [n]).  The
+systems live on the vector's integer lattice: their bounds are the chart's
+int deltas (p_{B-b+i} - p_B) * D, read in the unit D, and the witness, the
+chart point and the face scan stay on integers, at the witness's step k = s
+/ D, until the cell's `Fraction` witness is built.  `validate` stays on
+`Fraction`.
 
 A cell lies in the chart region of every basis of its face matroid, and its
 tie set S_i at B is the set of b with B - b + i in that matroid.  B is the
@@ -80,7 +91,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chart import LocalContext
 from .diffcon import solve  # noqa: F401 -- unused here; perfbench/tracer.py wraps it by this module's name
-from .diffcon import matrix_witness, tighten
+from .diffcon import cycle_tests, matrix_witness, tighten
 from .matroid import Matroid, subset_from_mask
 from .plucker import PlueckerVector
 
@@ -97,11 +108,17 @@ class NodeBudget:
 
     A node is one tie set tried on a feasible prefix and decided by the
     prefix's difference-bound matrix; nodes are spent whether or not the
-    longer prefix stays feasible."""
+    longer prefix stays feasible.  The limit is an int of at least 0; a
+    bool, any other type or a negative int is refused here, not at the
+    first node."""
 
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise TypeError(f"the node limit must be an int, not {type(limit).__name__}")
+        if limit < 0:
+            raise ValueError(f"the node limit must be at least 0, not {limit}")
         self.limit = limit
         self.spent = 0
 
@@ -214,18 +231,32 @@ def _leaves(rows, m: int, budget: NodeBudget, depth: int, closed: list) -> Itera
     """The closed matrix of every feasible full tie pattern below a prefix.
 
     ``closed`` is the closed difference-bound matrix of a feasible prefix
-    of ``depth`` selections, and ``rows[depth:]`` hold the matrix edges of
-    every selection of each later row.  Each selection tried spends one
-    node of ``budget``; it tightens a copy of the prefix's matrix, and an
-    infeasible copy prunes the branch.  Leaves come in depth-first order."""
+    of ``depth`` selections, and ``rows[depth:]`` hold, for every selection
+    of each later row, its matrix edges and their `diffcon.cycle_tests`.
+    Each selection tried spends one node of ``budget``.  A selection with
+    an edge u -> v whose entry closed[v * m + u] plus its code is below 0
+    is dead: that entry is a path of the prefix, and with the edge it
+    closes a negative cycle, which every longer system keeps, since adding
+    edges only lowers closed entries.  `tighten` tests each edge the same
+    way, against entries no higher than the prefix's, so it would refuse
+    the selection too; the dead selection is pruned before any copy.  Any
+    other selection tightens a copy of the prefix's matrix, and an
+    infeasible copy prunes the branch.  So the nodes spent and the leaves
+    are those of tightening every selection.  Leaves come in depth-first
+    order."""
     if depth == len(rows):
         yield closed
         return
-    for edges in rows[depth]:
+    for edges, tests in rows[depth]:
         budget.spend()
-        child = closed.copy()
-        if tighten(child, m, edges):
-            yield from _leaves(rows, m, budget, depth + 1, child)
+        for at, w in tests:
+            back = closed[at]
+            if back is not None and back + w < 0:
+                break
+        else:
+            child = closed.copy()
+            if tighten(child, m, edges):
+                yield from _leaves(rows, m, budget, depth + 1, child)
 
 
 def enumerate_local_cells(
@@ -253,9 +284,13 @@ def enumerate_local_cells(
     edge against each other option t of the row, of bound
     +-(delta_t - delta_rep), so whichever options are chosen its bounds'
     gcd is that of the row's differences delta_t - delta_0, and g is the
-    gcd of D and of those differences over every row.  ``max_nodes`` caps
-    the number of tie-pattern nodes (the product can explode); pass a
-    `NodeBudget` to share one cap between several charts.
+    gcd of D and of those differences over every row.  So every leaf's
+    witness has the denominator den = D / g * (m + 1) of
+    `diffcon.matrix_witness`, and den, the common denominator s =
+    lcm(D, den) of the cell's point and the chart's step k = s / D are
+    fixed per chart, not per leaf.  ``max_nodes`` caps the number of
+    tie-pattern nodes (the product can explode); pass a `NodeBudget` to
+    share one cap between several charts.
 
     With ``owned_only`` only the cells whose lex-least face basis is
     ctx.basis are returned: the selection for element i is drawn from the
@@ -266,7 +301,7 @@ def enumerate_local_cells(
     p = ctx.p
     m = p.m
     unit = p._weight_lattice()[0]
-    # per row, the matrix edges of every selection
+    # per row, the matrix edges of every selection and their cycle tests
     rows = []
     for i, deltas in ctx._deltas:
         allowed = tuple(
@@ -275,11 +310,12 @@ def enumerate_local_cells(
         )
         if not allowed:
             return []
-        rows.append([
+        systems = [
             _selection_system(deltas, chosen_idx)
             for size in range(1, len(allowed) + 1)
             for chosen_idx in combinations(allowed, size)
-        ])
+        ]
+        rows.append([(edges, cycle_tests(m, edges)) for edges in systems])
     # the matrix entries (u, v) of slots in one underlying component
     comp = {e: k for k, c in enumerate(p.underlying_matroid().components()) for e in c}
     linked = [
@@ -288,27 +324,32 @@ def enumerate_local_cells(
         for v, bv in enumerate(ctx.basis)
         if u != v and comp[bu] == comp[bv]
     ]
-    # the witness step of every leaf (see above)
+    # the entries (u * m + v, v * m + u) of each slot u and each v < u
+    pairs = [(u, u * m + v, v * m + u) for u in range(m) for v in range(u)]
+    # the witness step of every leaf, and the constants it fixes (see above)
     g = math.gcd(unit, *(d - opts[0][1] for _, opts in ctx._deltas for _, d in opts))
+    den = unit // g * (m + 1)
+    s = math.lcm(unit, den)
+    k = s // unit
+    lift = s // den
     # the empty system: 0 on the diagonal, no path elsewhere
     empty = [None] * (m * m)
     empty[::m + 1] = [0] * m
     cells = []
     for closed in _leaves(rows, m, budget, 0, empty):
-        den, xs = matrix_witness(closed, m, unit, g)
-        s = math.lcm(unit, den)
+        xs = matrix_witness(closed, m, unit, g)[1]
         # the witness on B, 0 elsewhere: the chart overwrites the rest
         ys = [0] * p.n
         for b, x in zip(ctx.basis, xs):
-            ys[b - 1] = x * (s // den)
-        k = s // unit
+            ys[b - 1] = x * lift
         vs = p._chart(ctx._bmask, k, ys)[2]
         face = p._face(k, vs)
         point = tuple(Fraction(v, s) for v in vs)
         bounded = all(closed[t] is not None for t in linked)
-        dim = sum(all(closed[u * m + v] is None or closed[v * m + u] is None
-                      or closed[u * m + v] + closed[v * m + u] for v in range(u))
-                  for u in range(m))
+        # one class per slot, less the slots that a v < u joins
+        dim = m - len({u for u, uv, vu in pairs
+                       if closed[uv] is not None and closed[vu] is not None
+                       and not closed[uv] + closed[vu]})
         cells.append(Cell(face, dim, bounded, point))
     return sorted(cells, key=attrgetter("key"))
 

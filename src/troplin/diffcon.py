@@ -38,7 +38,9 @@ paths that use the new edge use it once, and the update
 compares codes with s <= 2(k - 1) + 1 < K, so it keeps the lex minimum,
 which is again a simple path's weight.  The verdicts are exact, whatever
 the order in which edges arrive.  A search that adds constraints a
-selection at a time calls `tighten` itself and keeps each prefix's matrix.
+selection at a time calls `tighten` itself and keeps each prefix's matrix;
+`cycle_tests` gives it the same test per edge against that matrix, to drop
+a selection before it copies the matrix.
 
 `solve` scales a system's bounds to integers by q, the lcm of their
 denominators (1 for int bounds), so they step in 1 / q, and adds its edges
@@ -180,6 +182,18 @@ def tighten(d: list, k: int, edges) -> bool:
                 if old is None or t < old:
                     d[i + j] = t
     return True
+
+
+def cycle_tests(k: int, edges) -> list[tuple[int, int]]:
+    """The pairs (v * k + u, w) that test edges against a closed matrix.
+
+    Each edge (u, v, c, strict), read as in `tighten`, has the code
+    w = c * (2k + 2) - strict.  On the closed k x k matrix d of a feasible
+    system the edge closes a negative cycle exactly when d[v * k + u] is
+    not None and d[v * k + u] + w < 0 (module docstring), which is the
+    test `tighten` makes before it adds the edge."""
+    scale = 2 * k + 2
+    return [(v * k + u, c * scale - strict) for u, v, c, strict in edges]
 
 
 def matrix_witness(d: list, k: int, unit: int, g: int) -> tuple[int, list[int]]:

@@ -26,6 +26,7 @@ from oracles import (
     tie_pattern,
     tree_failures,
 )
+import troplin.cells as cellmod
 from troplin.cells import (
     EnumerationLimit,
     NodeBudget,
@@ -48,6 +49,7 @@ from troplin.conical import (
     random_height_matrix,
     tau,
 )
+from troplin.diffcon import tighten
 from troplin.matroid import Matroid
 from troplin.examples import snowflake, two_pyramids, uniform_zero
 from troplin.plucker import PlueckerVector
@@ -166,6 +168,27 @@ def test_enumeration_spends_a_passed_budget():
     with pytest.raises(EnumerationLimit, match="exceeded 75 tie-pattern nodes"):
         enumerate_cells(p, tight)
     assert tight.spent == 76
+
+
+@pytest.mark.parametrize("limit, error", [
+    (76.5, TypeError),
+    (True, TypeError),
+    (False, TypeError),
+    ("80", TypeError),
+    (None, TypeError),
+    (-1, ValueError),
+], ids=["float", "true", "false", "str", "none", "negative"])
+def test_node_limits_are_checked_when_the_budget_is_built(limit, error):
+    # a float, a bool, a str or None once reached the first node and either
+    # ran as a cap or failed inside `spend`; they are refused up front, as
+    # is a negative cap, through every entry point, before a node is spent
+    p = snowflake()
+    with pytest.raises(error, match="the node limit must be"):
+        NodeBudget(limit)
+    with pytest.raises(error, match="the node limit must be"):
+        enumerate_cells(p, limit)
+    with pytest.raises(error, match="the node limit must be"):
+        enumerate_local_cells(LocalContext(p, (1, 3)), limit)
 
 
 def test_ground_size_cap():
@@ -393,25 +416,33 @@ def test_lattice_search_matches_the_fraction_search(make):
         assert_same_search(LocalContext(p, basis), False)
 
 
-NODE_CASES = [
-    pytest.param(two_pyramids, id="two_pyramids"),
-    pytest.param(snowflake, id="snowflake"),
-] + [
-    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
-    for kind in ("generic", "tie", "knockout")
-    for n, m in ((6, 3), (7, 3))
-]
+def test_dead_selections_skip_the_matrix_copy(monkeypatch):
+    # a selection with an edge that closes a negative cycle against the
+    # prefix's matrix alone is pruned before the copy, and still spends
+    # its node: on the tau of fixtures/heights_3_6.json most selections die
+    # so, and `tighten` runs fewer times than there are nodes, while the
+    # cells and the nodes are those of the search that runs Bellman-Ford
+    # on every prefix
+    with open(Path(__file__).resolve().parent.parent / "fixtures" / "heights_3_6.json",
+              encoding="utf-8") as fh:
+        p = tau(HeightMatrix.from_json(json.load(fh)))
+    calls = 0
 
+    def counted(d, k, edges):
+        nonlocal calls
+        calls += 1
+        return tighten(d, k, edges)
 
-@pytest.mark.parametrize("make", NODE_CASES)
-def test_matrix_search_matches_the_solver_search_node_for_node(make):
-    # the owned and the full local search at every basis: the budget spent
-    # by the difference-bound matrix search is the solve-per-prefix count
-    p = make()
+    monkeypatch.setattr(cellmod, "tighten", counted)
+    budget = NodeBudget(10**9)
+    cells = enumerate_cells(p, budget)
+    expected, nodes = [], 0
     for basis in p.underlying_matroid().bases:
-        ctx = LocalContext(p, basis)
-        assert_same_search(ctx, True)
-        assert_same_search(ctx, False)
+        found, spent = fraction_local_cells(LocalContext(p, basis), True)
+        expected += found
+        nodes += spent
+    assert (cells, budget.spent) == (expected, nodes)
+    assert 0 < calls < budget.spent
 
 
 def disconnected_sum():
@@ -426,6 +457,29 @@ def disconnected_unbounded_sum():
     p = direct_sum(snowflake(), tau_instance("generic", 4, 2))
     assert len(p.underlying_matroid().components()) == 2
     return p
+
+
+NODE_CASES = [
+    pytest.param(two_pyramids, id="two_pyramids"),
+    pytest.param(snowflake, id="snowflake"),
+    pytest.param(disconnected_sum, id="two_pyramids+tau_tie_4_2"),
+    pytest.param(disconnected_unbounded_sum, id="snowflake+tau_generic_4_2"),
+] + [
+    pytest.param(lambda k=kind, n=n, m=m: tau_instance(k, n, m), id=f"tau_{kind}_{n}_{m}")
+    for kind in ("generic", "tie", "knockout")
+    for n, m in ((6, 3), (7, 3), (7, 4))
+]
+
+
+@pytest.mark.parametrize("make", NODE_CASES)
+def test_matrix_search_matches_the_solver_search_node_for_node(make):
+    # the owned and the full local search at every basis: the budget spent
+    # by the difference-bound matrix search is the solve-per-prefix count
+    p = make()
+    for basis in p.underlying_matroid().bases:
+        ctx = LocalContext(p, basis)
+        assert_same_search(ctx, True)
+        assert_same_search(ctx, False)
 
 
 LEAF_CASES = [

@@ -15,6 +15,7 @@ from oracles import (
 from troplin.diffcon import (
     Constraint,
     DifferenceSystem,
+    cycle_tests,
     matrix_witness,
     solve,
     tighten,
@@ -279,6 +280,39 @@ def test_matrix_verdicts_match_solve_and_fourier_motzkin():
         feasible += want
         infeasible += not want
     assert feasible > 200 and infeasible > 100
+
+
+def test_cycle_tests_are_tightens_verdict_edge_by_edge():
+    # on the closed matrix of a feasible prefix, an edge's cycle test fires
+    # exactly when `tighten` refuses that edge alone; a batch with a firing
+    # edge is refused whole (the pre-test of cell enumeration), and some
+    # batches that no test fires on are refused too: their edges close a
+    # negative cycle only together.  Bounds in {-1, 0, 1} make zero cycles
+    # common, where only the strict counts decide
+    rng = random.Random(2012)
+    fired = only_together = zero_cycles = 0
+    for _ in range(1000):
+        k = rng.randint(2, 4)
+        edges = [(u, v, rng.randint(-1, 1), rng.getrandbits(1))
+                 for u, v in (rng.sample(range(k), 2) for _ in range(rng.randint(1, 8)))]
+        cut = rng.randint(0, len(edges) - 1)
+        d = closed_matrix(k, edges[:cut])
+        if d is None:
+            continue
+        batch = edges[cut:]
+        hits = []
+        for edge, (at, w) in zip(batch, cycle_tests(k, batch)):
+            hit = d[at] is not None and d[at] + w < 0
+            assert hit == (not tighten(d.copy(), k, [edge])), edge
+            zero_cycles += d[at] is not None and -k <= d[at] + w <= 0
+            hits.append(hit)
+        feasible = tighten(d.copy(), k, batch)
+        if any(hits):
+            assert not feasible
+            fired += 1
+        elif not feasible:
+            only_together += 1
+    assert fired > 100 and only_together > 40 and zero_cycles > 100
 
 
 @pytest.mark.parametrize("edges, feasible", [
